@@ -4,6 +4,17 @@
 //! (paper §2.3): resolve virtual registers to slots, labels to instruction
 //! indices, parameter names to buffer offsets, and module-scope globals to
 //! device addresses. The result is what the interpreter executes.
+//!
+//! Compilation is two passes. *Lowering* maps each PTX instruction to one
+//! [`COp`]. *Fusion* (`fuse`) then rewrites the head of two recurring
+//! sequences — a run of `ld.param`s and an address fence (`and`/`or`, or
+//! `sub`/`rem`/`add`, optionally behind the `add` that folds a constant
+//! offset) — into one macro-op that does the work of the whole sequence in
+//! one interpreter dispatch. Fusion is invisible to the simulation: a macro-op
+//! charges the cycles, instruction counts and budget of its constituents
+//! exactly, and the constituents stay in place behind the head, so pcs are
+//! unchanged and a branch into the middle of a sequence executes the
+//! original instructions.
 
 use crate::fault::window::{LOCAL_BASE, SHARED_BASE};
 use ptx::ast::{AddrBase, Function, FunctionKind, Module, Op, Operand, Statement};
@@ -177,6 +188,45 @@ pub enum COp {
         src: CSrc,
         cmp: Option<CSrc>,
     },
+    /// Fusion: head of `n >= 2` consecutive unpredicated `ld.param`s. Does
+    /// its own load, then those of the `n - 1` [`COp::LdParam`]s behind it.
+    LdParamRun {
+        ty: Type,
+        dst: u16,
+        offset: u32,
+        n: u16,
+    },
+    /// Fusion: head of an address fence on register `t`, standing for
+    /// `[add.s64 t, r, imm;]` then `and.b64 t, t, bound; or.b64 t, t, base`
+    /// ([`FenceKind::Bitwise`]) or `sub.u64 t, t, base; rem.u64 t, t, bound;
+    /// add.u64 t, t, base` ([`FenceKind::Modulo`]).
+    FenceAddr {
+        kind: FenceKind,
+        t: u16,
+        /// The folded `add.s64 t, r, imm`, as `(r, imm)`.
+        lead: Option<(u16, i64)>,
+        bound: u16,
+        base: u16,
+    },
+}
+
+/// Which arithmetic a [`COp::FenceAddr`] stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FenceKind {
+    /// `(t & bound) | base`: two ALU instructions.
+    Bitwise,
+    /// `base + (t - base) % bound`: two ALU instructions and a 64-bit `rem`.
+    Modulo,
+}
+
+impl FenceKind {
+    /// Instructions in the sequence, without the optional leading `add`.
+    pub fn instructions(self) -> usize {
+        match self {
+            FenceKind::Bitwise => 2,
+            FenceKind::Modulo => 3,
+        }
+    }
 }
 
 /// A compiled kernel or device function.
@@ -237,6 +287,20 @@ impl CompiledModule {
 /// Returns [`CompileError`] on constructs outside the supported subset
 /// (e.g. `call` with a return value) or inconsistent register usage.
 pub fn compile_module(m: &Module, globals_base: u64) -> Result<CompiledModule, CompileError> {
+    build_module(m, globals_base, true)
+}
+
+/// Lowering alone, so tests can hold the fused code against it.
+#[cfg(test)]
+pub(crate) fn lower_module(m: &Module, globals_base: u64) -> Result<CompiledModule, CompileError> {
+    build_module(m, globals_base, false)
+}
+
+fn build_module(
+    m: &Module,
+    globals_base: u64,
+    fused: bool,
+) -> Result<CompiledModule, CompileError> {
     // Lay out module globals.
     let mut global_offsets = HashMap::new();
     let mut off = 0u64;
@@ -259,7 +323,10 @@ pub fn compile_module(m: &Module, globals_base: u64) -> Result<CompiledModule, C
 
     let mut functions = HashMap::new();
     for f in &m.functions {
-        let ck = compile_function(f, globals_base, &global_offsets)?;
+        let mut ck = lower_function(f, globals_base, &global_offsets)?;
+        if fused {
+            fuse(&mut ck.code);
+        }
         functions.insert(f.name.clone(), Arc::new(ck));
     }
     Ok(CompiledModule {
@@ -376,7 +443,7 @@ pub fn truncate_to(ty: Type, bits: u64) -> u64 {
     }
 }
 
-fn compile_function(
+fn lower_function(
     f: &Function,
     globals_base: u64,
     global_offsets: &HashMap<String, u64>,
@@ -691,12 +758,128 @@ fn compile_function(
     })
 }
 
+/// The fusion pass. Matching is structural — any registers, no knowledge of
+/// the patcher's names — so it preserves the meaning of arbitrary PTX. Only
+/// the head of a sequence is replaced; the scan resumes behind the sequence,
+/// so the instructions it covers stay as they were lowered.
+fn fuse(code: &mut [CInstr]) {
+    let mut pc = 0;
+    while pc < code.len() {
+        let window = &code[pc..];
+        pc += match ld_param_run_at(window).or_else(|| fence_at(window)) {
+            Some((op, n)) => {
+                code[pc].op = op;
+                n
+            }
+            None => 1,
+        };
+    }
+}
+
+fn ld_param_run_at(window: &[CInstr]) -> Option<(COp, usize)> {
+    let is_plain_ld_param = |i: &CInstr| i.pred.is_none() && matches!(i.op, COp::LdParam { .. });
+    let n = window
+        .iter()
+        .take(u16::MAX as usize)
+        .take_while(|i| is_plain_ld_param(i))
+        .count();
+    match window.first()?.op {
+        COp::LdParam { ty, dst, offset } if n >= 2 => Some((
+            COp::LdParamRun {
+                ty,
+                dst,
+                offset,
+                n: n as u16,
+            },
+            n,
+        )),
+        _ => None,
+    }
+}
+
+/// An unpredicated `<kind>.<ty> t, t, x` with `x` a register other than `t`
+/// (were `x` the register being rewritten, the sequence would read its own
+/// intermediate values): returns `(t, x)`.
+fn in_place(i: &CInstr, kind: BinKind, ty: Type) -> Option<(u16, u16)> {
+    match *i {
+        CInstr {
+            pred: None,
+            op:
+                COp::Binary {
+                    kind: k,
+                    ty: y,
+                    dst,
+                    a: CSrc::Reg(a),
+                    b: CSrc::Reg(x),
+                },
+        } if k == kind && y == ty && dst == a && x != dst => Some((dst, x)),
+        _ => None,
+    }
+}
+
+type Fence = (FenceKind, u16, u16, u16); // kind, t, bound, base
+
+fn bitwise_fence_at(body: &[CInstr]) -> Option<Fence> {
+    let [i0, i1, ..] = body else { return None };
+    let (t, bound) = in_place(i0, BinKind::And, Type::B64)?;
+    let (t1, base) = in_place(i1, BinKind::Or, Type::B64)?;
+    (t == t1).then_some((FenceKind::Bitwise, t, bound, base))
+}
+
+fn modulo_fence_at(body: &[CInstr]) -> Option<Fence> {
+    let [i0, i1, i2, ..] = body else { return None };
+    let (t, base) = in_place(i0, BinKind::Sub, Type::U64)?;
+    let (t1, bound) = in_place(i1, BinKind::Rem, Type::U64)?;
+    let (t2, base2) = in_place(i2, BinKind::Add, Type::U64)?;
+    (t == t1 && t == t2 && base == base2).then_some((FenceKind::Modulo, t, bound, base))
+}
+
+fn fence_at(window: &[CInstr]) -> Option<(COp, usize)> {
+    // `add.s64 t, r, imm` in front of a fence on the same `t` folds in.
+    let lead = match window.first()? {
+        CInstr {
+            pred: None,
+            op:
+                COp::Binary {
+                    kind: BinKind::Add,
+                    ty: Type::S64,
+                    dst,
+                    a: CSrc::Reg(r),
+                    b: CSrc::Imm(imm),
+                },
+        } => Some((*dst, *r, *imm as i64)),
+        _ => None,
+    };
+    let body = &window[lead.is_some() as usize..];
+    let (kind, t, bound, base) = bitwise_fence_at(body).or_else(|| modulo_fence_at(body))?;
+    let lead = match lead {
+        Some((dst, r, imm)) if dst == t => Some((r, imm)),
+        Some(_) => return None,
+        None => None,
+    };
+    let n = lead.is_some() as usize + kind.instructions();
+    Some((
+        COp::FenceAddr {
+            kind,
+            t,
+            lead,
+            bound,
+            base,
+        },
+        n,
+    ))
+}
+
 impl COp {
     /// Static cost class used by the timing model.
     pub fn is_memory(&self) -> bool {
         matches!(
             self,
-            COp::Ld { .. } | COp::St { .. } | COp::Atom { .. } | COp::LdParam { .. }
+            COp::Ld { .. }
+                | COp::St { .. }
+                | COp::Atom { .. }
+                | COp::LdParam { .. }
+                | COp::LdParamRun { .. }
         )
     }
 }
@@ -889,6 +1072,182 @@ $L_done:
             } => assert_eq!(*bits, 0x3F80_0000),
             o => panic!("{o:?}"),
         }
+    }
+
+    /// Lowered and fused code of the one kernel in `body`, whose parameters
+    /// are `a`, `b`, `c` (`.u64`) and `n` (`.u32`); `%rdN` is slot `N`.
+    fn both(body: &str) -> (Vec<CInstr>, Vec<CInstr>) {
+        let src = format!(
+            r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry k(.param .u64 a, .param .u64 b, .param .u64 c, .param .u32 n)
+{{
+    .reg .b64 %rd<8>;
+    .reg .b32 %r<4>;
+    .reg .pred %p<2>;
+{body}
+    ret;
+}}
+"#
+        );
+        let m = ptx::parse(&src).unwrap();
+        ptx::validate(&m).unwrap();
+        let code = |cm: CompiledModule| cm.kernel("k").unwrap().code.clone();
+        (
+            code(lower_module(&m, 0).unwrap()),
+            code(compile_module(&m, 0).unwrap()),
+        )
+    }
+
+    /// Pcs at which fusion put a macro-op; everywhere else the fused code
+    /// must still be the lowered code.
+    fn fused_heads(body: &str) -> Vec<(usize, COp)> {
+        let (lowered, fused) = both(body);
+        assert_eq!(lowered.len(), fused.len(), "fusion never moves a pc");
+        let mut heads = Vec::new();
+        for (pc, (l, f)) in lowered.iter().zip(&fused).enumerate() {
+            if l != f {
+                assert_eq!(l.pred, None);
+                assert_eq!(f.pred, None);
+                heads.push((pc, f.op.clone()));
+            }
+        }
+        heads
+    }
+
+    #[test]
+    fn fusion_replaces_heads_and_leaves_landing_pads() {
+        let heads = fused_heads(
+            "
+    ld.param.u64 %rd1, [a];
+    ld.param.u64 %rd2, [b];
+    ld.param.u64 %rd3, [c];
+    ld.param.u32 %r1, [n];
+    mov.u32 %r2, 7;
+    and.b64 %rd1, %rd1, %rd3;
+    or.b64 %rd1, %rd1, %rd2;
+    st.global.u32 [%rd1], %r2;
+    add.s64 %rd4, %rd1, 16;
+    and.b64 %rd4, %rd4, %rd3;
+    or.b64 %rd4, %rd4, %rd2;
+    st.global.u32 [%rd4], %r2;
+    sub.u64 %rd5, %rd5, %rd2;
+    rem.u64 %rd5, %rd5, %rd3;
+    add.u64 %rd5, %rd5, %rd2;
+    add.s64 %rd6, %rd6, -8;
+    sub.u64 %rd6, %rd6, %rd2;
+    rem.u64 %rd6, %rd6, %rd3;
+    add.u64 %rd6, %rd6, %rd2;",
+        );
+        let fence = |kind, t, lead| COp::FenceAddr {
+            kind,
+            t,
+            lead,
+            bound: 3,
+            base: 2,
+        };
+        assert_eq!(
+            heads,
+            vec![
+                (
+                    0,
+                    COp::LdParamRun {
+                        ty: Type::U64,
+                        dst: 1,
+                        offset: 0,
+                        n: 4
+                    }
+                ),
+                (5, fence(FenceKind::Bitwise, 1, None)),
+                (8, fence(FenceKind::Bitwise, 4, Some((1, 16)))),
+                (12, fence(FenceKind::Modulo, 5, None)),
+                (15, fence(FenceKind::Modulo, 6, Some((6, -8)))),
+            ]
+        );
+    }
+
+    #[test]
+    fn look_alikes_are_left_alone() {
+        for (why, body) in [
+            (
+                "and whose destination is not its source",
+                "and.b64 %rd1, %rd4, %rd3;\n or.b64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "or on another register",
+                "and.b64 %rd1, %rd1, %rd3;\n or.b64 %rd4, %rd4, %rd2;",
+            ),
+            (
+                "mask is the fenced register",
+                "and.b64 %rd1, %rd1, %rd1;\n or.b64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "base is the fenced register",
+                "and.b64 %rd1, %rd1, %rd3;\n or.b64 %rd1, %rd1, %rd1;",
+            ),
+            (
+                "predicated and",
+                "@%p1 and.b64 %rd1, %rd1, %rd3;\n or.b64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "predicated or",
+                "and.b64 %rd1, %rd1, %rd3;\n @!%p1 or.b64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "32-bit and",
+                "and.b32 %rd1, %rd1, %rd3;\n or.b64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "immediate mask",
+                "and.b64 %rd1, %rd1, 4095;\n or.b64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "signed rem",
+                "sub.u64 %rd1, %rd1, %rd2;\n rem.s64 %rd1, %rd1, %rd3;\n add.u64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "modulo re-based on another register",
+                "sub.u64 %rd1, %rd1, %rd2;\n rem.u64 %rd1, %rd1, %rd3;\n add.u64 %rd1, %rd1, %rd4;",
+            ),
+            (
+                "modulo whose size is the fenced register",
+                "sub.u64 %rd1, %rd1, %rd2;\n rem.u64 %rd1, %rd1, %rd1;\n add.u64 %rd1, %rd1, %rd2;",
+            ),
+            (
+                "a lone ld.param",
+                "ld.param.u64 %rd1, [a];\n mov.u32 %r1, 1;",
+            ),
+            (
+                "ld.param run broken by a predicate",
+                "ld.param.u64 %rd1, [a];\n @%p1 ld.param.u64 %rd2, [b];\n mov.u32 %r1, 1;",
+            ),
+        ] {
+            assert_eq!(fused_heads(body), vec![], "{why}");
+        }
+        // An `add` that does not feed the fence stays out of it; the pair
+        // behind it still fuses, on its own.
+        for (why, lead) in [
+            ("lead writes another register", "add.s64 %rd4, %rd1, 16;"),
+            ("predicated lead", "@%p1 add.s64 %rd1, %rd1, 16;"),
+            ("lead adds a register", "add.s64 %rd1, %rd1, %rd4;"),
+            ("unsigned lead", "add.u64 %rd1, %rd1, 16;"),
+        ] {
+            let body = format!("{lead}\n and.b64 %rd1, %rd1, %rd3;\n or.b64 %rd1, %rd1, %rd2;");
+            let heads = fused_heads(&body);
+            assert!(
+                matches!(heads[..], [(1, COp::FenceAddr { lead: None, .. })]),
+                "{why}: {heads:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn macro_ops_do_not_grow_an_instruction() {
+        // `COp::Atom` set the size before fusion; a bigger instruction
+        // would cost every kernel cache footprint and the daemon memory.
+        assert_eq!(std::mem::size_of::<CInstr>(), 64);
     }
 
     #[test]

@@ -1104,9 +1104,16 @@ impl Device {
     fn record_fault(&mut self, ctx: CtxId, stream: StreamId, kernel: Option<String>, fault: Fault) {
         // `trap` is a *contained* detection signal (Guardian's address
         // checking detects the out-of-bounds pointer and terminates the
-        // kernel, §4.4); hardware faults (unmapped / ASID violations)
-        // poison the whole context, as on real devices.
-        let contained = matches!(fault, Fault::Trap { .. });
+        // kernel, §4.4), and so are the two checks address generation makes
+        // before any memory transaction is issued: they end the kernel and
+        // leave the context usable, so a manager sharing one context among
+        // tenants can kill only the offender. Faults of the memory system
+        // itself (unmapped / ASID violations) poison the whole context, as
+        // on real devices.
+        let contained = matches!(
+            fault,
+            Fault::Trap { .. } | Fault::Misaligned { .. } | Fault::WrongSpace { .. }
+        );
         if let Some(c) = self.contexts.get_mut(&ctx) {
             if !contained {
                 c.poisoned = true;

@@ -38,6 +38,24 @@ pub enum Fault {
         /// ASID that owns the page.
         owner: u32,
     },
+    /// A global access whose address is not a multiple of its width, as
+    /// real GPUs fault it. Fencing relies on it: with naturally aligned
+    /// accesses, a first byte inside the partition means every byte is.
+    Misaligned {
+        /// The faulting virtual address.
+        addr: u64,
+        /// Width of the access in bytes.
+        width: u64,
+    },
+    /// A `.shared`, `.local` or `.global` instruction whose address lies
+    /// outside that state space's window (only generic accesses resolve by
+    /// address).
+    WrongSpace {
+        /// The faulting virtual address.
+        addr: u64,
+        /// The state space the instruction named.
+        space: ptx::types::Space,
+    },
     /// The kernel executed `trap;` — raised by Guardian's address-checking
     /// instrumentation when it detects an out-of-bounds pointer.
     Trap {
@@ -87,6 +105,12 @@ impl fmt::Display for Fault {
                 f,
                 "ASID {accessor} accessed {addr:#x} owned by ASID {owner}"
             ),
+            Fault::Misaligned { addr, width } => {
+                write!(f, "misaligned {width}-byte access at {addr:#x}")
+            }
+            Fault::WrongSpace { addr, space } => {
+                write!(f, "{space} access at {addr:#x}, outside that state space")
+            }
             Fault::Trap { kernel } => write!(f, "kernel `{kernel}` raised trap"),
             Fault::ScratchOutOfBounds { addr, size } => {
                 write!(f, "scratch access {addr:#x} beyond buffer of {size} bytes")

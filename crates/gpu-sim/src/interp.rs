@@ -14,12 +14,12 @@
 //! scheduler reason about SM occupancy.
 
 use crate::cache::{CacheHierarchy, CacheStats, HitLevel};
-use crate::compile::{CAddr, CInstr, COp, CSrc, CompiledKernel};
+use crate::compile::{CAddr, CInstr, COp, CSrc, CompiledKernel, FenceKind};
 use crate::fault::window::{DEVICE_BASE, LOCAL_BASE, SHARED_BASE, WINDOW_SIZE};
 use crate::fault::Fault;
 use crate::mem::{Dram, NO_OWNER};
 use crate::spec::GpuSpec;
-use ptx::types::{AtomKind, BinKind, CmpOp, Dim, SpecialReg, Type, UnaryKind};
+use ptx::types::{AtomKind, BinKind, CmpOp, Dim, Space, SpecialReg, Type, UnaryKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -94,6 +94,10 @@ pub struct LaunchOutcome {
 /// Per-thread instruction budget; a kernel exceeding it is deemed runaway
 /// (the grdManager may revoke it, §4.3).
 pub const INSTRUCTION_BUDGET: u64 = 50_000_000;
+
+/// Cycles of a 32-bit integer `div`/`rem`; the 64-bit forms cost twice
+/// that (the CUDA ISA implements them via a function call, §4.4).
+const INT_DIV_CYCLES: u64 = 20;
 
 /// Executes launches against a DRAM + cache + spec.
 pub struct Executor<'a> {
@@ -269,23 +273,51 @@ impl<'a> Executor<'a> {
             let mut next_pc = t.pc + 1;
             match &instr.op {
                 COp::LdParam { ty, dst, offset } => {
-                    let sz = ty.size();
-                    let off = *offset as usize;
-                    let mut buf = [0u8; 8];
-                    let avail = params.len().saturating_sub(off).min(sz);
-                    buf[..avail].copy_from_slice(&params[off..off + avail]);
-                    t.regs[*dst as usize] = u64::from_le_bytes(buf);
+                    t.regs[*dst as usize] = ld_param(params, *ty, *offset);
                     t.cycles += spec.alu_cycles;
                 }
-                COp::Ld { ty, dst, addr, .. } => {
-                    let a = self.resolve_addr(addr, t);
-                    let bits = self.mem_load(a, ty.size(), guard, shared, t, stats)?;
+                COp::LdParamRun { n, .. } => {
+                    charge_fused(t, stats, *n as u64 - 1)?;
+                    ld_param_run(code, params, t);
+                    t.cycles += *n as u64 * spec.alu_cycles;
+                    next_pc = t.pc + *n as usize;
+                }
+                COp::FenceAddr {
+                    kind,
+                    t: reg,
+                    lead,
+                    bound,
+                    base,
+                } => {
+                    let n = lead.is_some() as u64 + kind.instructions() as u64;
+                    charge_fused(t, stats, n - 1)?;
+                    fence_addr(&mut t.regs, *kind, *reg, *lead, *bound, *base);
+                    // Every constituent is an ALU op but the 64-bit `rem`.
+                    t.cycles += match kind {
+                        FenceKind::Bitwise => n * spec.alu_cycles,
+                        FenceKind::Modulo => (n - 1) * spec.alu_cycles + 2 * INT_DIV_CYCLES,
+                    };
+                    next_pc = t.pc + n as usize;
+                }
+                COp::Ld {
+                    space,
+                    ty,
+                    dst,
+                    addr,
+                } => {
+                    let acc = self.access(*space, addr, *ty, t);
+                    let bits = self.mem_load(acc, guard, shared, t, stats)?;
                     t.regs[*dst as usize] = bits;
                 }
-                COp::St { ty, addr, src, .. } => {
-                    let a = self.resolve_addr(addr, t);
+                COp::St {
+                    space,
+                    ty,
+                    addr,
+                    src,
+                } => {
+                    let acc = self.access(*space, addr, *ty, t);
                     let bits = self.value(src, t, cfg, ctaid);
-                    self.mem_store(a, ty.size(), bits, guard, shared, t, stats)?;
+                    self.mem_store(acc, bits, guard, shared, t, stats)?;
                 }
                 COp::Mov { ty, dst, src } => {
                     let v = crate::compile::truncate_to(*ty, self.value(src, t, cfg, ctaid));
@@ -319,12 +351,9 @@ impl<'a> Executor<'a> {
                             } else if ty.is_float() {
                                 spec.sfu_cycles
                             } else if ty.size() == 8 {
-                                // 64-bit integer div/rem: the CUDA ISA
-                                // implements these via a function call at
-                                // 2x the 32-bit cost (§4.4).
-                                2 * 20
+                                2 * INT_DIV_CYCLES
                             } else {
-                                20
+                                INT_DIV_CYCLES
                             }
                         }
                         _ => spec.alu_cycles,
@@ -460,16 +489,15 @@ impl<'a> Executor<'a> {
                 }
                 COp::Atom {
                     op,
+                    space,
                     ty,
                     dst,
                     addr,
                     src,
                     cmp,
-                    ..
                 } => {
-                    let a = self.resolve_addr(addr, t);
-                    let sz = ty.size();
-                    let old = self.mem_load(a, sz, guard, shared, t, stats)?;
+                    let acc = self.access(*space, addr, *ty, t);
+                    let old = self.mem_load(acc, guard, shared, t, stats)?;
                     let operand = self.value(src, t, cfg, ctaid);
                     let new = match op {
                         AtomKind::Add => binary(BinKind::Add, *ty, old, operand),
@@ -490,7 +518,7 @@ impl<'a> Executor<'a> {
                             }
                         }
                     };
-                    self.mem_store(a, sz, new, guard, shared, t, stats)?;
+                    self.mem_store(acc, new, guard, shared, t, stats)?;
                     t.regs[*dst as usize] = old;
                     stats.atomics += 1;
                     // Loads/stores above already charged latency; add the
@@ -539,11 +567,16 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn resolve_addr(&self, addr: &CAddr, t: &Thread) -> u64 {
-        match addr {
+    fn access(&self, space: Space, addr: &CAddr, ty: Type, t: &Thread) -> Access {
+        let addr = match addr {
             CAddr::Reg { slot, offset } => t.regs[*slot as usize].wrapping_add_signed(*offset),
             CAddr::Abs(a) => *a,
             CAddr::Param(off) => *off as u64, // unreachable for ld/st non-param
+        };
+        Access {
+            space,
+            addr,
+            size: ty.size(),
         }
     }
 
@@ -585,14 +618,18 @@ impl<'a> Executor<'a> {
 
     fn mem_load(
         &mut self,
-        addr: u64,
-        size: usize,
+        acc: Access,
         guard: MemGuard,
         shared: &mut [u8],
         t: &mut Thread,
         stats: &mut KernelStats,
     ) -> Result<u64, Fault> {
-        match window_of(addr) {
+        let Access { addr, size, .. } = acc;
+        let window = window_of(addr);
+        if !acc.permitted(window) {
+            return Err(acc.refused(window));
+        }
+        match window {
             Window::Shared => {
                 let off = (addr - SHARED_BASE) as usize;
                 if off + size > shared.len() {
@@ -634,18 +671,21 @@ impl<'a> Executor<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors mem_load + the value operand
     fn mem_store(
         &mut self,
-        addr: u64,
-        size: usize,
+        acc: Access,
         bits: u64,
         guard: MemGuard,
         shared: &mut [u8],
         t: &mut Thread,
         stats: &mut KernelStats,
     ) -> Result<(), Fault> {
-        match window_of(addr) {
+        let Access { addr, size, .. } = acc;
+        let window = window_of(addr);
+        if !acc.permitted(window) {
+            return Err(acc.refused(window));
+        }
+        match window {
             Window::Shared => {
                 let off = (addr - SHARED_BASE) as usize;
                 if off + size > shared.len() {
@@ -702,6 +742,7 @@ impl<'a> Executor<'a> {
     }
 }
 
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Window {
     Shared,
     Local,
@@ -718,6 +759,138 @@ fn window_of(addr: u64) -> Window {
         Window::Local
     } else {
         Window::Invalid
+    }
+}
+
+/// One `ld`/`st`/`atom` as the memory system sees it.
+#[derive(Clone, Copy)]
+struct Access {
+    space: Space,
+    addr: u64,
+    size: usize,
+}
+
+impl Access {
+    /// The two checks the hardware makes before a byte moves. A `.shared`,
+    /// `.local` or `.global` instruction addresses that space only — the
+    /// patcher leaves `.shared`/`.local` unfenced on exactly this
+    /// guarantee — and only a generic access resolves by address. A global
+    /// access must be naturally aligned, so one whose first byte is inside
+    /// a partition (whose bounds are multiples of every width) lies inside
+    /// it whole. (An address in no window is the memory system's to fault.)
+    #[inline(always)]
+    fn permitted(self, window: Window) -> bool {
+        let Access { space, addr, size } = self;
+        match window {
+            // Widths are powers of two.
+            Window::Global => {
+                matches!(space, Space::Global | Space::Generic) && addr & (size as u64 - 1) == 0
+            }
+            Window::Shared => matches!(space, Space::Shared | Space::Generic),
+            Window::Local => matches!(space, Space::Local | Space::Generic),
+            Window::Invalid => true,
+        }
+    }
+
+    /// The fault of an access that is not [`permitted`](Self::permitted).
+    #[cold]
+    #[inline(never)]
+    fn refused(self, window: Window) -> Fault {
+        let Access { space, addr, size } = self;
+        let names_window = match space {
+            Space::Generic => true,
+            Space::Global => window == Window::Global,
+            Space::Shared => window == Window::Shared,
+            Space::Local => window == Window::Local,
+            Space::Param => false,
+        };
+        if names_window {
+            Fault::Misaligned {
+                addr,
+                width: size as u64,
+            }
+        } else {
+            Fault::WrongSpace { addr, space }
+        }
+    }
+}
+
+/// The loads of the `ld.param` run whose head is at `t.pc`. Out of line,
+/// like [`fence_addr`]: inlined into `run_thread`, the two macro-op bodies
+/// cost every kernel — fenced or not — 8 % of its host time (what they
+/// add to the dispatch loop's frame, each plain instruction pays for).
+#[inline(never)]
+fn ld_param_run(code: &[CInstr], params: &[u8], t: &mut Thread) {
+    let COp::LdParamRun { ty, dst, offset, n } = code[t.pc].op else {
+        unreachable!("called at the head of a run");
+    };
+    t.regs[dst as usize] = ld_param(params, ty, offset);
+    for behind in &code[t.pc + 1..t.pc + n as usize] {
+        let COp::LdParam { ty, dst, offset } = behind.op else {
+            unreachable!("fusion leaves the run behind its head");
+        };
+        t.regs[dst as usize] = ld_param(params, ty, offset);
+    }
+}
+
+/// The arithmetic of a [`COp::FenceAddr`]: `regs[t]` becomes what the
+/// sequence would leave in it.
+#[inline(never)]
+fn fence_addr(
+    regs: &mut [u64],
+    kind: FenceKind,
+    t: u16,
+    lead: Option<(u16, i64)>,
+    bound: u16,
+    base: u16,
+) {
+    let addr = match lead {
+        Some((r, imm)) => regs[r as usize].wrapping_add_signed(imm),
+        None => regs[t as usize],
+    };
+    let (bound, base) = (regs[bound as usize], regs[base as usize]);
+    regs[t as usize] = match kind {
+        FenceKind::Bitwise => (addr & bound) | base,
+        // `rem` by zero is pinned to 0, as in `integer_binary`.
+        FenceKind::Modulo => addr
+            .wrapping_sub(base)
+            .checked_rem(bound)
+            .unwrap_or(0)
+            .wrapping_add(base),
+    };
+}
+
+/// `ld.param`: read `ty` at `offset` of the parameter buffer (bytes the
+/// launch did not supply read as zero).
+fn ld_param(params: &[u8], ty: Type, offset: u32) -> u64 {
+    let sz = ty.size();
+    let off = offset as usize;
+    let mut buf = [0u8; 8];
+    let avail = params.len().saturating_sub(off).min(sz);
+    if avail > 0 {
+        buf[..avail].copy_from_slice(&params[off..off + avail]);
+    }
+    u64::from_le_bytes(buf)
+}
+
+/// Count the `extra` instructions a macro-op stands for behind its head
+/// (which the dispatch loop has counted and checked already), as if each
+/// had been dispatched: one at a time, until the budget trips.
+fn charge_fused(t: &mut Thread, stats: &mut KernelStats, extra: u64) -> Result<(), Fault> {
+    let room = INSTRUCTION_BUDGET - t.instructions;
+    let counted = extra.min(room + 1);
+    t.instructions += counted;
+    stats.instructions += counted;
+    if extra > room {
+        return Err(budget_exceeded());
+    }
+    Ok(())
+}
+
+#[cold]
+fn budget_exceeded() -> Fault {
+    Fault::InstructionBudgetExceeded {
+        budget: INSTRUCTION_BUDGET,
     }
 }
 
@@ -1003,7 +1176,7 @@ pub fn convert(dty: Type, sty: Type, bits: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_module;
+    use crate::compile::{compile_module, lower_module, CompiledModule};
     use crate::fault::window::DEVICE_BASE;
     use crate::mem::Dram;
     use crate::spec::test_gpu;
@@ -1019,6 +1192,17 @@ mod tests {
         let m = ptx::parse(src).unwrap();
         ptx::validate(&m).unwrap();
         let cm = compile_module(&m, 0).unwrap();
+        run_compiled(&cm, kernel, cfg, params, dram, guard)
+    }
+
+    fn run_compiled(
+        cm: &CompiledModule,
+        kernel: &str,
+        cfg: LaunchConfig,
+        params: &[u8],
+        dram: &mut Dram,
+        guard: MemGuard,
+    ) -> LaunchOutcome {
         let spec = test_gpu();
         let mut cache = CacheHierarchy::new(spec.l1_bytes, spec.l2_bytes);
         let mut ex = Executor {
@@ -1029,6 +1213,42 @@ mod tests {
         };
         let k = cm.kernel(kernel).unwrap();
         ex.run(&k, cfg, params, guard)
+    }
+
+    /// Run `kernel` compiled with and without the fusion pass, each on a
+    /// fresh DRAM; everything the simulation can see must agree. Returns
+    /// the fused run and the first 4 KiB it left in memory.
+    fn run_fused_and_lowered(
+        src: &str,
+        kernel: &str,
+        cfg: LaunchConfig,
+        params: &[u8],
+    ) -> (LaunchOutcome, Vec<u8>) {
+        let m = ptx::parse(src).unwrap();
+        ptx::validate(&m).unwrap();
+        let fused = compile_module(&m, 0).unwrap();
+        let lowered = lower_module(&m, 0).unwrap();
+        assert_ne!(
+            fused.kernel(kernel).unwrap().code,
+            lowered.kernel(kernel).unwrap().code,
+            "nothing fused: the case does not test what it means to"
+        );
+        let [a, b] = [&fused, &lowered].map(|cm| {
+            let mut dram = Dram::new(1 << 20);
+            let out = run_compiled(cm, kernel, cfg, params, &mut dram, MemGuard::None);
+            let mut memory = vec![0u8; 4096];
+            dram.read(DEVICE_BASE, &mut memory).unwrap();
+            (out, memory)
+        });
+        assert_eq!(a.0.fault, b.0.fault);
+        assert_eq!(a.0.stats, b.0.stats);
+        assert_eq!(a.0.block_cycles, b.0.block_cycles);
+        assert_eq!(a.1, b.1);
+        a
+    }
+
+    fn params_of(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
     fn params_u64_u32(p: u64, n: u32) -> Vec<u8> {
@@ -1445,5 +1665,319 @@ $L1:
         assert!(out.fault.is_none());
         assert_eq!(dram.read_scalar(DEVICE_BASE, 4).unwrap(), 128);
         assert_eq!(out.stats.atomics, 128);
+    }
+
+    /// `FILL` as the patcher fences it: two more `ld.param`s in front, and
+    /// `and`/`or` on the address before the store.
+    const FENCED_FILL: &str = r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry fill(.param .u64 out, .param .u32 n, .param .u64 base, .param .u64 mask)
+{
+    .reg .b64 %grd<3>;
+    .reg .pred %p<2>;
+    .reg .b32 %r<8>;
+    .reg .b64 %rd<5>;
+    ld.param.u64 %grd0, [base];
+    ld.param.u64 %grd1, [mask];
+    ld.param.u64 %rd1, [out];
+    ld.param.u32 %r1, [n];
+    cvta.to.global.u64 %rd2, %rd1;
+    mov.u32 %r2, %ctaid.x;
+    mov.u32 %r3, %ntid.x;
+    mov.u32 %r4, %tid.x;
+    mad.lo.u32 %r5, %r2, %r3, %r4;
+    setp.ge.u32 %p1, %r5, %r1;
+    @%p1 bra $L_end;
+    mul.wide.u32 %rd3, %r5, 4;
+    add.s64 %rd4, %rd2, %rd3;
+    and.b64 %rd4, %rd4, %grd1;
+    or.b64 %rd4, %rd4, %grd0;
+    st.global.u32 [%rd4], %r5;
+$L_end:
+    ret;
+}
+"#;
+
+    /// `FENCED_FILL`'s arguments: `n` words at `DEVICE_BASE`, fenced into
+    /// the 4 KiB there.
+    fn fenced_fill_params(n: u32) -> Vec<u8> {
+        // `n` is a `.u32` padded to the next `.u64`: a zero-extended word.
+        params_of(&[DEVICE_BASE, n as u64, DEVICE_BASE, 0xFFF])
+    }
+
+    #[test]
+    fn fenced_fill_is_the_same_fused_and_unfused() {
+        // 32 threads, n = 30: two exit early.
+        let params = fenced_fill_params(30);
+        let (out, memory) =
+            run_fused_and_lowered(FENCED_FILL, "fill", LaunchConfig::linear(4, 8), &params);
+        assert_eq!(out.fault, None);
+        assert_eq!(out.stats.stores, 30);
+        for i in 0..30usize {
+            let word = u32::from_le_bytes(memory[4 * i..4 * i + 4].try_into().unwrap());
+            assert_eq!(word as usize, i);
+        }
+        // The fence is 2 ld.param + and + or: 4 instructions and 16 cycles
+        // on top of the 13 and 328 of a storing `FILL` thread (10 ALU ops,
+        // the predicated branch, the store, `ret`).
+        assert_eq!(out.stats.instructions, 30 * (13 + 4) + 2 * 12);
+        assert_eq!(out.block_cycles[0], (10 * 4 + 36 + 250 + 2) + 16);
+    }
+
+    /// One kernel with a fence of every shape, entered at its head or — by
+    /// `sel` — at its second or third instruction, with a predicated store
+    /// directly behind the first fence. Parameters: out, m, b (`.u64`), sel.
+    const SHAPES: &str = r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry shapes(.param .u64 out, .param .u64 m, .param .u64 b, .param .u32 sel)
+{
+    .reg .pred %p<4>;
+    .reg .b32 %r<3>;
+    .reg .b64 %rd<8>;
+    ld.param.u32 %r1, [sel];
+    setp.eq.u32 %p1, %r1, 1;
+    setp.eq.u32 %p2, %r1, 2;
+    setp.eq.u32 %p3, %r1, 3;
+    @%p3 bra $L_params;
+    ld.param.u64 %rd1, [out];
+$L_params:
+    ld.param.u64 %rd2, [m];
+    ld.param.u64 %rd3, [b];
+    mov.u64 %rd4, 1311768467294899695;
+    mov.u64 %rd5, %rd4;
+    mov.u64 %rd6, %rd4;
+    @%p3 ret;
+    // bitwise pair, and a store that fires only when sel == 1
+    @%p1 bra $L_or;
+    and.b64 %rd4, %rd4, %rd2;
+$L_or:
+    or.b64 %rd4, %rd4, %rd3;
+    @%p1 st.global.u64 [%rd1+24], %rd4;
+    st.global.u64 [%rd1], %rd4;
+    // offset-mode triple
+    @%p2 bra $L_and2;
+    add.s64 %rd5, %rd6, 16;
+$L_and2:
+    and.b64 %rd5, %rd5, %rd2;
+    or.b64 %rd5, %rd5, %rd3;
+    st.global.u64 [%rd1+8], %rd5;
+    // modulo triple
+    @%p1 bra $L_rem;
+    @%p2 bra $L_add;
+    sub.u64 %rd6, %rd6, %rd3;
+$L_rem:
+    rem.u64 %rd6, %rd6, %rd2;
+$L_add:
+    add.u64 %rd6, %rd6, %rd3;
+    st.global.u64 [%rd1+16], %rd6;
+    ret;
+}
+"#;
+
+    #[test]
+    fn fences_entered_anywhere_compute_and_cost_what_their_instructions_do() {
+        const V: u64 = 1311768467294899695;
+        let (m, b) = (0xFF8u64, 0x7000u64);
+        let word = |memory: &[u8], i: usize| {
+            u64::from_le_bytes(memory[8 * i..8 * i + 8].try_into().unwrap())
+        };
+        let run = |sel: u64| {
+            let mut params = params_of(&[DEVICE_BASE, m, b]);
+            params.extend_from_slice(&(sel as u32).to_le_bytes());
+            run_fused_and_lowered(SHAPES, "shapes", LaunchConfig::linear(1, 2), &params)
+        };
+
+        // sel 0: every fence from its head.
+        let (head, memory) = run(0);
+        assert_eq!(head.fault, None);
+        assert_eq!(word(&memory, 0), (V & m) | b);
+        assert_eq!(word(&memory, 1), ((V + 16) & m) | b);
+        assert_eq!(word(&memory, 2), (V - b) % m + b);
+        assert_eq!(word(&memory, 3), 0, "the predicated store stayed off");
+
+        // sel 1: in at the `or` and at the `rem`; the predicated store fires.
+        let (mid, memory) = run(1);
+        assert_eq!(word(&memory, 0), V | b);
+        assert_eq!(word(&memory, 3), V | b);
+        assert_eq!(word(&memory, 2), V % m + b);
+        // Per thread: no `and`, no `sub`, no `@%p2 bra` (a predicated
+        // branch costs its 36 taken or not), and a store where a skipped
+        // instruction cost one ALU slot.
+        let per_thread = |o: &LaunchOutcome| o.stats.thread_cycles / 2;
+        assert_eq!(per_thread(&mid), per_thread(&head) - 4 - 4 - 36 + (250 - 4));
+        assert_eq!(mid.stats.instructions, head.stats.instructions - 2 * 3);
+
+        // sel 2: in behind the folded `add` and at the modulo's last `add`.
+        let (late, memory) = run(2);
+        assert_eq!(word(&memory, 1), (V & m) | b);
+        assert_eq!(word(&memory, 2), V + b);
+        // No folded `add`, no `sub`, and no `rem` with its 2 x 20 cycles.
+        assert_eq!(per_thread(&late), per_thread(&head) - 4 - 4 - 40);
+
+        // sel 3: into the middle of the `ld.param` run, then out.
+        let (early, memory) = run(3);
+        assert_eq!(early.fault, None);
+        assert_eq!(&memory[..32], &[0u8; 32]);
+    }
+
+    #[test]
+    fn budget_trips_inside_a_macro_op_where_it_would_unfused() {
+        // Start a thread `room` instructions short of its budget on a
+        // prologue of macro-ops: the fault, and the count at the fault,
+        // must not depend on how the code was compiled.
+        let m = ptx::parse(FENCED_FILL).unwrap();
+        let fused = compile_module(&m, 0).unwrap();
+        let lowered = lower_module(&m, 0).unwrap();
+        let params = fenced_fill_params(1);
+        let spec = test_gpu();
+        for room in 0..20 {
+            let [a, b] = [&fused, &lowered].map(|cm| {
+                let k = cm.kernel("fill").unwrap();
+                let mut dram = Dram::new(1 << 20);
+                let mut cache = CacheHierarchy::new(spec.l1_bytes, spec.l2_bytes);
+                let mut ex = Executor {
+                    dram: &mut dram,
+                    cache: &mut cache,
+                    spec: &spec,
+                    functions: &cm.functions,
+                };
+                let mut t = Thread {
+                    regs: vec![0; k.num_regs as usize],
+                    preds: vec![false; k.num_preds as usize],
+                    pc: 0,
+                    cycles: 0,
+                    instructions: INSTRUCTION_BUDGET - room,
+                    local: Vec::new(),
+                    done: false,
+                    tid: (0, 0, 0),
+                };
+                let mut stats = KernelStats::default();
+                let fault = ex
+                    .run_thread(
+                        &k,
+                        LaunchConfig::linear(1, 1),
+                        (0, 0, 0),
+                        &params,
+                        MemGuard::None,
+                        &mut [],
+                        &mut t,
+                        &mut stats,
+                    )
+                    .err();
+                (fault, stats.instructions, t.instructions)
+            });
+            assert_eq!(a, b, "{room} instructions of budget left");
+            assert_eq!(a.0.is_some(), room < 17, "the thread needs 17");
+        }
+    }
+
+    #[test]
+    fn misaligned_global_access_faults() {
+        for (addr, fault) in [
+            (DEVICE_BASE + 4, None),
+            (
+                DEVICE_BASE + 2,
+                Some(Fault::Misaligned {
+                    addr: DEVICE_BASE + 2,
+                    width: 4,
+                }),
+            ),
+        ] {
+            let mut dram = Dram::new(1 << 20);
+            let out = run_kernel(
+                FILL,
+                "fill",
+                LaunchConfig::linear(1, 1),
+                &params_u64_u32(addr, 1),
+                &mut dram,
+                MemGuard::None,
+            );
+            assert_eq!(out.fault, fault);
+        }
+    }
+
+    #[test]
+    fn state_space_of_the_instruction_is_enforced() {
+        // `%rd1` holds a global address, `%rd2` a `.shared` and `%rd3` a
+        // `.local` one.
+        let kernel = |access: &str| {
+            format!(
+                r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry k(.param .u64 at)
+{{
+    .shared .align 8 .u64 tile[4];
+    .local .align 8 .u64 scr[4];
+    .reg .b64 %rd<5>;
+    ld.param.u64 %rd1, [at];
+    mov.u64 %rd2, tile;
+    mov.u64 %rd3, scr;
+    {access}
+    ret;
+}}
+"#
+            )
+        };
+        // `Some(space)`: the access must fault as outside `space`.
+        for (access, wrong) in [
+            // A global address behind a `.shared`/`.local` instruction.
+            ("st.shared.u64 [%rd1], %rd4;", Some(Space::Shared)),
+            ("ld.local.u64 %rd4, [%rd1];", Some(Space::Local)),
+            (
+                "atom.shared.add.u64 %rd4, [%rd1], %rd4;",
+                Some(Space::Shared),
+            ),
+            // The right window for each space, and generic anywhere.
+            ("st.global.u64 [%rd1], %rd4;", None),
+            ("st.u64 [%rd1], %rd4;", None),
+            ("st.shared.u64 [%rd2+8], %rd4;", None),
+            ("st.u64 [%rd2+8], %rd4;", None),
+            ("ld.local.u64 %rd4, [%rd3+24];", None),
+            ("ld.u64 %rd4, [scr+24];", None),
+        ] {
+            let mut dram = Dram::new(1 << 20);
+            let out = run_kernel(
+                &kernel(access),
+                "k",
+                LaunchConfig::linear(1, 1),
+                &DEVICE_BASE.to_le_bytes(),
+                &mut dram,
+                MemGuard::None,
+            );
+            let fault = wrong.map(|space| Fault::WrongSpace {
+                addr: DEVICE_BASE,
+                space,
+            });
+            assert_eq!(out.fault, fault, "{access}");
+        }
+        // A `.shared` address behind a `.global` or `.local` instruction.
+        for (access, space) in [
+            ("st.global.u64 [%rd2], %rd4;", Space::Global),
+            ("st.local.u64 [%rd2], %rd4;", Space::Local),
+        ] {
+            let mut dram = Dram::new(1 << 20);
+            let out = run_kernel(
+                &kernel(access),
+                "k",
+                LaunchConfig::linear(1, 1),
+                &DEVICE_BASE.to_le_bytes(),
+                &mut dram,
+                MemGuard::None,
+            );
+            assert_eq!(
+                out.fault,
+                Some(Fault::WrongSpace {
+                    addr: SHARED_BASE,
+                    space
+                }),
+                "{access}"
+            );
+        }
     }
 }

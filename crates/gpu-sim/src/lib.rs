@@ -67,6 +67,8 @@ pub mod cache;
 pub mod compile;
 pub mod device;
 pub mod fault;
+#[cfg(test)]
+mod fuzz_tests;
 pub mod interp;
 pub mod mem;
 pub mod spec;

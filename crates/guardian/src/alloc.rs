@@ -18,6 +18,12 @@ use std::fmt;
 /// Minimum partition size (1 MiB).
 pub const MIN_PARTITION: u64 = 1 << 20;
 
+/// The widest access a kernel can make (a 128-bit vector). Every fencing
+/// mode confines an access by its *first* byte and the device faults a
+/// misaligned one, so the whole access stays inside a partition exactly
+/// when the partition's base and size are multiples of this.
+pub const MAX_ACCESS_WIDTH: u64 = 16;
+
 /// Allocation granularity inside a partition (256 B, CUDA's `cudaMalloc`
 /// alignment).
 pub const SUBALLOC_ALIGN: u64 = 256;
@@ -157,10 +163,16 @@ impl PartitionAllocator {
             self.free[o as usize].push(off + half);
         }
         self.allocated.insert(off, want);
-        Ok(Partition {
+        let part = Partition {
             base: self.pool_base + off,
             size: MIN_PARTITION << want,
-        })
+        };
+        assert!(
+            part.base.is_multiple_of(MAX_ACCESS_WIDTH)
+                && part.size.is_multiple_of(MAX_ACCESS_WIDTH),
+            "partition bounds must be multiples of the widest access"
+        );
+        Ok(part)
     }
 
     /// Release a partition by its base address, coalescing buddies.

@@ -1084,8 +1084,13 @@ impl Control {
     /// (the §4.4 compile-at-init discipline, per device).
     fn register_ptx(&mut self, _name: &str, text: &str) -> CudaResult<()> {
         let module = ptx::parse(text).map_err(|e| CudaError::ModuleLoad(e.to_string()))?;
-        let patched = fence::patch_module(&module, self.shared.protection)
-            .map_err(|e| CudaError::ModuleLoad(e.to_string()))?;
+        let patched =
+            fence::patch_module(&module, self.shared.protection).map_err(|e| match e {
+                // Not a malformed module: one whose accesses the sandbox
+                // cannot confine, turned away before anything is loaded.
+                fence::PatchError::SymbolOutOfBounds { .. } => CudaError::Rejected(e.to_string()),
+                _ => CudaError::ModuleLoad(e.to_string()),
+            })?;
         for g in &self.shared.gpus {
             let (native, sandboxed) = {
                 let mut dev = g.device.lock();

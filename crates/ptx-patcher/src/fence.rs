@@ -74,6 +74,20 @@ pub enum PatchError {
     ReservedName(String),
     /// The module failed re-validation after patching (a patcher bug).
     Revalidation(String),
+    /// A global or generic access through a symbol (`[g+K]`) does not lie
+    /// inside the variable it names. Such an access has no address register
+    /// to fence, so it is bounded here, where both the offset and the size
+    /// are constants; the PTX is tenant input like any launch argument.
+    SymbolOutOfBounds {
+        /// The symbol named by the access (size 0 if nothing declares it).
+        symbol: String,
+        /// The constant byte offset.
+        offset: i64,
+        /// Width of the access in bytes.
+        width: u64,
+        /// Size in bytes of the variable's declaration.
+        size: u64,
+    },
 }
 
 impl fmt::Display for PatchError {
@@ -85,6 +99,15 @@ impl fmt::Display for PatchError {
             PatchError::Revalidation(e) => {
                 write!(f, "patched module failed validation: {e}")
             }
+            PatchError::SymbolOutOfBounds {
+                symbol,
+                offset,
+                width,
+                size,
+            } => write!(
+                f,
+                "{width}-byte access at `{symbol}`{offset:+} is outside its {size} bytes"
+            ),
         }
     }
 }
@@ -131,8 +154,9 @@ pub struct Patched {
 /// # Errors
 ///
 /// [`PatchError::ReservedName`] if the module already uses Guardian's
-/// reserved parameter/register names; [`PatchError::Revalidation`] if the
-/// instrumented module fails `ptx::validate` (internal invariant).
+/// reserved parameter/register names; [`PatchError::SymbolOutOfBounds`] if
+/// a symbol-direct access leaves its variable; [`PatchError::Revalidation`]
+/// if the instrumented module fails `ptx::validate` (internal invariant).
 pub fn patch_module(module: &Module, mode: Protection) -> Result<Patched, PatchError> {
     if mode == Protection::None {
         return Ok(Patched {
@@ -157,7 +181,7 @@ pub fn patch_module(module: &Module, mode: Protection) -> Result<Patched, PatchE
     let mut out = module.clone();
     let mut info = Vec::with_capacity(out.functions.len());
     for f in &mut out.functions {
-        info.push(patch_function(f, mode)?);
+        info.push(patch_function(f, &module.globals, mode)?);
     }
     ptx::validate(&out).map_err(|e| PatchError::Revalidation(e.to_string()))?;
     Ok(Patched {
@@ -167,7 +191,55 @@ pub fn patch_module(module: &Module, mode: Protection) -> Result<Patched, PatchE
     })
 }
 
-fn patch_function(f: &mut Function, mode: Protection) -> Result<PatchInfo, PatchError> {
+/// Bound every global or generic access made through a symbol
+/// (`[g+K]`): the assembler resolves the symbol, so there is no address
+/// register to fence, but the offset and the variable's size are both
+/// constants. The variable is a module-scope declaration or one of the
+/// function's own.
+fn check_symbol_accesses(f: &Function, globals: &[GlobalVar]) -> Result<(), PatchError> {
+    let locals = f.body.iter().filter_map(|s| match s {
+        Statement::VarDecl(v) => Some(v),
+        _ => None,
+    });
+    let vars: Vec<&GlobalVar> = globals.iter().chain(locals).collect();
+    for (_, ins) in f.instructions() {
+        let (addr, ty) = match &ins.op {
+            Op::Ld { addr, ty, .. } | Op::St { addr, ty, .. } | Op::Atom { addr, ty, .. }
+                if ins.op.is_protected_access() =>
+            {
+                (addr, ty)
+            }
+            _ => continue,
+        };
+        let AddrBase::Var(symbol) = &addr.base else {
+            continue;
+        };
+        let width = ty.size() as u64;
+        let size = vars
+            .iter()
+            .find(|v| v.name == *symbol)
+            .map_or(0, |v| v.size_bytes());
+        let inside = u64::try_from(addr.offset)
+            .ok()
+            .and_then(|o| o.checked_add(width))
+            .is_some_and(|end| end <= size);
+        if !inside {
+            return Err(PatchError::SymbolOutOfBounds {
+                symbol: symbol.clone(),
+                offset: addr.offset,
+                width,
+                size,
+            });
+        }
+    }
+    Ok(())
+}
+
+fn patch_function(
+    f: &mut Function,
+    globals: &[GlobalVar],
+    mode: Protection,
+) -> Result<PatchInfo, PatchError> {
     // Reserved-name collision checks.
     for p in &f.params {
         if p.name.starts_with("grd_param") {
@@ -186,6 +258,7 @@ fn patch_function(f: &mut Function, mode: Protection) -> Result<PatchInfo, Patch
             }
         }
     }
+    check_symbol_accesses(f, globals)?;
 
     let mut info = PatchInfo {
         name: f.name.clone(),
@@ -268,13 +341,8 @@ fn patch_function(f: &mut Function, mode: Protection) -> Result<PatchInfo, Patch
                     let (reg, offset) = match (&addr.base, addr.offset) {
                         (AddrBase::Reg(r), off) => (r.clone(), off),
                         (AddrBase::Var(_), _) => {
-                            // Module-global symbol: its address is
-                            // assembler-resolved; accesses through it are
-                            // in-module data, still fenced through a temp.
-                            // Rare in practice; rewrite via the tmp reg is
-                            // not expressible without an extra mov, so we
-                            // leave symbol-direct accesses unfenced (they
-                            // cannot be influenced by kernel input).
+                            // No register to fence; `check_symbol_accesses`
+                            // has shown it lies inside the variable.
                             new_body.push(Statement::Instr(ins));
                             continue;
                         }

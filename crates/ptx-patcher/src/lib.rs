@@ -110,42 +110,28 @@ mod proptests {
         }
     }
 
-    // End-to-end property: a randomly built kernel, once patched, still
+    // End-to-end property: an adversarial kernel from `ptx::fuzz` (the
+    // programs gpu-sim's differential tests execute), once patched, still
     // validates, and its instrumented access count matches the census.
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn patched_random_kernels_validate(ops in proptest::collection::vec(0u8..3, 1..20)) {
-            use ptx::builder::{KernelBuilder, ModuleBuilder};
-            use ptx::types::Type;
+        fn patched_random_kernels_validate(seed in any::<u64>(), hostile in any::<bool>()) {
+            use ptx::fuzz::{kernel, Temper};
 
-            let mut k = KernelBuilder::entry("rk");
-            let p = k.param(Type::U64, "p");
-            let n = k.param(Type::U32, "n");
-            let bp = k.ld_param(Type::U64, &p);
-            let g = k.cvta_global(&bp);
-            let nv = k.ld_param(Type::U32, &n);
-            let idx = k.binary_imm(ptx::types::BinKind::And, Type::B32, &nv, 0xFF);
-            let mut v = k.imm_f32(1.0);
-            for op in &ops {
-                match op {
-                    0 => { v = k.load_elem(&g, &idx, Type::F32); }
-                    1 => { k.store_elem(&g, &idx, Type::F32, &v); }
-                    _ => { v = k.binary(ptx::types::BinKind::Add, Type::F32, &v, &v); }
-                }
-            }
-            k.ret();
-            let m = ModuleBuilder::new().push(k).build();
+            let temper = if hostile { Temper::Hostile } else { Temper::Tame };
+            let m = kernel(seed, temper);
+            ptx::validate(&m).expect("generated kernel validates");
 
-            let census = Census::of_modules("rk", [&m]);
+            let census = Census::of_modules("fuzz", [&m]);
             for mode in Protection::ACTIVE {
                 let patched = patch_module(&m, mode).expect("patch");
                 ptx::validate(&patched.module).expect("validate");
                 let instrumented: u64 = patched.info.iter()
                     .map(|i| (i.loads + i.stores + i.atomics) as u64)
                     .sum();
-                prop_assert_eq!(instrumented, census.total_accesses());
+                prop_assert_eq!(instrumented, census.total_accesses(), "seed {}", seed);
                 // Re-parse of printed output still validates.
                 let text = patched.module.to_string();
                 let re = ptx::parse(&text).expect("reparse");

@@ -57,6 +57,7 @@ pub mod builder;
 pub mod cfg;
 pub mod error;
 pub mod fatbin;
+pub mod fuzz;
 pub mod lexer;
 pub mod liveness;
 pub mod parser;

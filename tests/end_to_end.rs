@@ -77,3 +77,49 @@ fn rodinia_apps_run_under_guardian() {
         t.manager.unwrap().shutdown();
     }
 }
+
+/// The simulator's macro-op fusion is a host-side optimisation: it may never
+/// change a simulated number. These are the dynamic instruction counts and
+/// the device clock of a fenced `hotspot` and a fenced `gaussian` run as
+/// recorded before fusion existed; a patcher change that emits different
+/// PTX moves them on purpose, a `gpu-sim` change must not.
+#[test]
+fn fenced_rodinia_accounting_is_pinned() {
+    // (kernel, dynamic instructions, summed thread cycles)
+    type Kernel = (&'static str, u64, u64);
+    let pinned: [(rodinia::App, u64, &[Kernel]); 2] = [
+        (
+            rodinia::App::Hotspot,
+            34_095,
+            &[("hotspot_step", 720_896, 7_981_360)],
+        ),
+        (
+            rodinia::App::Gaussian,
+            55_939,
+            &[
+                ("gaussian_fan1", 41_160, 275_251),
+                ("gaussian_fan2", 140_440, 1_295_172),
+            ],
+        ),
+    ];
+    for (app, device_cycles, kernels) in pinned {
+        let dev = share_device(Device::new(test_gpu()));
+        let mut t = deploy(&dev, Deployment::GuardianFencing, 1, 8 << 20, &[]).unwrap();
+        rodinia::run(t.runtimes[0].as_mut(), app, 1).unwrap();
+        assert_eq!(
+            t.runtimes[0].device_now_cycles(),
+            device_cycles,
+            "{app:?}: device clock"
+        );
+        for &(kernel, instructions, thread_cycles) in kernels {
+            let stats = dev.lock().kernel_stats()[kernel];
+            assert_eq!(stats.instructions, instructions, "{kernel}: instructions");
+            assert_eq!(
+                stats.thread_cycles, thread_cycles,
+                "{kernel}: thread cycles"
+            );
+        }
+        drop(t.runtimes);
+        t.manager.unwrap().shutdown();
+    }
+}

@@ -255,3 +255,332 @@ fn training_survives_concurrent_attack() {
     drop(rts);
     t.manager.unwrap().shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Fence bypasses: accesses the patcher's arithmetic alone does not confine.
+// Each attack runs under every protection mode with a live neighbour in the
+// adjacent partition, and each has a negative control showing the legitimate
+// form of the same access still works.
+// ---------------------------------------------------------------------------
+
+use cuda_rt::{CudaError, SharedDevice};
+use guardian::backends::Tenancy;
+
+const PROTECTED: [Deployment; 3] = [
+    Deployment::GuardianFencing,
+    Deployment::GuardianModulo,
+    Deployment::GuardianChecking,
+];
+const PARTITION: u64 = 4 << 20;
+const SENTINEL: u64 = 0x1111_2222_3333_4444;
+
+fn sentinel() -> Vec<u8> {
+    [SENTINEL.to_le_bytes(), SENTINEL.to_le_bytes()].concat()
+}
+
+/// Two tenants in adjacent 4 MiB partitions: the attacker in the lower one,
+/// the victim — whose first 16 bytes hold [`SENTINEL`] twice — right above.
+struct Neighbours {
+    device: SharedDevice,
+    tenancy: Tenancy,
+    attacker: usize,
+    victim: usize,
+    /// The attacker's partition base; its first 4 KiB are allocated, zeroed.
+    base: u64,
+    /// The victim's partition base, and its sentinel buffer.
+    edge: u64,
+}
+
+fn neighbours(deployment: Deployment, ptx: &str) -> Neighbours {
+    let device = share_device(Device::new(test_gpu()));
+    let mut fb = FatBin::new();
+    fb.push_ptx("attack", EVIL);
+    fb.push_ptx("probe", ptx);
+    let fb = fb.to_bytes().to_vec();
+    let mut tenancy = deploy(&device, deployment, 2, PARTITION, &[&fb]).unwrap();
+    let bufs: Vec<u64> = tenancy
+        .runtimes
+        .iter_mut()
+        .map(|rt| rt.cuda_malloc(4096).unwrap())
+        .collect();
+    let (attacker, victim) = if bufs[0] < bufs[1] { (0, 1) } else { (1, 0) };
+    let (base, edge) = (bufs[attacker], bufs[victim]);
+    assert_eq!(
+        base % PARTITION,
+        0,
+        "a first allocation opens its partition"
+    );
+    assert_eq!(edge, base + PARTITION, "the partitions are adjacent");
+    tenancy.runtimes[attacker]
+        .cuda_memset(base, 0, 4096)
+        .unwrap();
+    tenancy.runtimes[victim]
+        .cuda_memcpy_h2d(edge, &sentinel())
+        .unwrap();
+    Neighbours {
+        device,
+        tenancy,
+        attacker,
+        victim,
+        base,
+        edge,
+    }
+}
+
+impl Neighbours {
+    /// Launch `kernel(target, out = base)` as the attacker; whether it
+    /// survived the launch.
+    fn attack(&mut self, kernel: &str, target: u64) -> bool {
+        let args = ArgPack::new().ptr(target).ptr(self.base).finish();
+        let rt = &mut self.tenancy.runtimes[self.attacker];
+        let _ = rt.cuda_launch_kernel(
+            kernel,
+            LaunchConfig::linear(1, 1),
+            &args,
+            Default::default(),
+        );
+        rt.cuda_device_synchronize().is_ok()
+    }
+
+    /// Device memory as the hardware holds it, whoever owns it.
+    fn peek(&self, addr: u64) -> u64 {
+        let mut word = [0u8; 8];
+        self.device.lock().read_memory(addr, &mut word).unwrap();
+        u64::from_le_bytes(word)
+    }
+
+    /// The victim's bytes are what it wrote and it can still launch; the
+    /// attacker's output word holds `out` — for an attack that died, the
+    /// zero it started as, so nothing it loaded got out.
+    fn assert_victim_untouched(&mut self, out: u64, ctx: &str) {
+        let victim = &mut self.tenancy.runtimes[self.victim];
+        let bytes = victim.cuda_memcpy_d2h(self.edge, 16).unwrap();
+        assert_eq!(bytes, sentinel(), "{ctx}: the neighbour's bytes changed");
+        let args = ArgPack::new().ptr(self.edge + 64).u32(7).finish();
+        victim
+            .cuda_launch_kernel(
+                "stomp",
+                LaunchConfig::linear(1, 1),
+                &args,
+                Default::default(),
+            )
+            .unwrap();
+        victim
+            .cuda_device_synchronize()
+            .unwrap_or_else(|e| panic!("{ctx}: the neighbour was hurt: {e}"));
+        assert_eq!(self.peek(self.base), out, "{ctx}: the attacker's output");
+    }
+
+    fn shutdown(self) {
+        self.tenancy.shutdown();
+    }
+}
+
+/// `probe(target, out)`: one access of `width` bytes at `target` through
+/// `space` (`""` is generic), whatever it loaded stored to `out`.
+fn probe_ptx(op: &str, space: &str, width: u64) -> String {
+    let (ty, v, old) = match width {
+        2 => ("u16", "%rs1", "%rs2"),
+        4 => ("u32", "%r1", "%r2"),
+        _ => ("u64", "%rd3", "%rd4"),
+    };
+    let access = match op {
+        "st" => format!("st{space}.{ty} [%rd1], {v};"),
+        "ld" => format!("ld{space}.{ty} {old}, [%rd1];"),
+        _ => format!("atom{space}.add.{ty} {old}, [%rd1], {v};"),
+    };
+    format!(
+        r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry probe(.param .u64 target, .param .u64 out)
+{{
+    .shared .align 8 .u64 tile[8];
+    .local .align 8 .u64 scr[8];
+    .reg .b16 %rs<3>;
+    .reg .b32 %r<3>;
+    .reg .b64 %rd<5>;
+    ld.param.u64 %rd1, [target];
+    ld.param.u64 %rd2, [out];
+    mov.{ty} {v}, -1;
+    {access}
+    st.global.{ty} [%rd2], {old};
+    ret;
+}}
+"#
+    )
+}
+
+/// ROADMAP item 1: a misaligned access whose first byte is the partition's
+/// last passes every fence and check, and its tail lands next door. The
+/// device faults it, as real hardware does.
+#[test]
+fn straddling_access_cannot_cross_the_partition_edge() {
+    for deployment in PROTECTED {
+        for op in ["st", "ld", "atom"] {
+            for width in [2u64, 4, 8] {
+                let ptx = probe_ptx(op, ".global", width);
+                for back in [1, width - 1] {
+                    let ctx = format!("{deployment}: {op} of {width} at edge-{back}");
+                    let mut n = neighbours(deployment, &ptx);
+                    let target = n.edge - back;
+                    assert!(!n.attack("probe", target), "{ctx}: the offender lives");
+                    n.assert_victim_untouched(0, &ctx);
+                    n.shutdown();
+                }
+
+                // Negative control: the last aligned slot is the
+                // attacker's own, and the access to it goes through.
+                let ctx = format!("{deployment}: {op} of {width} at edge-{width}");
+                let mut n = neighbours(deployment, &ptx);
+                let target = n.edge - width;
+                assert!(n.attack("probe", target), "{ctx}: a legal access faulted");
+                // The slot held 0: a store or an atomic add of all-ones
+                // leaves all-ones there, and every form reports 0 loaded.
+                let ones = u64::MAX >> (64 - 8 * width);
+                let left = if op == "ld" { 0 } else { ones };
+                assert_eq!(n.peek(n.edge - 8) >> (64 - 8 * width), left, "{ctx}");
+                n.assert_victim_untouched(0, &ctx);
+                n.shutdown();
+            }
+        }
+    }
+}
+
+/// The patcher leaves `.shared` and `.local` accesses alone because the
+/// hardware confines them to their windows. A neighbour's global address
+/// behind such an instruction must fault, not resolve.
+#[test]
+fn shared_and_local_instructions_cannot_reach_global_memory() {
+    for deployment in PROTECTED {
+        for space in [".shared", ".local"] {
+            for op in ["st", "ld", "atom"] {
+                let ctx = format!("{deployment}: {op}{space} at the neighbour's buffer");
+                let mut n = neighbours(deployment, &probe_ptx(op, space, 8));
+                let target = n.edge;
+                assert!(!n.attack("probe", target), "{ctx}: the offender lives");
+                n.assert_victim_untouched(0, &ctx);
+                n.shutdown();
+            }
+        }
+    }
+}
+
+/// Negative control: scratch accesses inside their windows still work.
+#[test]
+fn shared_tiles_and_local_arrays_still_work() {
+    let ptx = r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry scratch(.param .u64 target, .param .u64 out)
+{
+    .shared .align 8 .u64 tile[8];
+    .local .align 8 .u64 scr[8];
+    .reg .b64 %rd<8>;
+    ld.param.u64 %rd2, [out];
+    mov.u64 %rd3, tile;
+    mov.u64 %rd4, scr;
+    mov.u64 %rd5, 40;
+    st.shared.u64 [%rd3+16], %rd5;
+    st.local.u64 [%rd4+56], %rd5;
+    atom.shared.add.u64 %rd6, [tile+16], %rd5;
+    ld.shared.u64 %rd6, [%rd3+16];
+    ld.local.u64 %rd7, [scr+56];
+    add.u64 %rd6, %rd6, %rd7;
+    st.global.u64 [%rd2], %rd6;
+    ret;
+}
+"#;
+    for deployment in PROTECTED {
+        let mut n = neighbours(deployment, ptx);
+        assert!(n.attack("scratch", 0), "{deployment}");
+        assert_eq!(n.peek(n.base), 120, "{deployment}");
+        n.shutdown();
+    }
+}
+
+/// What the module-scope `g` is initialized to.
+const G_INIT: u64 = 0x1122_3344_5566_7788;
+
+/// `where_is_g` tells a tenant where the module's `.global` landed;
+/// `through_g` then reaches `K` bytes away from it with no address
+/// register for the patcher to fence.
+fn symbol_ptx(access: &str) -> String {
+    format!(
+        r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.global .align 8 .u64 g[1] = {{ {G_INIT} }};
+.visible .entry where_is_g(.param .u64 target, .param .u64 out)
+{{
+    .reg .b64 %rd<3>;
+    ld.param.u64 %rd1, [out];
+    mov.u64 %rd2, g;
+    st.global.u64 [%rd1], %rd2;
+    ret;
+}}
+.visible .entry through_g(.param .u64 target, .param .u64 out)
+{{
+    .reg .b32 %r<3>;
+    .reg .b64 %rd<4>;
+    ld.param.u64 %rd1, [out];
+    mov.u64 %rd2, -1;
+    {access}
+    st.global.u64 [%rd1], %rd3;
+    st.global.u32 [%rd1+8], %r1;
+    ret;
+}}
+"#
+    )
+}
+
+/// A symbol-direct access is bounded when the module is registered: the
+/// offset is a constant of the PTX, and the PTX is tenant input.
+#[test]
+fn symbol_direct_access_cannot_leave_its_variable() {
+    for deployment in PROTECTED {
+        let mut n = neighbours(deployment, &symbol_ptx("ld.global.u64 %rd3, [g];"));
+        assert!(n.attack("where_is_g", 0));
+        let g = n.peek(n.base);
+        // Aimed at the neighbour if the next module lands where this one
+        // did; wherever it lands, `K` is nowhere near inside `g`.
+        let aimed = n.edge.wrapping_sub(g) as i64;
+        for k in [aimed, 8, 1, -8, i64::MAX - 7, -i64::MAX] {
+            for access in [
+                format!("st.global.u64 [g+{k}], %rd2;"),
+                format!("ld.global.u64 %rd3, [g+{k}];"),
+                format!("atom.global.add.u64 %rd3, [g+{k}], %rd2;"),
+                format!("st.u64 [g+{k}], %rd2;"),
+            ] {
+                let ctx = format!("{deployment}: {access}");
+                let attacker = &mut n.tenancy.runtimes[n.attacker];
+                let r = attacker.cu_module_load_data("hostile", &symbol_ptx(&access));
+                assert!(
+                    matches!(r, Err(CudaError::Rejected(_))),
+                    "{ctx}: registered ({r:?})"
+                );
+                // The rejection is not a fault: the tenant lives on, and
+                // the kernels it already had are the ones that run.
+                assert!(n.attack("through_g", 0), "{ctx}");
+                n.assert_victim_untouched(G_INIT, &ctx);
+            }
+        }
+        n.shutdown();
+    }
+}
+
+/// Negative control: accesses inside the variable register and run.
+#[test]
+fn symbol_direct_access_inside_its_variable_still_works() {
+    for deployment in PROTECTED {
+        let ptx = symbol_ptx("ld.global.u64 %rd3, [g];\n    ld.global.u32 %r1, [g+4];");
+        let mut n = neighbours(deployment, &ptx);
+        assert!(n.attack("through_g", 0), "{deployment}");
+        assert_eq!(n.peek(n.base), G_INIT, "{deployment}");
+        assert_eq!(n.peek(n.base + 8), G_INIT >> 32, "{deployment}");
+        n.shutdown();
+    }
+}
