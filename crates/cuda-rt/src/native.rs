@@ -189,7 +189,7 @@ impl CudaApi for NativeRuntime {
                 sid,
                 Command::MemcpyH2D {
                     dst,
-                    data: data.to_vec(),
+                    data: data.to_vec().into(),
                 },
             )?;
             dev.synchronize();

@@ -837,11 +837,27 @@ impl Device {
             .any(|s| s.ctx == ctx && (s.busy || !s.queue.is_empty()))
     }
 
-    /// Start the head command of a stream. Returns false when the command
-    /// must wait for a resource (a wake event has been queued).
+    /// Start the head command of a stream, taking it off the queue.
+    /// Returns false when the command must wait for a resource: it goes
+    /// back to the front of the queue untouched and a wake event has been
+    /// queued.
     fn start_command(&mut self, sid: StreamId) -> bool {
-        let cmd = self.streams[&sid].queue.front().cloned().expect("nonempty");
-        let ctx = self.streams[&sid].ctx;
+        let s = self.streams.get_mut(&sid).expect("known");
+        let cmd = s.queue.pop_front().expect("nonempty");
+        let ctx = s.ctx;
+        // Copies wait for their engine: a PCIe direction or the copy
+        // engine still busy with an earlier transfer.
+        let engine_free = match &cmd {
+            Command::MemcpyH2D { .. } => self.pcie_h2d_free,
+            Command::MemcpyD2H { .. } => self.pcie_d2h_free,
+            Command::MemcpyD2D { .. } => self.copy_free,
+            _ => 0,
+        };
+        if engine_free > self.now {
+            s.queue.push_front(cmd);
+            self.push_event(engine_free, EvKind::Wake);
+            return false;
+        }
         match cmd {
             Command::EventRecord { event } => {
                 event.record(self.now);
@@ -897,11 +913,6 @@ impl Device {
             }
             Command::MemcpyH2D { dst, data } => {
                 let dur = self.transfer_cycles(data.len() as u64, self.spec.pcie_bytes_per_sec);
-                if self.pcie_h2d_free > self.now {
-                    let t = self.pcie_h2d_free;
-                    self.push_event(t, EvKind::Wake);
-                    return false;
-                }
                 if let Err(f) = self.dram.write(dst, &data) {
                     self.record_fault(ctx, sid, None, f);
                     self.complete_command(sid);
@@ -915,18 +926,11 @@ impl Device {
             }
             Command::MemcpyD2H { src, len, sink } => {
                 let dur = self.transfer_cycles(len, self.spec.pcie_bytes_per_sec);
-                if self.pcie_d2h_free > self.now {
-                    let t = self.pcie_d2h_free;
-                    self.push_event(t, EvKind::Wake);
-                    return false;
-                }
-                let mut buf = vec![0u8; len as usize];
-                if let Err(f) = self.dram.read(src, &mut buf) {
+                if let Err(f) = sink.append_from(&self.dram, src, len) {
                     self.record_fault(ctx, sid, None, f);
                     self.complete_command(sid);
                     return true;
                 }
-                sink.put(buf);
                 let end = self.now + dur;
                 self.pcie_d2h_free = end;
                 self.streams.get_mut(&sid).expect("known").busy = true;
@@ -935,11 +939,6 @@ impl Device {
             }
             Command::MemcpyD2D { dst, src, len } => {
                 let dur = self.transfer_cycles(len, self.spec.dram_bytes_per_sec / 2.0);
-                if self.copy_free > self.now {
-                    let t = self.copy_free;
-                    self.push_event(t, EvKind::Wake);
-                    return false;
-                }
                 let mut buf = vec![0u8; len as usize];
                 let r = self
                     .dram
@@ -1041,7 +1040,7 @@ impl Device {
         match ev.kind {
             EvKind::Wake => {}
             EvKind::CmdEnd { stream } => {
-                self.complete_busy_command(stream);
+                self.complete_command(stream);
             }
             EvKind::BlockEnd {
                 slot,
@@ -1069,14 +1068,15 @@ impl Device {
                     let sid = self.running[slot].stream;
                     self.running[slot].alive = false;
                     self.free_slots.push(slot);
-                    self.complete_busy_command(sid);
+                    self.complete_command(sid);
                 }
                 self.schedule_blocks();
             }
         }
     }
 
-    /// Complete a command that never became busy (instant commands).
+    /// Complete the stream's started command (already off its queue),
+    /// whether it finished instantly or after running busy.
     fn complete_command(&mut self, sid: StreamId) {
         // The stream may have been destroyed while a block was in flight;
         // its completion then has nowhere to land, which is fine.
@@ -1084,7 +1084,6 @@ impl Device {
             return;
         };
         let ctx = s.ctx;
-        s.queue.pop_front();
         s.busy = false;
         s.last_done = self.now;
         s.last_done_wall_ns = crate::mono_ns();
@@ -1095,10 +1094,6 @@ impl Device {
         if more {
             self.mark_ready(sid);
         }
-    }
-
-    fn complete_busy_command(&mut self, sid: StreamId) {
-        self.complete_command(sid);
     }
 
     fn record_fault(&mut self, ctx: CtxId, stream: StreamId, kernel: Option<String>, fault: Fault) {
@@ -1337,7 +1332,7 @@ $L_done:
             s,
             Command::MemcpyH2D {
                 dst: buf,
-                data: data.clone(),
+                data: data.clone().into(),
             },
         )
         .unwrap();
@@ -1354,6 +1349,55 @@ $L_done:
         dev.synchronize();
         assert_eq!(sink.take(), data);
         assert!(dev.now() > 0);
+    }
+
+    #[test]
+    fn engine_gated_copy_waits_at_its_stream_head() {
+        // Copies on two streams share the H2D direction of the PCIe
+        // link: the second goes back to the head of its queue until the
+        // link frees, then runs — ahead of the D2H queued behind it.
+        const N: usize = 256 << 10;
+        let run = |streams: usize| -> (u64, Vec<u8>) {
+            let mut dev = Device::new(test_gpu());
+            let ctx = dev.create_context().unwrap();
+            let sink = crate::stream::HostSink::new();
+            for i in 0..streams {
+                let s = dev.create_stream(ctx).unwrap();
+                let buf = dev.malloc(ctx, N as u64).unwrap();
+                let data = vec![i as u8 + 1; N];
+                dev.enqueue(
+                    s,
+                    Command::MemcpyH2D {
+                        dst: buf,
+                        data: data.into(),
+                    },
+                )
+                .unwrap();
+                if i + 1 == streams {
+                    dev.enqueue(
+                        s,
+                        Command::MemcpyD2H {
+                            src: buf,
+                            len: N as u64,
+                            sink: sink.clone(),
+                        },
+                    )
+                    .unwrap();
+                }
+            }
+            dev.synchronize();
+            (dev.now(), sink.take())
+        };
+        let (one, _) = run(1);
+        let (two, back) = run(2);
+        assert_eq!(back, vec![2u8; N]);
+        // Alone: H2D then D2H (separate directions). Shared: the second
+        // H2D waited out the first.
+        let h2d = one / 2;
+        assert!(
+            two >= one + h2d,
+            "copies overlapped on one link: {two} vs {one}"
+        );
     }
 
     #[test]
@@ -1615,7 +1659,7 @@ $L_end:
             prio,
             Command::MemcpyH2D {
                 dst: buf,
-                data: vec![0u8; 1_200_000],
+                data: vec![0u8; 1_200_000].into(),
             },
         )
         .unwrap();

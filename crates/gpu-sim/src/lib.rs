@@ -90,7 +90,9 @@ pub fn device_set(specs: Vec<GpuSpec>) -> Vec<Device> {
 pub use fault::Fault;
 pub use interp::{LaunchConfig, MemGuard};
 pub use spec::GpuSpec;
-pub use stream::{Command, CtxId, CudaFunction, Event, HostSink, ParamBuf, ParamPool, StreamId};
+pub use stream::{
+    Command, CtxId, CudaFunction, Event, HostBytes, HostSink, ParamBuf, ParamPool, StreamId,
+};
 
 /// Nanoseconds on the process-wide monotonic telemetry clock.
 ///

@@ -101,6 +101,36 @@ impl Dram {
         Ok(())
     }
 
+    /// Append the `len` bytes at a device virtual address to `out`: one
+    /// copy into the caller's buffer, with no zero-filled staging first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Fault::Unmapped`] if the range exceeds DRAM; `out` is
+    /// then left as it was.
+    pub fn read_append(&self, addr: u64, len: u64, out: &mut Vec<u8>) -> Result<(), Fault> {
+        let off = self.offset_of(addr)?;
+        let end = off
+            .checked_add(len)
+            .filter(|&end| end <= self.capacity)
+            .ok_or(Fault::Unmapped {
+                addr: addr.wrapping_add(len),
+            })?;
+        out.reserve(len as usize);
+        let mut cur = off;
+        while cur < end {
+            let page = (cur / PAGE_SIZE) as usize;
+            let in_page = (cur % PAGE_SIZE) as usize;
+            let n = ((end - cur) as usize).min(PAGE_SIZE as usize - in_page);
+            match &self.pages[page] {
+                Some(p) => out.extend_from_slice(&p[in_page..in_page + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            cur += n as u64;
+        }
+        Ok(())
+    }
+
     /// Write bytes at a device virtual address.
     ///
     /// # Errors
@@ -314,6 +344,26 @@ mod tests {
         let mut buf = [0u8; 11];
         d.read(addr, &mut buf).unwrap();
         assert_eq!(&buf, b"hello world");
+    }
+
+    #[test]
+    fn read_append_matches_read_across_pages() {
+        let mut d = Dram::new(4 * PAGE_SIZE);
+        let addr = DEVICE_BASE + PAGE_SIZE - 3;
+        d.write(addr, &[1, 2, 3, 4, 5]).unwrap();
+        // Spans a written page, the page it spills into, and an
+        // untouched page that reads as zeros.
+        let len = PAGE_SIZE + 8;
+        let mut want = vec![0u8; len as usize];
+        d.read(addr, &mut want).unwrap();
+        let mut got = vec![0xEE];
+        d.read_append(addr, len, &mut got).unwrap();
+        assert_eq!(got[0], 0xEE);
+        assert_eq!(&got[1..], &want[..]);
+        // Out of range (or overflowing) appends nothing.
+        assert!(d.read_append(addr, 4 * PAGE_SIZE, &mut got).is_err());
+        assert!(d.read_append(addr, u64::MAX, &mut got).is_err());
+        assert_eq!(got.len(), 1 + len as usize);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! consumed by the device's discrete-event engine in [`crate::device`].
 
 use crate::compile::{CompiledKernel, CompiledModule};
+use crate::fault::Fault;
 use crate::interp::{LaunchConfig, MemGuard};
+use crate::mem::Dram;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
@@ -107,25 +109,6 @@ impl AsRef<[u8]> for ParamBuf {
     }
 }
 
-impl Clone for ParamBuf {
-    fn clone(&self) -> Self {
-        // Pooled buffers clone *through* the pool, so the copy a device
-        // makes to execute a command is also allocation-free once warm.
-        match self.pool.upgrade() {
-            Some(pool) => {
-                let mut buf = pool.take();
-                buf.data.clear();
-                buf.data.extend_from_slice(&self.data);
-                buf
-            }
-            None => ParamBuf {
-                data: self.data.clone(),
-                pool: Weak::new(),
-            },
-        }
-    }
-}
-
 impl Drop for ParamBuf {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.upgrade() {
@@ -157,7 +140,39 @@ impl Event {
     }
 }
 
-/// A host-visible buffer a device-to-host copy writes into at execution
+/// The bytes a host-to-device copy carries: a refcounted, immutable
+/// handle, so a producer that already holds them in a shared buffer (the
+/// manager's receive block) hands them to the device without a copy.
+/// `From<Vec<u8>>` wraps an owned buffer the same way.
+pub struct HostBytes(Arc<dyn AsRef<[u8]> + Send + Sync>);
+
+impl HostBytes {
+    /// Share `bytes` with the device.
+    pub fn new(bytes: impl AsRef<[u8]> + Send + Sync + 'static) -> Self {
+        HostBytes(Arc::new(bytes))
+    }
+}
+
+impl From<Vec<u8>> for HostBytes {
+    fn from(data: Vec<u8>) -> Self {
+        HostBytes::new(data)
+    }
+}
+
+impl std::ops::Deref for HostBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        (*self.0).as_ref()
+    }
+}
+
+impl std::fmt::Debug for HostBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "HostBytes({} bytes)", self.len())
+    }
+}
+
+/// A host-visible buffer a device-to-host copy appends into at execution
 /// time.
 #[derive(Debug, Clone, Default)]
 pub struct HostSink {
@@ -170,18 +185,29 @@ impl HostSink {
         Self::default()
     }
 
-    /// Take the received bytes (empty until the copy has executed).
+    /// A sink whose copied bytes land after `prefix` in one buffer, so a
+    /// caller that frames the bytes (a reply header) never moves them.
+    pub fn with_prefix(prefix: Vec<u8>) -> Self {
+        HostSink {
+            data: Arc::new(Mutex::new(prefix)),
+        }
+    }
+
+    /// Take the buffer: the prefix, then the received bytes (nothing is
+    /// appended until the copy has executed).
     pub fn take(&self) -> Vec<u8> {
         std::mem::take(&mut self.data.lock())
     }
 
-    pub(crate) fn put(&self, data: Vec<u8>) {
-        *self.data.lock() = data;
+    /// Append `len` bytes of device memory at `src` (nothing on error).
+    pub(crate) fn append_from(&self, dram: &Dram, src: u64, len: u64) -> Result<(), Fault> {
+        dram.read_append(src, len, &mut self.data.lock())
     }
 }
 
-/// One device command.
-#[derive(Debug, Clone)]
+/// One device command. Deliberately not `Clone`: the device takes each
+/// command off its queue, so a payload is never copied to execute it.
+#[derive(Debug)]
 pub enum Command {
     /// Execute a kernel grid.
     Launch {
@@ -199,9 +225,9 @@ pub enum Command {
         /// Destination device address.
         dst: u64,
         /// Bytes to write.
-        data: Vec<u8>,
+        data: HostBytes,
     },
-    /// Device-to-host copy into a [`HostSink`].
+    /// Device-to-host copy, appended to a [`HostSink`].
     MemcpyD2H {
         /// Source device address.
         src: u64,
@@ -301,28 +327,35 @@ mod tests {
 
     #[test]
     fn host_sink_takes_data() {
+        let mut dram = Dram::new(crate::mem::PAGE_SIZE);
+        let addr = crate::fault::window::DEVICE_BASE + 8;
+        dram.write(addr, &[1, 2, 3]).unwrap();
         let s = HostSink::new();
         assert!(s.take().is_empty());
-        s.put(vec![1, 2, 3]);
+        s.append_from(&dram, addr, 3).unwrap();
         assert_eq!(s.take(), vec![1, 2, 3]);
         assert!(s.take().is_empty());
+        // A prefixed sink keeps its prefix in front of the copy, and a
+        // faulting copy appends nothing.
+        let s = HostSink::with_prefix(vec![9]);
+        assert!(s.append_from(&dram, addr, crate::mem::PAGE_SIZE).is_err());
+        s.append_from(&dram, addr, 2).unwrap();
+        assert_eq!(s.take(), vec![9, 1, 2]);
     }
 
     #[test]
-    fn param_pool_recycles_storage_and_clones_through_the_pool() {
+    fn param_pool_recycles_storage() {
         let pool = ParamPool::new();
         let mut a = pool.take();
         a.data_mut().extend_from_slice(&[1, 2, 3]);
         let cap = a.data_mut().capacity();
-        let b = a.clone();
-        assert_eq!(&*b, &[1, 2, 3]);
+        assert_eq!(&*a, &[1, 2, 3]);
         drop(a);
         // The recycled buffer comes back with its old storage.
         let mut c = pool.take();
         assert!(c.is_empty());
         assert_eq!(c.data_mut().capacity(), cap);
         drop(c);
-        drop(b);
         // Unpooled buffers survive the pool's death.
         drop(pool);
         let d: ParamBuf = vec![9u8; 4].into();

@@ -262,7 +262,10 @@ impl RegionAllocator {
     ///
     /// [`AllocError::PartitionFull`].
     pub fn alloc(&mut self, bytes: u64) -> Result<u64, AllocError> {
-        let len = bytes.max(1).next_multiple_of(SUBALLOC_ALIGN);
+        let len = bytes
+            .max(1)
+            .checked_next_multiple_of(SUBALLOC_ALIGN)
+            .ok_or(AllocError::PartitionFull)?;
         let pos = self
             .free
             .iter()

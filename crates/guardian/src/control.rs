@@ -8,8 +8,8 @@
 //! sharing argument of large-scale serving systems (ParvaGPU):
 //!
 //! * [`LeaseSpec`] — the terms a `Connect` is admitted under: a memory
-//!   cap, a stream cap, and a wall-clock TTL. The manager enforces the
-//!   cap at `malloc`, and its control thread sweeps expired leases,
+//!   cap, a stream cap, and a wall-clock TTL. The tenant's session
+//!   enforces the cap at `malloc`, and the control thread sweeps expired leases,
 //!   draining the session through the same barrier + fault-reap path
 //!   migration uses, then reclaiming the partition.
 //! * [`TenantCounters`] / [`ControlPlane`] — per-tenant usage counters
@@ -258,13 +258,13 @@ fn parse_ttl(s: &str) -> Result<Option<Duration>, String> {
 
 /// Per-tenant usage counters, written lock-free from the data plane
 /// (launches from the dispatch path, frames from the executor drain
-/// loop) and from the serialized control thread (bytes held), read by
-/// the admin plane at scrape time. Relaxed ordering throughout: these
-/// are statistics, not synchronization.
+/// loop, bytes held from malloc/free), read by the admin plane at scrape
+/// time. Relaxed ordering throughout: these are statistics, not
+/// synchronization.
 #[derive(Debug, Default)]
 pub struct TenantCounters {
-    /// Partition-heap bytes currently held (maintained by the control
-    /// thread on malloc/free, so lease-cap checks and scrapes agree).
+    /// Partition-heap bytes currently held (stored under the tenant's
+    /// heap lock on malloc/free, so lease-cap checks and scrapes agree).
     pub bytes_held: AtomicU64,
     /// Kernel launches dispatched.
     pub launches: AtomicU64,

@@ -26,9 +26,10 @@
 //! ([`Connection::send_batch`]) — the server-side half of the frame
 //! batching that the client library applies to its deferred launches.
 //!
-//! A connection that turns out not to be event-capable after its
-//! deferred handshake (a doorbell-less legacy shm peer: `event_fds`
-//! comes back empty) is **demoted** to a dedicated blocking thread, the
+//! A connection that reports no readiness fds (`event_fds` comes back
+//! empty — no transport in the tree does once adopted: a uds session
+//! polls its socket, and a shm session its handshake socket, then its
+//! doorbell) is **demoted** to a dedicated blocking thread, the
 //! pre-executor behaviour. Its cell stays in the map until the thread
 //! exits so shutdown still accounts for it.
 
@@ -332,8 +333,7 @@ fn service_cell(inner: &Arc<PoolInner>, cell: &Arc<Cell>) -> Option<Arc<Cell>> {
             return None;
         }
         // Re-query the fd set: a shm session's doorbell only exists
-        // after its deferred handshake, and a doorbell-less peer is
-        // only recognizable then — demote that one to a thread.
+        // after its deferred handshake.
         let fds = st.conn.event_fds();
         if fds.is_empty() {
             let st = guard.take().expect("state present");
@@ -394,7 +394,7 @@ fn drain(st: &mut CellState) -> DrainOutcome {
         match st.conn.try_recv() {
             Ok(Some(frame)) => {
                 frames += 1;
-                match st.ctx.handle_frame(&frame) {
+                match st.ctx.handle_frame(&frame, &*st.conn) {
                     Step::Reply(r) => {
                         replies.push(r);
                         if replies.len() >= REPLY_FLUSH

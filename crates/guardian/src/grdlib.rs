@@ -12,16 +12,17 @@
 //!
 //! The stub is transport-agnostic: it holds nothing but a boxed
 //! [`Connection`], so the same code would drive a socket or shared-memory
-//! transport. Kernel launches are either acknowledged at enqueue time
-//! (deterministic ordering; the default) or sent one-way with errors
-//! surfacing at the next synchronization, depending on the manager's
-//! [`LaunchAck`](crate::manager::LaunchAck) policy — the handshake tells
-//! the stub which contract is in force.
+//! transport. Kernel launches (and frees) are either acknowledged at
+//! enqueue time (deterministic ordering; the default) or sent one-way
+//! with errors surfacing at the next synchronization, depending on the
+//! manager's [`LaunchAck`](crate::manager::LaunchAck) policy — the
+//! handshake tells the stub which contract is in force. Copies larger
+//! than one of the connection's frames are split into frames that fit.
 
 use crate::control::QosClass;
 use crate::manager::{ClientId, ManagerHandle};
 use crate::placement::PlacementHint;
-use crate::proto::{DeviceInfo, Request, Response};
+use crate::proto::{self, DeviceInfo, Request, Response};
 use crate::transport::{shm::ShmDialer, uds::UdsDialer, Connection, Dialer, TransportError};
 use cuda_rt::{CudaApi, CudaError, CudaResult, DevicePtr, EventHandle, ModuleHandle, Stream};
 use gpu_sim::LaunchConfig;
@@ -60,6 +61,9 @@ pub struct GrdLib {
     partition_size: u64,
     /// Index of the GPU the manager placed this tenant on.
     device: u32,
+    /// Largest frame the connection carries; bulk copies are split to
+    /// fit it.
+    max_frame: u64,
     /// Manager runs launches in deferred-ack (true async) mode.
     deferred_launch: bool,
     /// QoS class the manager granted (requested class clamped to the
@@ -185,13 +189,6 @@ impl GrdLib {
     /// [`GrdLib::dial_uds`] but frames cross an mmap'd SPSC ring instead
     /// of the kernel — the fast path for launch-heavy tenants.
     ///
-    /// The ring bounds the largest single frame: with the default 1 MiB
-    /// ring ([`DEFAULT_RING_CAPACITY`](crate::transport::shm::DEFAULT_RING_CAPACITY)),
-    /// one `cuda_memcpy_h2d` payload or fatbin must stay under
-    /// capacity − 4 bytes. Transfer-heavy tenants should size the ring
-    /// with [`GrdLib::dial_shm_with_capacity`] (or use uds, whose frame
-    /// limit is 64 MiB).
-    ///
     /// # Errors
     ///
     /// As [`GrdLib::dial_uds`].
@@ -244,8 +241,9 @@ impl GrdLib {
     }
 
     /// [`GrdLib::dial_shm`] with an explicit per-direction ring capacity
-    /// in bytes (power of two, 4 KiB – 1 GiB). The largest sendable
-    /// frame is `ring_capacity - 4` bytes.
+    /// in bytes (power of two, 4 KiB – 1 GiB). The largest frame is
+    /// `ring_capacity - 4` bytes: copies are split to fit it, and a
+    /// fatbin must.
     ///
     /// # Errors
     ///
@@ -303,6 +301,7 @@ impl GrdLib {
         hint: Option<PlacementHint>,
         qos: QosClass,
     ) -> CudaResult<Self> {
+        let max_frame = conn.max_frame();
         let mut lib = GrdLib {
             conn,
             id: ClientId(0),
@@ -310,6 +309,7 @@ impl GrdLib {
             partition_base: 0,
             partition_size: 0,
             device: 0,
+            max_frame,
             deferred_launch: false,
             qos: QosClass::BestEffort.to_wire(),
             pending: Mutex::new(Vec::new()),
@@ -453,8 +453,28 @@ impl GrdLib {
             }
         };
         self.conn.send_batch(batch).map_err(transport_to_cuda)?;
+        self.reply()
+    }
+
+    /// Round trip for a frame sent as `head` + `tail` — a header and the
+    /// caller's bulk payload, written without joining them. Buffered
+    /// one-way frames go first, in their own batch.
+    fn call_split(&self, head: &[u8], tail: &[u8]) -> CudaResult<Response> {
+        let pending = std::mem::take(&mut *self.pending.lock());
+        if !pending.is_empty() {
+            self.conn.send_batch(pending).map_err(transport_to_cuda)?;
+        }
+        self.conn
+            .send_split(head, tail)
+            .map_err(transport_to_cuda)?;
+        self.reply()
+    }
+
+    /// Await and decode the reply to a round trip (a data reply's
+    /// payload is moved out of the received frame, not copied).
+    fn reply(&self) -> CudaResult<Response> {
         let frame = self.conn.recv().map_err(transport_to_cuda)?;
-        match Response::decode(&frame).map_err(|_| CudaError::Disconnected)? {
+        match Response::decode_owned(frame).map_err(|_| CudaError::Disconnected)? {
             Response::Error(e) => Err(e),
             resp => Ok(resp),
         }
@@ -480,6 +500,31 @@ impl GrdLib {
     fn call_frame_unit(&self, frame: Vec<u8>) -> CudaResult<()> {
         match self.call_frame(frame)? {
             Response::Unit => Ok(()),
+            _ => Err(CudaError::Disconnected),
+        }
+    }
+
+    /// One H2D frame's worth of copy (see [`CudaApi::cuda_memcpy_h2d`]).
+    fn memcpy_h2d(&self, dst: DevicePtr, data: &[u8]) -> CudaResult<()> {
+        if self.deferred_launch && data.len() <= H2D_ASYNC_MAX {
+            // Small staging copies between deferred launches go one-way so
+            // the whole enqueue run coalesces into a single transport send;
+            // bounds errors become sticky and surface at the next sync,
+            // matching the async launch error model.
+            self.push_one_way(proto::encode_memcpy_h2d_async(dst, data))
+        } else {
+            let head = proto::memcpy_h2d_header(dst, data.len());
+            match self.call_split(&head, data)? {
+                Response::Unit => Ok(()),
+                _ => Err(CudaError::Disconnected),
+            }
+        }
+    }
+
+    /// One D2H frame's worth of copy (see [`CudaApi::cuda_memcpy_d2h`]).
+    fn memcpy_d2h(&self, src: DevicePtr, len: u64) -> CudaResult<Vec<u8>> {
+        match self.call(&Request::MemcpyD2H { src, len })? {
+            Response::Data(d) => Ok(d),
             _ => Err(CudaError::Disconnected),
         }
     }
@@ -516,7 +561,14 @@ impl CudaApi for GrdLib {
     }
 
     fn cuda_free(&mut self, ptr: DevicePtr) -> CudaResult<()> {
-        self.call_unit(&Request::Free { ptr })
+        if self.deferred_launch {
+            // One-way, like a deferred launch: the free rides in front of
+            // the next round trip, and a bad pointer's error surfaces at
+            // the next sync.
+            self.push_one_way(Request::FreeAsync { ptr }.encode())
+        } else {
+            self.call_unit(&Request::Free { ptr })
+        }
     }
 
     fn cuda_memset(&mut self, dst: DevicePtr, byte: u8, len: u64) -> CudaResult<()> {
@@ -524,22 +576,34 @@ impl CudaApi for GrdLib {
     }
 
     fn cuda_memcpy_h2d(&mut self, dst: DevicePtr, data: &[u8]) -> CudaResult<()> {
-        if self.deferred_launch && data.len() <= H2D_ASYNC_MAX {
-            // Small staging copies between deferred launches go one-way so
-            // the whole enqueue run coalesces into a single transport send;
-            // bounds errors become sticky and surface at the next sync,
-            // matching the async launch error model.
-            self.push_one_way(crate::proto::encode_memcpy_h2d_async(dst, data))
-        } else {
-            self.call_frame_unit(crate::proto::encode_memcpy_h2d(dst, data))
+        // A copy larger than one frame goes as several; the manager
+        // bounds-checks each on its own.
+        let chunk = (self.max_frame as usize).saturating_sub(proto::MEMCPY_H2D_HEADER);
+        if data.len() <= chunk {
+            return self.memcpy_h2d(dst, data);
         }
+        for (i, part) in data.chunks(chunk).enumerate() {
+            self.memcpy_h2d(dst.wrapping_add((i * chunk) as u64), part)?;
+        }
+        Ok(())
     }
 
     fn cuda_memcpy_d2h(&mut self, src: DevicePtr, len: u64) -> CudaResult<Vec<u8>> {
-        match self.call(&Request::MemcpyD2H { src, len })? {
-            Response::Data(d) => Ok(d),
-            _ => Err(CudaError::Disconnected),
+        let chunk = self
+            .max_frame
+            .saturating_sub(proto::DATA_REPLY_HEADER as u64);
+        if len <= chunk {
+            return self.memcpy_d2h(src, len);
         }
+        // No copy can exceed the partition, whatever `len` claims.
+        let mut out = Vec::with_capacity(len.min(self.partition_size) as usize);
+        let mut done = 0;
+        while done < len {
+            let n = chunk.min(len - done);
+            out.extend_from_slice(&self.memcpy_d2h(src.wrapping_add(done), n)?);
+            done += n;
+        }
+        Ok(out)
     }
 
     fn cuda_memcpy_d2d(&mut self, dst: DevicePtr, src: DevicePtr, len: u64) -> CudaResult<()> {
@@ -766,6 +830,57 @@ mod tests {
         exercise(GrdLib::dial_shm(&path, 4 << 20).unwrap());
         mgr.shutdown();
         assert!(!path.exists(), "handshake socket not removed at shutdown");
+    }
+
+    /// A copy larger than the connection's frame limit is split into
+    /// frames that fit — 4 MiB through a default (1 MiB) shm ring used
+    /// to be refused on H2D and to kill the tenant on D2H — and a free
+    /// goes one-way under deferred acks without losing its effect.
+    #[test]
+    fn copies_larger_than_a_frame_round_trip() {
+        use crate::manager::LaunchAck;
+        for (wire, ack) in [("uds", LaunchAck::Eager), ("shm", LaunchAck::Deferred)] {
+            let path = temp_sock(&format!("big-{wire}"));
+            let transport = match wire {
+                "uds" => BoundTransport::uds(&path),
+                _ => BoundTransport::shm(&path),
+            }
+            .unwrap();
+            let mgr = spawn_manager_over(
+                share_device(Device::new(test_gpu())),
+                ManagerConfig {
+                    pool_bytes: Some(16 << 20),
+                    launch_ack: ack,
+                    ..ManagerConfig::default()
+                },
+                &[],
+                transport,
+            )
+            .unwrap();
+            let mut lib = match wire {
+                "uds" => GrdLib::dial_uds(&path, 8 << 20),
+                _ => GrdLib::dial_shm(&path, 8 << 20),
+            }
+            .unwrap();
+            let len = 4 << 20;
+            let data: Vec<u8> = (0..len as u32).map(|i| (i * 7 + i / 4096) as u8).collect();
+            let buf = lib.cuda_malloc(len as u64).unwrap();
+            lib.cuda_memcpy_h2d(buf, &data).unwrap();
+            assert!(
+                lib.cuda_memcpy_d2h(buf, len as u64).unwrap() == data,
+                "{wire}"
+            );
+            // An unaligned window inside it, across a chunk boundary.
+            let back = lib.cuda_memcpy_d2h(buf + 3, (1 << 20) + 5).unwrap();
+            assert!(back[..] == data[3..(1 << 20) + 8], "{wire}");
+            lib.cuda_free(buf).unwrap();
+            // The whole partition heap is free again.
+            let again = lib.cuda_malloc(8 << 20).unwrap();
+            assert_eq!(again, buf, "{wire}");
+            lib.cuda_device_synchronize().unwrap();
+            drop(lib);
+            mgr.shutdown();
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //!
 //! * the **control plane** (this module): one serialized thread owning the
 //!   partition table and kernel registry. It assigns each tenant a
-//!   contiguous power-of-two **partition** and serves its allocations from
-//!   it (§4.2.1), and sandboxes + pre-loads every registered fatbin/PTX
-//!   image (§4.2.3, §4.4);
+//!   contiguous power-of-two **partition** (§4.2.1), and sandboxes +
+//!   pre-loads every registered fatbin/PTX image (§4.2.3, §4.4);
 //! * the **data plane** ([`crate::session`]): one session thread per
-//!   connected tenant, executing transfers, launches, syncs, and events
+//!   connected tenant, serving allocations from the tenant's partition
+//!   and executing transfers, launches, syncs, and events
 //!   concurrently across tenants against fine-grained shared state —
 //!   checking every host transfer against the partition bounds (§4.2.2),
 //!   swapping every launch for its sandboxed twin with the bounds
@@ -20,7 +20,7 @@
 //! Out-of-bounds detection terminates — only — the offending tenant,
 //! regardless of which session observes the fault.
 
-use crate::alloc::{PartitionAllocator, RegionAllocator, SUBALLOC_ALIGN};
+use crate::alloc::{PartitionAllocator, RegionAllocator};
 use crate::control::{Admission, ControlPlane, LeaseSpec, QosClass, TenantCounters};
 use crate::placement::{choose_device, DeviceLoad, PlacementError, PlacementHint, PlacementPolicy};
 use crate::proto::{AdminRequest, AdminResponse};
@@ -28,7 +28,7 @@ use crate::session::{self, Binding, ClientShared, EventTable, GpuShared, KernelT
 use crate::transport::{BoundTransport, Connection, Dialer};
 use crate::{proto, transport};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use cuda_rt::{CudaError, CudaResult, DevicePtr, SharedDevice};
+use cuda_rt::{CudaError, CudaResult, SharedDevice};
 use gpu_sim::stream::CudaFunction;
 use parking_lot::{Mutex, RwLock};
 use ptx_patcher::{fence, Protection};
@@ -386,14 +386,6 @@ pub(crate) enum CtrlOp {
         name: String,
         text: String,
     },
-    Malloc {
-        client: ClientId,
-        bytes: u64,
-    },
-    Free {
-        client: ClientId,
-        ptr: DevicePtr,
-    },
     /// Enumerate the device set (per-GPU pool load and tenant counts).
     DeviceInfo,
     /// Move a tenant's partition to another GPU, live.
@@ -418,7 +410,6 @@ pub(crate) enum CtrlOp {
 pub(crate) enum CtrlOut {
     Connected(ClientInfo),
     Unit,
-    Ptr(DevicePtr),
     Devices(Vec<proto::DeviceInfo>),
     /// What a rebalance step did: `(client, src_gpu, dst_gpu)`, or `None`
     /// when the placement was already balanced.
@@ -566,38 +557,6 @@ impl Control {
             CtrlOp::RegisterPtx { client, name, text } => {
                 self.check_alive(client)?;
                 self.register_ptx(&name, &text).map(|()| CtrlOut::Unit)
-            }
-            CtrlOp::Malloc { client, bytes } => {
-                self.check_alive(client)?;
-                let state = self.client(client)?;
-                let mut heap = state.heap.lock();
-                // Lease cap: checked against what the heap would hold
-                // after this allocation (rounded to the heap's grain,
-                // so the check and the allocator agree byte-for-byte).
-                if state.lease_mem != u64::MAX {
-                    let want = bytes.max(1).next_multiple_of(SUBALLOC_ALIGN);
-                    if heap.used_bytes().saturating_add(want) > state.lease_mem {
-                        return Err(CudaError::OutOfMemory);
-                    }
-                }
-                let r = heap.alloc(bytes);
-                state
-                    .counters
-                    .bytes_held
-                    .store(heap.used_bytes(), Ordering::Relaxed);
-                r.map(CtrlOut::Ptr).map_err(|_| CudaError::OutOfMemory)
-            }
-            CtrlOp::Free { client, ptr } => {
-                self.check_alive(client)?;
-                let state = self.client(client)?;
-                let mut heap = state.heap.lock();
-                let r = heap.free(ptr);
-                state
-                    .counters
-                    .bytes_held
-                    .store(heap.used_bytes(), Ordering::Relaxed);
-                r.map(|()| CtrlOut::Unit)
-                    .map_err(|_| CudaError::InvalidValue)
             }
             CtrlOp::DeviceInfo => Ok(CtrlOut::Devices(self.device_infos())),
             CtrlOp::Migrate { client, dst_gpu } => {

@@ -197,6 +197,16 @@ pub enum Request {
         /// Pointer previously returned by `Malloc`.
         ptr: DevicePtr,
     },
+    /// Release a partition-heap allocation, **one-way**: no frame comes
+    /// back. Deferred-launch clients free this way, so a free rides in
+    /// front of the next round trip instead of costing one; a bad
+    /// pointer's error sticks to the tenant and surfaces at the next
+    /// `Sync`, like a `MemcpyH2DAsync`'s. (A new opcode, not a new frame
+    /// shape: managers that predate it refuse it as unknown.)
+    FreeAsync {
+        /// Pointer previously returned by `Malloc`.
+        ptr: DevicePtr,
+    },
     /// Fill `[dst, dst+len)` with `byte`.
     Memset {
         /// Destination device address.
@@ -585,6 +595,7 @@ const REQ_DEVICE_INFO: u8 = 18;
 const REQ_MIGRATE: u8 = 19;
 const REQ_BINDING: u8 = 20;
 const REQ_MEMCPY_H2D_ASYNC: u8 = 21;
+const REQ_FREE_ASYNC: u8 = 22;
 
 // ---- response opcodes ------------------------------------------------------
 
@@ -987,12 +998,37 @@ pub fn encode_launch(kernel: &str, cfg: &LaunchConfig, args: &[u8], driver_level
     buf
 }
 
-/// Encode a [`Request::MemcpyH2D`] frame directly from a borrowed
-/// payload (hot-path helper; see [`encode_launch`]).
-pub fn encode_memcpy_h2d(dst: DevicePtr, data: &[u8]) -> Vec<u8> {
-    let mut buf = frame_header(REQ_MEMCPY_H2D);
-    buf.put_u64_le(dst);
-    put_blob(&mut buf, data);
+/// Bytes in front of a [`Request::MemcpyH2D`] payload: version, opcode,
+/// destination, payload length.
+pub const MEMCPY_H2D_HEADER: usize = 18;
+
+/// Bytes in front of a [`Response::Data`] payload: version, opcode,
+/// payload length.
+pub const DATA_REPLY_HEADER: usize = 10;
+
+/// The header of a [`Request::MemcpyH2D`] frame whose `len`-byte payload
+/// follows it on the wire: a sender can write it and the caller's slice
+/// in one gather write ([`Connection::send_split`]) instead of copying
+/// the payload into a frame first.
+///
+/// [`Connection::send_split`]: crate::transport::Connection::send_split
+pub fn memcpy_h2d_header(dst: DevicePtr, len: usize) -> [u8; MEMCPY_H2D_HEADER] {
+    let mut head = [0u8; MEMCPY_H2D_HEADER];
+    head[0] = PROTO_VERSION;
+    head[1] = REQ_MEMCPY_H2D;
+    head[2..10].copy_from_slice(&dst.to_le_bytes());
+    head[10..].copy_from_slice(&(len as u64).to_le_bytes());
+    head
+}
+
+/// A [`Response::Data`] frame's header, in a buffer with room for the
+/// `len`-byte payload behind it: a server appends the payload in place
+/// and sends the buffer as the reply.
+pub fn data_reply_header(len: u64) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(DATA_REPLY_HEADER + len as usize);
+    buf.put_u8(PROTO_VERSION);
+    buf.put_u8(RESP_DATA);
+    buf.put_u64_le(len);
     buf
 }
 
@@ -1042,6 +1078,11 @@ impl Request {
                 buf.put_u64_le(*ptr);
                 buf
             }
+            Request::FreeAsync { ptr } => {
+                let mut buf = frame_header(REQ_FREE_ASYNC);
+                buf.put_u64_le(*ptr);
+                buf
+            }
             Request::Memset { dst, byte, len } => {
                 let mut buf = frame_header(REQ_MEMSET);
                 buf.put_u64_le(*dst);
@@ -1049,7 +1090,12 @@ impl Request {
                 buf.put_u64_le(*len);
                 buf
             }
-            Request::MemcpyH2D { dst, data } => encode_memcpy_h2d(*dst, data),
+            Request::MemcpyH2D { dst, data } => {
+                let mut buf = Vec::with_capacity(MEMCPY_H2D_HEADER + data.len());
+                buf.extend_from_slice(&memcpy_h2d_header(*dst, data.len()));
+                buf.extend_from_slice(data);
+                buf
+            }
             Request::MemcpyH2DAsync { dst, data } => encode_memcpy_h2d_async(*dst, data),
             Request::MemcpyD2H { src, len } => {
                 let mut buf = frame_header(REQ_MEMCPY_D2H);
@@ -1137,6 +1183,7 @@ impl Request {
             },
             REQ_MALLOC => Request::Malloc { bytes: r.u64()? },
             REQ_FREE => Request::Free { ptr: r.u64()? },
+            REQ_FREE_ASYNC => Request::FreeAsync { ptr: r.u64()? },
             REQ_MEMSET => Request::Memset {
                 dst: r.u64()?,
                 byte: r.u8()?,
@@ -1185,6 +1232,25 @@ impl Request {
 }
 
 impl Response {
+    /// Decode a byte frame taken by value: a [`Response::Data`] payload
+    /// is moved to the front of `frame` and returned in it (one pass over
+    /// the bytes, no allocation) instead of copied out. Every other
+    /// response decodes exactly as [`Response::decode`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Response::decode`].
+    pub fn decode_owned(mut frame: Vec<u8>) -> Result<Self, ProtoError> {
+        let (_, opcode, mut r) = open_frame(&frame)?;
+        if opcode != RESP_DATA {
+            return Self::decode(&frame);
+        }
+        r.blob_range()?;
+        r.finish()?;
+        frame.drain(..DATA_REPLY_HEADER);
+        Ok(Response::Data(frame))
+    }
+
     /// Serialize to a byte frame.
     pub fn encode(&self) -> Vec<u8> {
         match self {
@@ -1208,8 +1274,8 @@ impl Response {
                 buf
             }
             Response::Data(d) => {
-                let mut buf = frame_header(RESP_DATA);
-                put_blob(&mut buf, d);
+                let mut buf = data_reply_header(d.len() as u64);
+                buf.extend_from_slice(d);
                 buf
             }
             Response::EventId(id) => {
@@ -1553,6 +1619,7 @@ mod tests {
             },
             Request::Malloc { bytes: 0 },
             Request::Free { ptr: 1 << 40 },
+            Request::FreeAsync { ptr: u64::MAX },
             Request::Memset {
                 dst: 0,
                 byte: 0xAB,
@@ -1662,6 +1729,7 @@ mod tests {
         for resp in cases {
             let frame = resp.encode();
             assert_eq!(Response::decode(&frame).unwrap(), resp, "{resp:?}");
+            assert_eq!(Response::decode_owned(frame).unwrap(), resp, "{resp:?}");
         }
     }
 
@@ -1683,16 +1751,26 @@ mod tests {
             owned.encode(),
             encode_launch("gemm", &cfg, &[7u8; 48], true)
         );
-        let owned = Request::MemcpyH2D {
-            dst: 0xABCD,
-            data: vec![1, 2, 3].into(),
-        };
-        assert_eq!(owned.encode(), encode_memcpy_h2d(0xABCD, &[1, 2, 3]));
         let owned = Request::MemcpyH2DAsync {
             dst: 0xABCD,
             data: vec![1, 2, 3].into(),
         };
         assert_eq!(owned.encode(), encode_memcpy_h2d_async(0xABCD, &[1, 2, 3]));
+        // The split-send header is the frame's prefix, and a data reply
+        // built in place is the encoded response.
+        let frame = Request::MemcpyH2D {
+            dst: 0xABCD,
+            data: vec![1, 2, 3].into(),
+        }
+        .encode();
+        assert_eq!(
+            [&memcpy_h2d_header(0xABCD, 3)[..], &[1, 2, 3]].concat(),
+            frame
+        );
+        let mut reply = data_reply_header(3);
+        reply.extend_from_slice(&[4, 5, 6]);
+        assert_eq!(reply, Response::Data(vec![4, 5, 6]).encode());
+        assert_eq!(reply.len(), DATA_REPLY_HEADER + 3);
     }
 
     #[test]
@@ -2189,6 +2267,9 @@ mod proptests {
                 .prop_map(|bytes| Request::Malloc { bytes })
                 .boxed(),
             any::<u64>().prop_map(|ptr| Request::Free { ptr }).boxed(),
+            any::<u64>()
+                .prop_map(|ptr| Request::FreeAsync { ptr })
+                .boxed(),
             (any::<u64>(), any::<u8>(), any::<u64>())
                 .prop_map(|(dst, byte, len)| Request::Memset { dst, byte, len })
                 .boxed(),
@@ -2343,7 +2424,9 @@ mod proptests {
         fn response_encode_decode_round_trips(resp in arb_response()) {
             let frame = resp.encode();
             let back = Response::decode(&frame).expect("decode");
-            prop_assert_eq!(back.encode(), frame);
+            prop_assert_eq!(back.encode(), frame.clone());
+            let owned = Response::decode_owned(frame.clone()).expect("decode_owned");
+            prop_assert_eq!(owned.encode(), frame);
         }
 
         /// Decoding arbitrary bytes never panics — the manager must
@@ -2352,6 +2435,7 @@ mod proptests {
         fn decode_total_on_garbage(frame in pvec(any::<u8>(), 0..64)) {
             let _ = Request::decode(&frame);
             let _ = Response::decode(&frame);
+            let _ = Response::decode_owned(frame.clone());
             let _ = AdminRequest::decode(&frame);
             let _ = AdminResponse::decode(&frame);
         }

@@ -3,10 +3,11 @@
 //!
 //! Every accepted transport connection gets its own session thread. The
 //! session decodes frames and executes **data-plane** operations (memset,
-//! memcpy, launch, sync, events) directly against fine-grained shared
-//! state, so independent tenants no longer serialize through one manager
-//! queue; **control-plane** operations (connect/disconnect, fatbin/PTX
-//! registration, malloc/free) are forwarded to the serialized control
+//! memcpy, launch, sync, events, and malloc/free from the tenant's own
+//! partition heap) directly against fine-grained shared state, so
+//! independent tenants no longer serialize through one manager queue;
+//! **control-plane** operations (connect/disconnect, fatbin/PTX
+//! registration, migration) are forwarded to the serialized control
 //! thread in [`crate::manager`], which remains the only mutator of the
 //! partition table and kernel registry.
 //!
@@ -16,12 +17,12 @@
 //! event table live in its own `ClientShared`, so sessions of different
 //! tenants never contend on them).
 
-use crate::alloc::{Partition, RegionAllocator};
+use crate::alloc::{Partition, RegionAllocator, SUBALLOC_ALIGN};
 use crate::control::{QosClass, TenantCounters};
 use crate::manager::{
     ctrl_call, CtrlMsg, CtrlOp, CtrlOut, DispatchMode, LaunchAck, LaunchStatsAtomic, SessionDriver,
 };
-use crate::proto::{ConnectInfo, Payload, Request, Response, StatsSnapshot, Symbol};
+use crate::proto::{self, ConnectInfo, Payload, Request, Response, StatsSnapshot, Symbol};
 use crate::telemetry::{self, ExecGauges, OpClass, TenantTelemetry, TraceEvent};
 use crate::transport::frame::FrameView;
 use crate::transport::{Connection, Listener};
@@ -29,7 +30,7 @@ use crate::ClientId;
 use crossbeam::channel::Sender;
 use cuda_rt::{CudaError, CudaResult, SharedDevice};
 use gpu_sim::stream::{CudaFunction, ParamBuf, ParamPool};
-use gpu_sim::{Command, CtxId, Event, HostSink, LaunchConfig, MemGuard, StreamId};
+use gpu_sim::{Command, CtxId, Event, HostBytes, HostSink, LaunchConfig, MemGuard, StreamId};
 use parking_lot::{Mutex, RwLock};
 use ptx_patcher::Protection;
 use std::collections::HashMap;
@@ -373,7 +374,8 @@ impl SessionCtx {
         self.shared.exec_gauges.clone()
     }
 
-    pub(crate) fn handle_frame(&mut self, frame: &FrameView) -> Step {
+    /// Decode and execute one frame received on `conn`.
+    pub(crate) fn handle_frame(&mut self, frame: &FrameView, conn: &dyn Connection) -> Step {
         #[cfg(debug_assertions)]
         crate::alloc_audit::mark();
         // Stage stamp: frame decode. Tenants without telemetry skip the
@@ -390,8 +392,8 @@ impl SessionCtx {
                 return Step::ReplyThenClose(resp.encode());
             }
         };
-        match dispatch(req, self) {
-            Some(resp) => Step::Reply(resp.encode()),
+        match dispatch(req, self, conn) {
+            Some(reply) => Step::Reply(reply),
             None => Step::None,
         }
     }
@@ -836,7 +838,7 @@ pub(crate) fn run_session(conn: Box<dyn Connection>, mut ctx: SessionCtx) {
     while let Ok(frame) = conn.recv() {
         ctx.note_frames(1);
         let frame = FrameView::from(frame);
-        let step = ctx.handle_frame(&frame);
+        let step = ctx.handle_frame(&frame, &*conn);
         // The blocking transport has no "more input queued" signal, so
         // a thread-per-session server flushes after every frame — the
         // batching win comes from the event-driven executor's drains.
@@ -868,17 +870,36 @@ macro_rules! require {
     };
 }
 
-/// Dispatch one request. `None` means the request is one-way (no frame
-/// goes back): `Disconnect` always, and `Launch` under deferred acks.
-/// Takes the request by value so bulk payloads (H2D data, fatbins, PTX
-/// text) move to their destination instead of being cloned on the hot
-/// path.
-fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
+/// Dispatch one request received on `conn`, returning the encoded reply.
+/// `None` means the request is one-way (no frame goes back).
+fn dispatch(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<Vec<u8>> {
     // Any non-Launch request is an ordering point: buffered launches
     // must reach the device before e.g. a Sync or D2H copy observes it.
     if !ctx.pending.is_empty() && !matches!(req, Request::Launch { .. }) {
         ctx.flush_pending();
     }
+    let Request::MemcpyD2H { src, len } = req else {
+        return respond(req, ctx).map(|resp| resp.encode());
+    };
+    // The one reply built in place: the device appends the bytes behind
+    // the reply header, and that buffer is the frame sent back.
+    let Some(c) = ctx.client.clone() else {
+        return Some(Response::Error(CudaError::InvalidValue).encode());
+    };
+    let shared = &ctx.shared;
+    let r = with_dispatch(shared, || {
+        memcpy_d2h(shared, &c, src, len, conn.max_frame())
+    });
+    note_op(&c, OpClass::Memcpy, ctx.t_decode);
+    Some(r.unwrap_or_else(|e| Response::Error(e).encode()))
+}
+
+/// Execute one request other than `MemcpyD2H`. `None` means the request
+/// is one-way: `Disconnect` and the async copies and frees always,
+/// `Launch` under deferred acks. Takes the request by value so bulk
+/// payloads (H2D data, fatbins, PTX text) move to their destination
+/// instead of being cloned on the hot path.
+fn respond(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
     let shared = ctx.shared.clone();
     let ctrl = ctx.ctrl.clone();
     let uid = ctx.uid;
@@ -989,31 +1010,28 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
                 },
             )))
         }
+
+        // ---- data plane: executed here, concurrently across tenants ---
         Request::Malloc { bytes } => {
             let c = require!(client);
-            Some(
-                match ctrl_call(
-                    ctrl,
-                    CtrlOp::Malloc {
-                        client: c.id,
-                        bytes,
-                    },
-                ) {
-                    Ok(CtrlOut::Ptr(p)) => Response::Ptr(p),
-                    Ok(_) => Response::Error(CudaError::InvalidValue),
-                    Err(e) => Response::Error(e),
-                },
-            )
+            Some(match with_dispatch(shared, || malloc(&c, bytes)) {
+                Ok(p) => Response::Ptr(p),
+                Err(e) => Response::Error(e),
+            })
         }
         Request::Free { ptr } => {
             let c = require!(client);
-            Some(unit_reply(ctrl_call(
-                ctrl,
-                CtrlOp::Free { client: c.id, ptr },
-            )))
+            Some(result_reply(with_dispatch(shared, || free(&c, ptr))))
         }
-
-        // ---- data plane: executed here, concurrently across tenants ---
+        Request::FreeAsync { ptr } => {
+            // One-way by definition, like `MemcpyH2DAsync`: a bad
+            // pointer's error sticks and surfaces at the next Sync.
+            let c = client.as_ref().cloned()?;
+            if let Err(e) = with_dispatch(shared, || free(&c, ptr)) {
+                stick(&c, e);
+            }
+            None
+        }
         Request::Memset { dst, byte, len } => {
             let c = require!(client);
             let r = with_dispatch(shared, || memset(shared, &c, dst, byte, len));
@@ -1034,21 +1052,12 @@ fn dispatch(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
             // launch's.
             let c = client.as_ref().cloned()?;
             if let Err(e) = with_dispatch(shared, || memcpy_h2d(shared, &c, dst, data)) {
-                let mut sticky = c.sticky.lock();
-                sticky.get_or_insert(e);
+                stick(&c, e);
             }
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             None
         }
-        Request::MemcpyD2H { src, len } => {
-            let c = require!(client);
-            let r = with_dispatch(shared, || memcpy_d2h(shared, &c, src, len));
-            note_op(&c, OpClass::Memcpy, ctx.t_decode);
-            Some(match r {
-                Ok(data) => Response::Data(data),
-                Err(e) => Response::Error(e),
-            })
-        }
+        Request::MemcpyD2H { .. } => unreachable!("dispatch replies to D2H copies in place"),
         Request::MemcpyD2D { dst, src, len } => {
             let c = require!(client);
             let r = with_dispatch(shared, || memcpy_d2d(shared, &c, dst, src, len));
@@ -1266,6 +1275,47 @@ fn memset(shared: &Shared, c: &ClientShared, dst: u64, byte: u8, len: u64) -> Cu
     enqueue_and_sync(shared, &b, Command::Memset { dst, byte, len })
 }
 
+/// Serve `cudaMalloc` from the tenant's own partition heap. The binding
+/// read lock orders it against migration, whose write lock rebases the
+/// heap, so the pointer returned lies in the binding current at return.
+fn malloc(c: &ClientShared, bytes: u64) -> CudaResult<u64> {
+    let _binding = c.binding.read();
+    Shared::check_alive(c)?;
+    let mut heap = c.heap.lock();
+    // Lease cap: checked against what the heap would hold after this
+    // allocation (rounded to the heap's grain, so the check and the
+    // allocator agree byte-for-byte).
+    if c.lease_mem != u64::MAX {
+        let want = bytes
+            .max(1)
+            .checked_next_multiple_of(SUBALLOC_ALIGN)
+            .unwrap_or(u64::MAX);
+        if heap.used_bytes().saturating_add(want) > c.lease_mem {
+            return Err(CudaError::OutOfMemory);
+        }
+    }
+    let r = heap.alloc(bytes);
+    c.counters
+        .bytes_held
+        .store(heap.used_bytes(), Ordering::Relaxed);
+    r.map_err(|_| CudaError::OutOfMemory)
+}
+
+/// Serve `cudaFree` from the tenant's own heap (see [`malloc`]): only a
+/// pointer this tenant's heap handed out, and still holds, is freed.
+fn free(c: &ClientShared, ptr: u64) -> CudaResult<()> {
+    let _binding = c.binding.read();
+    Shared::check_alive(c)?;
+    let mut heap = c.heap.lock();
+    let r = heap.free(ptr);
+    c.counters
+        .bytes_held
+        .store(heap.used_bytes(), Ordering::Relaxed);
+    r.map_err(|_| CudaError::InvalidValue)
+}
+
+/// Hand the received payload to the device as it is: the command holds
+/// a reference to the frame's buffer, so the one copy is into DRAM.
 fn memcpy_h2d(shared: &Shared, c: &ClientShared, dst: u64, data: Payload) -> CudaResult<()> {
     let b = c.binding.read();
     transfer_checked(c, b.partition, &[(dst, data.len() as u64)])?;
@@ -1275,16 +1325,32 @@ fn memcpy_h2d(shared: &Shared, c: &ClientShared, dst: u64, data: Payload) -> Cud
         &b,
         Command::MemcpyH2D {
             dst,
-            data: data.into_vec(),
+            data: HostBytes::new(data),
         },
     )
 }
 
-fn memcpy_d2h(shared: &Shared, c: &ClientShared, src: u64, len: u64) -> CudaResult<Vec<u8>> {
+/// Copy `len` device bytes into a ready-to-send `Data` reply frame. A
+/// reply that would not fit the connection's `max_frame` is refused
+/// before anything is allocated; the tenant's library splits its copies
+/// to stay within it.
+fn memcpy_d2h(
+    shared: &Shared,
+    c: &ClientShared,
+    src: u64,
+    len: u64,
+    max_frame: u64,
+) -> CudaResult<Vec<u8>> {
     let b = c.binding.read();
     transfer_checked(c, b.partition, &[(src, len)])?;
+    let frame_len = len.saturating_add(proto::DATA_REPLY_HEADER as u64);
+    if frame_len > max_frame {
+        return Err(CudaError::Rejected(format!(
+            "D2H reply of {frame_len} bytes exceeds this connection's frame limit {max_frame}"
+        )));
+    }
     c.counters.note_transfer(len);
-    let sink = HostSink::new();
+    let sink = HostSink::with_prefix(proto::data_reply_header(len));
     enqueue_and_sync(
         shared,
         &b,
@@ -1294,7 +1360,14 @@ fn memcpy_d2h(shared: &Shared, c: &ClientShared, src: u64, len: u64) -> CudaResu
             sink: sink.clone(),
         },
     )?;
-    Ok(sink.take())
+    let reply = sink.take();
+    if reply.len() as u64 != frame_len {
+        // The copy never ran: the shared context was poisoned (or this
+        // tenant killed) after the enqueue.
+        Shared::check_alive(c)?;
+        return Err(CudaError::ContextPoisoned);
+    }
+    Ok(reply)
 }
 
 fn memcpy_d2d(shared: &Shared, c: &ClientShared, dst: u64, src: u64, len: u64) -> CudaResult<()> {
@@ -1649,6 +1722,61 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// A raw `MemcpyD2H` whose reply could not fit the connection's frame
+    /// limit (a default 1 MiB shm ring here) is refused with `Rejected`
+    /// before anything is allocated, and the session goes on serving —
+    /// the reply used to be unsendable, which closed the session and
+    /// reclaimed the tenant's partition.
+    #[test]
+    fn d2h_reply_larger_than_a_frame_is_rejected_and_session_survives() {
+        use crate::transport::Dialer;
+        let path = crate::fixtures::temp_socket_path("sess-bigd2h");
+        let mgr = crate::manager::spawn_manager_over(
+            share_device(Device::new(test_gpu())),
+            ManagerConfig {
+                pool_bytes: Some(8 << 20),
+                ..ManagerConfig::default()
+            },
+            &[],
+            crate::transport::BoundTransport::shm(&path).unwrap(),
+        )
+        .unwrap();
+        let conn = crate::transport::shm::ShmDialer::new(&path).dial().unwrap();
+        let call = |req: Request| {
+            conn.send(req.encode()).unwrap();
+            Response::decode(&conn.recv().unwrap()).unwrap()
+        };
+        let Response::Connected(info) = call(Request::Connect {
+            mem_requirement: 4 << 20,
+            hint: None,
+            qos: 0,
+        }) else {
+            panic!("connect failed");
+        };
+        let base = info.partition_base;
+        let fits = conn.max_frame() - crate::proto::DATA_REPLY_HEADER as u64;
+        let resp = call(Request::MemcpyD2H {
+            src: base,
+            len: fits + 1,
+        });
+        assert!(
+            matches!(&resp, Response::Error(CudaError::Rejected(m)) if m.contains("frame limit")),
+            "{resp:?}"
+        );
+        // Same session, next call: still served.
+        let resp = call(Request::MemcpyD2H {
+            src: base,
+            len: fits,
+        });
+        assert!(
+            matches!(&resp, Response::Data(d) if d.len() as u64 == fits),
+            "{resp:?}"
+        );
+        assert!(matches!(call(Request::Sync), Response::Unit));
+        drop(conn);
+        mgr.shutdown();
+    }
+
     /// Hostile length fields — `dst`/`len` chosen so `dst + len` wraps
     /// past `u64::MAX` — must come back `Rejected`, not panic the session
     /// or wrap into another tenant's partition. Raw frames, because the
@@ -1723,6 +1851,14 @@ mod tests {
         .unwrap();
         conn.send(Request::Sync.encode()).unwrap();
         rejected(Response::decode(&conn.recv().unwrap()).unwrap());
+        // A heap request whose rounding would overflow is plain OOM.
+        conn.send(Request::Malloc { bytes: u64::MAX }.encode())
+            .unwrap();
+        let resp = Response::decode(&conn.recv().unwrap()).unwrap();
+        assert!(
+            matches!(resp, Response::Error(CudaError::OutOfMemory)),
+            "{resp:?}"
+        );
         // The session survived all of it: a well-formed op still works.
         conn.send(
             Request::Memset {

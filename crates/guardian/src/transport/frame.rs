@@ -411,11 +411,24 @@ pub fn split_batch_views(
 /// buffer; once at least one complete frame is present, the staging
 /// buffer is *frozen* into a shared block (the partial tail, if any, is
 /// carried into a fresh pooled buffer) and every complete frame —
-/// including each sub-frame of a batch — becomes a view into it. The
-/// decoder carries at most one partial frame plus unconsumed input, so
-/// memory stays bounded by `max_frame` + the largest chunk pushed.
+/// including each sub-frame of a batch — becomes a view into it.
+///
+/// A plain frame longer than one of the transport's reads (`read_size`)
+/// is not staged: once its length word arrives the decoder gives it an
+/// exact-size buffer of its own ([`FrameDecoder::in_place`]) that the
+/// transport reads the rest of the frame straight into, so a bulk
+/// payload is never chunk-copied, regrown, or copied out again — its
+/// view is the whole buffer, and [`FrameView::into_vec`] is a move.
+/// The decoder carries at most one partial frame plus unconsumed input,
+/// so memory stays bounded by `max_frame` + the largest chunk pushed.
 pub struct FrameDecoder {
     max_frame: u32,
+    /// Bytes the transport reads at a time; longer plain frames are
+    /// received in place.
+    read_size: usize,
+    /// The plain frame being received in place: allocated with exactly
+    /// the frame's length as capacity, complete when full.
+    in_place: Option<Vec<u8>>,
     pool: Arc<BufPool>,
     /// Staging buffer for unconsumed stream bytes (from `pool`).
     buf: Vec<u8>,
@@ -432,12 +445,23 @@ pub struct FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A decoder enforcing `max_frame` as the per-frame size limit.
+    /// A decoder enforcing `max_frame` as the per-frame size limit that
+    /// stages every frame (for streams fed by [`FrameDecoder::push`]
+    /// alone).
     pub fn new(max_frame: u32) -> Self {
+        Self::with_read_size(max_frame, usize::MAX)
+    }
+
+    /// A decoder for a transport that reads `read_size` bytes at a time:
+    /// a plain frame that cannot arrive in one read is received in place
+    /// (see [`FrameDecoder::in_place`]).
+    pub fn with_read_size(max_frame: u32, read_size: usize) -> Self {
         let pool = BufPool::new();
         let buf = pool.take();
         FrameDecoder {
             max_frame,
+            read_size,
+            in_place: None,
             pool,
             buf,
             pos: 0,
@@ -452,8 +476,36 @@ impl FrameDecoder {
         &self.pool
     }
 
+    /// The buffer of the frame being received in place, if any: the
+    /// transport appends the frame's next bytes to it, never beyond its
+    /// capacity (which is exactly the frame's length).
+    pub fn in_place(&mut self) -> Option<&mut Vec<u8>> {
+        self.in_place.as_mut()
+    }
+
+    /// Queue the in-place frame once its buffer is full.
+    fn complete_in_place(&mut self) {
+        if self
+            .in_place
+            .as_ref()
+            .is_some_and(|b| b.len() == b.capacity())
+        {
+            let frame = self.in_place.take().expect("checked above");
+            self.ready.push_back(FrameView::from(frame));
+        }
+    }
+
     /// Feed stream bytes into the decoder, exactly as received.
-    pub fn push(&mut self, chunk: &[u8]) {
+    pub fn push(&mut self, mut chunk: &[u8]) {
+        if let Some(frame) = &mut self.in_place {
+            let n = chunk.len().min(frame.capacity() - frame.len());
+            frame.extend_from_slice(&chunk[..n]);
+            chunk = &chunk[n..];
+            self.complete_in_place();
+            if chunk.is_empty() {
+                return;
+            }
+        }
         // Compact before growing: everything before `pos` is consumed.
         if self.pos > 0 && self.pos == self.buf.len() {
             self.buf.clear();
@@ -468,7 +520,7 @@ impl FrameDecoder {
     /// Scan the staging buffer for complete frames; freeze them into
     /// views when any are found.
     fn scan(&mut self) {
-        if self.poisoned.is_some() {
+        if self.poisoned.is_some() || self.in_place.is_some() {
             return;
         }
         let mut pos = self.pos;
@@ -490,6 +542,15 @@ impl FrameDecoder {
             }
             let total = 4 + len as usize;
             if avail < total {
+                if word & BATCH_FLAG == 0 && total > self.read_size {
+                    // Too long for one read: everything staged from here
+                    // on is this frame's; move it into the frame's own
+                    // buffer, which the rest is read straight into.
+                    let mut frame = Vec::with_capacity(len as usize);
+                    frame.extend_from_slice(&self.buf[pos + 4..]);
+                    self.in_place = Some(frame);
+                    pos = self.buf.len();
+                }
                 break;
             }
             if word & BATCH_FLAG == 0 {
@@ -538,6 +599,7 @@ impl FrameDecoder {
     /// trusted — so callers should drop the connection. Frames completed
     /// *before* the violation are still yielded first.
     pub fn next_frame(&mut self) -> Result<Option<FrameView>, TransportError> {
+        self.complete_in_place();
         if self.ready.is_empty() {
             self.scan();
         }
@@ -555,10 +617,11 @@ impl FrameDecoder {
     /// Fully received but not-yet-pulled frames do *not* count — they
     /// are complete frames, not truncation.
     pub fn mid_frame(&mut self) -> bool {
+        self.complete_in_place();
         if self.ready.is_empty() {
             self.scan();
         }
-        self.pos < self.buf.len()
+        self.in_place.is_some() || self.pos < self.buf.len()
     }
 }
 
@@ -805,6 +868,76 @@ mod tests {
         let back = view.into_vec();
         assert_eq!(back.as_ptr() as usize, ptr);
         assert_eq!(back, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn long_frame_is_received_in_place_and_moves_out() {
+        let mut dec = FrameDecoder::with_read_size(MAX_FRAME, 64);
+        let long: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        // A short frame, then the long one's length word and 10 bytes.
+        let mut stream = encode_frame(&[5], MAX_FRAME).unwrap();
+        stream.extend_from_slice(&encode_frame(&long, MAX_FRAME).unwrap());
+        stream.extend_from_slice(&encode_frame(&[6, 6], MAX_FRAME).unwrap());
+        dec.push(&stream[..5 + 4 + 10]);
+        assert_eq!(dec.next_frame().unwrap().unwrap(), [5u8][..]);
+        assert!(dec.next_frame().unwrap().is_none());
+        assert!(dec.mid_frame());
+        // The long frame has an exact-size buffer of its own, holding
+        // the bytes that arrived with its length word.
+        let buf = dec.in_place().expect("received in place");
+        assert_eq!((buf.len(), buf.capacity()), (10, 1000));
+        let addr = buf.as_ptr() as usize;
+        // The transport reads the rest straight in; a later push carries
+        // the next frame behind it.
+        buf.extend_from_slice(&long[10..990]);
+        dec.push(&stream[5 + 4 + 990..]);
+        assert!(dec.in_place().is_none());
+        let frame = dec.next_frame().unwrap().unwrap();
+        assert_eq!(frame, long);
+        let owned = frame.into_vec();
+        assert_eq!(owned.as_ptr() as usize, addr, "moved, not copied");
+        assert_eq!(dec.next_frame().unwrap().unwrap(), [6u8, 6][..]);
+        assert!(!dec.mid_frame());
+    }
+
+    #[test]
+    fn batches_and_one_read_frames_stay_staged() {
+        // A long batch, and a plain frame that fits one read, are staged
+        // as before: only a plain frame longer than a read goes in place.
+        let mut dec = FrameDecoder::with_read_size(MAX_FRAME, 64);
+        let batch = encode_batch(&[vec![1; 100], vec![2; 100]]);
+        dec.push(&batch[..8]);
+        assert!(dec.in_place().is_none());
+        dec.push(&batch[8..]);
+        let plain = encode_frame(&[3; 60], MAX_FRAME).unwrap();
+        dec.push(&plain[..6]);
+        assert!(dec.in_place().is_none());
+        dec.push(&plain[6..]);
+        assert_eq!(
+            collect(&mut dec),
+            vec![vec![1; 100], vec![2; 100], vec![3; 60]]
+        );
+    }
+
+    #[test]
+    fn claimed_max_frame_then_trickle_then_eof_is_mid_frame() {
+        // A hostile length word at the limit: the decoder reserves the
+        // frame's buffer (address space, not memory — nothing touches it
+        // until bytes arrive) and reports truncation at EOF.
+        let mut dec = FrameDecoder::with_read_size(MAX_FRAME, 16 * 1024);
+        dec.push(&MAX_FRAME.to_le_bytes());
+        for _ in 0..3 {
+            dec.push(&[0xAA; 7]);
+            assert!(dec.next_frame().unwrap().is_none());
+        }
+        let buf = dec.in_place().expect("received in place");
+        assert_eq!((buf.len(), buf.capacity()), (21, MAX_FRAME as usize));
+        assert!(dec.mid_frame());
+        // One byte over the limit is refused outright, with no buffer.
+        let mut dec = FrameDecoder::with_read_size(MAX_FRAME, 16 * 1024);
+        dec.push(&(MAX_FRAME + 1).to_le_bytes());
+        assert!(dec.next_frame().is_err());
+        assert!(dec.in_place().is_none());
     }
 }
 
@@ -1053,6 +1186,72 @@ mod proptests {
                     &owned
                 );
             }
+        }
+
+        /// Receiving long frames in place yields exactly the frames the
+        /// staging path does, over adversarial splits around the length
+        /// word and the read-size threshold, plain and batch frames
+        /// mixed: each step either reads `cut` bytes straight into the
+        /// in-place buffer (as the uds transport does) or pushes a chunk
+        /// of at most one read — which may finish an in-place frame and
+        /// carry the next frame's bytes.
+        #[test]
+        fn in_place_reads_yield_the_staged_frames(
+            frames in pvec((0usize..700, any::<u8>()), 1..10),
+            groups in pvec(1usize..4, 1..10),
+            read_size in prop_oneof![Just(8usize), Just(64), Just(300), Just(4096)],
+            cuts in pvec(1usize..900, 1..40),
+        ) {
+            let payloads: Vec<Vec<u8>> =
+                frames.iter().map(|&(len, b)| vec![b; len]).collect();
+            let mut stream = Vec::new();
+            let mut it = payloads.iter().peekable();
+            let mut gi = 0;
+            while it.peek().is_some() {
+                let group: Vec<Vec<u8>> =
+                    it.by_ref().take(groups[gi % groups.len()]).cloned().collect();
+                gi += 1;
+                if group.len() == 1 {
+                    stream.extend_from_slice(&encode_frame(&group[0], MAX_FRAME).unwrap());
+                } else {
+                    let body = batch_body(&group);
+                    stream.extend_from_slice(&(body.len() as u32 | BATCH_FLAG).to_le_bytes());
+                    stream.extend_from_slice(&body);
+                }
+            }
+            let mut staged = FrameDecoder::new(MAX_FRAME);
+            staged.push(&stream);
+            let mut want = Vec::new();
+            while let Some(f) = staged.next_frame().unwrap() {
+                want.push(f.into_vec());
+            }
+            prop_assert_eq!(&want, &payloads);
+
+            let mut dec = FrameDecoder::with_read_size(MAX_FRAME, read_size);
+            let mut got = Vec::new();
+            let (mut pos, mut step) = (0, 0);
+            while pos < stream.len() {
+                let cut = cuts[step % cuts.len()];
+                step += 1;
+                let n = match dec.in_place().filter(|_| cut % 2 == 0) {
+                    Some(buf) => {
+                        let n = cut.min(buf.capacity() - buf.len()).min(stream.len() - pos);
+                        buf.extend_from_slice(&stream[pos..pos + n]);
+                        n
+                    }
+                    None => {
+                        let n = cut.min(read_size).min(stream.len() - pos);
+                        dec.push(&stream[pos..pos + n]);
+                        n
+                    }
+                };
+                pos += n;
+                while let Some(f) = dec.next_frame().unwrap() {
+                    got.push(f.into_vec());
+                }
+            }
+            prop_assert!(!dec.mid_frame());
+            prop_assert_eq!(got, want);
         }
 
         /// `split_batch` is total on hostile bodies: any byte soup either

@@ -133,6 +133,27 @@ pub trait Connection: Send {
     /// transport's limit; [`TransportError::Io`] on other OS failures.
     fn send(&self, frame: Vec<u8>) -> Result<(), TransportError>;
 
+    /// Send one frame made of `head` followed by `tail` — a header and a
+    /// caller's bulk payload — without first joining them: the stream
+    /// transports gather both into one write. The default joins them
+    /// and [`send`](Connection::send)s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Connection::send`].
+    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
+        let mut frame = Vec::with_capacity(head.len() + tail.len());
+        frame.extend_from_slice(head);
+        frame.extend_from_slice(tail);
+        self.send(frame)
+    }
+
+    /// The largest frame this connection carries, in bytes (either
+    /// direction). Callers split bulk transfers to stay within it.
+    fn max_frame(&self) -> u64 {
+        frame::MAX_FRAME as u64
+    }
+
     /// Block until the peer's next frame arrives.
     ///
     /// # Errors

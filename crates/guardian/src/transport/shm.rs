@@ -31,10 +31,8 @@
 //! the doorbell only when the parked flag is set, so the hot path stays
 //! syscall-free, and a parked side wakes instantly on either new
 //! data/space or peer death (socket EOF) — no sleep ladder, no liveness
-//! probe cadence. Peers that skip the doorbell exchange (legacy or
-//! hand-rolled hellos) fall back to a short spin followed by a 1 ms
-//! `poll` on the socket alone: still wakeup-driven for death detection,
-//! just periodic for data.
+//! probe cadence. A hello without the two doorbells is refused at the
+//! handshake: every endpoint can park on its bell.
 
 use super::frame::{self, BufPool, FrameView, BATCH_FLAG, PREAMBLE};
 use super::peercred::UidPolicy;
@@ -223,12 +221,6 @@ const YIELD_ITERS: u32 = 32;
 /// 100 ms instead of a hang (and re-checks liveness on the way out).
 const PARK_TIMEOUT_MS: i32 = 100;
 
-/// Park interval for connections without doorbells (legacy or
-/// hand-rolled peers that skipped the fd exchange): poll the liveness
-/// socket — waking instantly on peer death — and re-check the ring every
-/// millisecond.
-const FALLBACK_PARK_MS: i32 = 1;
-
 /// The eventfd pair wired up by the handshake: the peer rings `mine`
 /// when we are parked; we ring `peers` when they are.
 struct Doorbells {
@@ -272,9 +264,8 @@ pub struct ShmConnection {
     /// Recycles the receive-copy buffers frames are lifted into off the
     /// ring, so a steady-state receiver allocates nothing per frame.
     recv_pool: Arc<BufPool>,
-    /// Eventfd pair from the handshake; `None` for peers that skipped
-    /// the fd exchange (fallback parking applies).
-    doorbells: Option<Doorbells>,
+    /// Eventfd pair from the handshake.
+    doorbells: Doorbells,
     /// Header offset of *our* parked flag (set before we sleep).
     my_parked: usize,
     /// Header offset of the *peer's* parked flag (checked after we
@@ -291,7 +282,7 @@ impl ShmConnection {
         sock: UnixStream,
         capacity: u32,
         side: Side,
-        doorbells: Option<Doorbells>,
+        doorbells: Doorbells,
         claim: Option<RingClaim>,
     ) -> Self {
         let cap = capacity as u64;
@@ -332,10 +323,8 @@ impl ShmConnection {
     /// see their parked flag, or they see our counter update.
     fn wake_peer_if_parked(&self) {
         fence(Ordering::SeqCst);
-        if let Some(db) = &self.doorbells {
-            if self.map.atomic_u32(self.peer_parked).load(Ordering::SeqCst) == 1 {
-                sys::eventfd_signal(db.peers.raw());
-            }
+        if self.map.atomic_u32(self.peer_parked).load(Ordering::SeqCst) == 1 {
+            sys::eventfd_signal(self.doorbells.peers.raw());
         }
     }
 
@@ -348,44 +337,28 @@ impl ShmConnection {
     /// one may be consumed by the other. The bounded park makes that a
     /// latency blip, not a hang.
     fn park(&self, ready: impl Fn() -> bool) -> Result<(), TransportError> {
-        match &self.doorbells {
-            Some(db) => {
-                let parked = self.map.atomic_u32(self.my_parked);
-                parked.store(1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                if ready() {
-                    parked.store(0, Ordering::SeqCst);
-                    return Ok(());
-                }
-                if peer_gone(&self.sock) {
-                    parked.store(0, Ordering::SeqCst);
-                    return Err(TransportError::Disconnected);
-                }
-                sys::poll_fds(
-                    &[
-                        (db.mine.raw(), sys::POLLIN),
-                        (self.sock.as_raw_fd(), sys::POLLIN),
-                    ],
-                    PARK_TIMEOUT_MS,
-                );
-                sys::eventfd_drain(db.mine.raw());
-                parked.store(0, Ordering::SeqCst);
-                if !ready() && peer_gone(&self.sock) {
-                    return Err(TransportError::Disconnected);
-                }
-                Ok(())
-            }
-            None => {
-                // No doorbell: poll the liveness socket alone. Peer
-                // death still wakes us instantly; fresh data is picked
-                // up on the next 1 ms tick.
-                sys::poll_fds(&[(self.sock.as_raw_fd(), sys::POLLIN)], FALLBACK_PARK_MS);
-                if !ready() && peer_gone(&self.sock) {
-                    return Err(TransportError::Disconnected);
-                }
-                Ok(())
-            }
+        let bell = self.doorbells.mine.raw();
+        let parked = self.map.atomic_u32(self.my_parked);
+        parked.store(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if ready() {
+            parked.store(0, Ordering::SeqCst);
+            return Ok(());
         }
+        if peer_gone(&self.sock) {
+            parked.store(0, Ordering::SeqCst);
+            return Err(TransportError::Disconnected);
+        }
+        sys::poll_fds(
+            &[(bell, sys::POLLIN), (self.sock.as_raw_fd(), sys::POLLIN)],
+            PARK_TIMEOUT_MS,
+        );
+        sys::eventfd_drain(bell);
+        parked.store(0, Ordering::SeqCst);
+        if !ready() && peer_gone(&self.sock) {
+            return Err(TransportError::Disconnected);
+        }
+        Ok(())
     }
 
     /// Spin briefly, then park until `ready()`. The caller re-derives
@@ -412,10 +385,11 @@ impl ShmConnection {
     }
 
     /// Sole producer (send lock held): write `word` (length prefix,
-    /// possibly batch-flagged) + `body`, waiting for ring space.
-    fn raw_send(&self, word: u32, body: &[u8]) -> Result<(), TransportError> {
+    /// possibly batch-flagged) + the concatenated `body` parts, waiting
+    /// for ring space.
+    fn raw_send(&self, word: u32, body: &[&[u8]]) -> Result<(), TransportError> {
         let r = self.send_ring;
-        let need = body.len() as u64 + 4;
+        let need = body.iter().map(|p| p.len() as u64).sum::<u64>() + 4;
         debug_assert!(need <= r.cap, "caller checks capacity");
         let tail_a = self.map.atomic_u64(r.tail);
         let head_a = self.map.atomic_u64(r.head);
@@ -443,8 +417,11 @@ impl ShmConnection {
                 detail: format!("ring consumer head {head} ahead of producer tail {tail}"),
             });
         }
-        ring_write(&self.map, r, tail, &word.to_le_bytes());
-        ring_write(&self.map, r, tail + 4, body);
+        let mut at = tail;
+        for part in std::iter::once(&word.to_le_bytes()[..]).chain(body.iter().copied()) {
+            ring_write(&self.map, r, at, part);
+            at += part.len() as u64;
+        }
         // Publish: the consumer's acquire load of tail sees the frame
         // bytes fully written.
         tail_a.store(tail + need, Ordering::Release);
@@ -501,20 +478,34 @@ impl ShmConnection {
         }
         Ok(())
     }
+
+    /// Publish one plain frame made of `parts`, copied into the ring in
+    /// place.
+    fn send_parts(&self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        let len: u64 = parts.iter().map(|p| p.len() as u64).sum();
+        if len > self.max_frame() {
+            return Err(TransportError::FrameTooLarge {
+                len,
+                max: self.max_frame(),
+            });
+        }
+        let _guard = self.send_lock.lock();
+        self.raw_send(len as u32, parts)
+    }
 }
 
 impl Connection for ShmConnection {
     fn send(&self, frame: Vec<u8>) -> Result<(), TransportError> {
-        let r = self.send_ring;
-        let need = frame.len() as u64 + 4;
-        if need > r.cap {
-            return Err(TransportError::FrameTooLarge {
-                len: frame.len() as u64,
-                max: r.cap - 4,
-            });
-        }
-        let _guard = self.send_lock.lock();
-        self.raw_send(frame.len() as u32, &frame)
+        self.send_parts(&[&frame])
+    }
+
+    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
+        self.send_parts(&[head, tail])
+    }
+
+    fn max_frame(&self) -> u64 {
+        // A frame and its length word must fit the ring at once.
+        self.send_ring.cap - 4
     }
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
@@ -556,12 +547,12 @@ impl Connection for ShmConnection {
                         max: r.cap - 4,
                     });
                 }
-                self.raw_send(f.len() as u32, &f)?;
+                self.raw_send(f.len() as u32, &[&f])?;
             }
             return Ok(());
         }
         let _guard = self.send_lock.lock();
-        self.raw_send(body.len() as u32 | BATCH_FLAG, &body)
+        self.raw_send(body.len() as u32 | BATCH_FLAG, &[&body])
     }
 
     fn try_recv(&self) -> Result<Option<FrameView>, TransportError> {
@@ -569,12 +560,10 @@ impl Connection for ShmConnection {
         let mut pending = self.recv_lock.lock();
         // Reset park state from a previous None: drain the doorbell and
         // clear the flag so producers go back to syscall-free publishes.
-        if let Some(db) = &self.doorbells {
-            self.map
-                .atomic_u32(self.my_parked)
-                .store(0, Ordering::SeqCst);
-            sys::eventfd_drain(db.mine.raw());
-        }
+        self.map
+            .atomic_u32(self.my_parked)
+            .store(0, Ordering::SeqCst);
+        sys::eventfd_drain(self.doorbells.mine.raw());
         loop {
             if let Some(f) = pending.pop_front() {
                 return Ok(Some(f));
@@ -591,17 +580,15 @@ impl Connection for ShmConnection {
             // the Dekker handshake with the producer's publish path —
             // so the executor's next poll cannot miss a frame published
             // in between.
-            if let Some(_db) = &self.doorbells {
+            self.map
+                .atomic_u32(self.my_parked)
+                .store(1, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+            if tail_a.load(Ordering::SeqCst) != head {
                 self.map
                     .atomic_u32(self.my_parked)
-                    .store(1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                if tail_a.load(Ordering::SeqCst) != head {
-                    self.map
-                        .atomic_u32(self.my_parked)
-                        .store(0, Ordering::SeqCst);
-                    continue;
-                }
+                    .store(0, Ordering::SeqCst);
+                continue;
             }
             if peer_gone(&self.sock) {
                 return Err(TransportError::Disconnected);
@@ -611,56 +598,28 @@ impl Connection for ShmConnection {
     }
 
     fn enter_event_mode(&self) -> bool {
-        // Event mode needs the doorbell: ring traffic never touches a
-        // pollable fd otherwise. Doorbell-less peers keep a dedicated
-        // blocking thread.
-        self.doorbells.is_some()
+        true
     }
 
     fn event_fds(&self) -> Vec<i32> {
-        match &self.doorbells {
-            Some(db) => vec![db.mine.raw(), self.sock.as_raw_fd()],
-            None => Vec::new(),
-        }
+        vec![self.doorbells.mine.raw(), self.sock.as_raw_fd()]
     }
 }
 
 // ---- handshake -------------------------------------------------------------
 
-/// Client half of the handshake: name the ring file and its capacity.
-/// This is the doorbell-less legacy form (kept as the wire baseline —
-/// and as the hand-rolled-hostile-client path the tests exercise);
-/// [`send_hello_with_bells`] is what the dialer actually uses.
-#[cfg_attr(not(test), allow(dead_code))]
-fn send_hello(sock: &UnixStream, path: &Path, capacity: u32) -> Result<(), TransportError> {
-    let bytes = path.as_os_str().as_encoded_bytes();
-    let mut msg = Vec::with_capacity(12 + bytes.len());
-    msg.extend_from_slice(&PREAMBLE);
-    msg.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    msg.extend_from_slice(bytes);
-    msg.extend_from_slice(&capacity.to_le_bytes());
-    (&*sock)
-        .write_all(&msg)
-        .map_err(|e| io_err("handshake", &e))
-}
-
-/// [`send_hello`] with the two doorbell eventfds riding `SCM_RIGHTS` on
-/// the preamble bytes (`[client's bell, server's bell]`). The rest of
-/// the hello travels as plain stream bytes, so a server reads it
-/// identically either way.
-fn send_hello_with_bells(
+/// Client half of the handshake: name the ring file and its capacity,
+/// with the doorbell eventfds (`[client's bell, server's bell]`) riding
+/// `SCM_RIGHTS` on the preamble bytes. The rest of the hello travels as
+/// plain stream bytes.
+fn send_hello(
     sock: &UnixStream,
     path: &Path,
     capacity: u32,
-    client_bell: &sys::OwnedFd,
-    server_bell: &sys::OwnedFd,
+    bells: &[std::os::unix::io::RawFd],
 ) -> Result<(), TransportError> {
-    let sent = sys::send_with_fds(
-        sock.as_raw_fd(),
-        &PREAMBLE,
-        &[client_bell.raw(), server_bell.raw()],
-    )
-    .map_err(|e| io_err("handshake", &e))?;
+    let sent = sys::send_with_fds(sock.as_raw_fd(), &PREAMBLE, bells)
+        .map_err(|e| io_err("handshake", &e))?;
     if sent != PREAMBLE.len() {
         return Err(TransportError::Io {
             op: "handshake",
@@ -678,13 +637,10 @@ fn send_hello_with_bells(
         .map_err(|e| io_err("handshake", &e))
 }
 
-/// Server half: read the hello, validate, map the ring file. Collects
-/// the doorbell fds if the client attached them (`None` otherwise —
-/// the connection then uses fallback parking).
-fn read_hello(sock: &UnixStream) -> Result<(PathBuf, u32, Option<Doorbells>), TransportError> {
-    // The preamble comes via recvmsg so an attached SCM_RIGHTS payload
-    // is collected; a plain-write legacy hello yields the same bytes
-    // with no fds. Loop in case the kernel splits the 4 bytes.
+/// Server half: read the hello, validate, collect the doorbell fds.
+fn read_hello(sock: &UnixStream) -> Result<(PathBuf, u32, Doorbells), TransportError> {
+    // The preamble comes via recvmsg so the attached SCM_RIGHTS payload
+    // is collected. Loop in case the kernel splits the 4 bytes.
     let mut preamble = [0u8; 4];
     let mut got = 0usize;
     let mut fds = Vec::new();
@@ -698,18 +654,20 @@ fn read_hello(sock: &UnixStream) -> Result<(PathBuf, u32, Option<Doorbells>), Tr
         fds.append(&mut newfds);
     }
     frame::check_preamble(&preamble)?;
-    // Exactly two fds form a doorbell pair (ours is the second); any
-    // other count is a peer playing games — ignore the fds, keep the
-    // connection on fallback parking.
-    let doorbells = if fds.len() == 2 {
-        let server_bell = fds.pop().expect("two fds");
-        let client_bell = fds.pop().expect("two fds");
-        Some(Doorbells {
-            mine: server_bell,
-            peers: client_bell,
-        })
-    } else {
-        None
+    // Exactly two fds form a doorbell pair (ours is the second). A hello
+    // without them could only be served by polling the ring: refuse it.
+    if fds.len() != 2 {
+        return Err(TransportError::Io {
+            op: "handshake",
+            kind: std::io::ErrorKind::InvalidData,
+            detail: format!("hello carries {} doorbell fds, need 2", fds.len()),
+        });
+    }
+    let server_bell = fds.pop().expect("two fds");
+    let client_bell = fds.pop().expect("two fds");
+    let doorbells = Doorbells {
+        mine: server_bell,
+        peers: client_bell,
     };
     let mut len_bytes = [0u8; 4];
     (&*sock)
@@ -880,7 +838,7 @@ impl ShmListener {
 fn complete_server_handshake(
     sock: &UnixStream,
     mapped: &Arc<Mutex<std::collections::HashSet<RingFileId>>>,
-) -> Result<(RawMap, u32, Option<Doorbells>, RingClaim), TransportError> {
+) -> Result<(RawMap, u32, Doorbells, RingClaim), TransportError> {
     use std::os::unix::fs::{MetadataExt, OpenOptionsExt};
 
     sock.set_read_timeout(Some(HANDSHAKE_TIMEOUT))
@@ -1015,8 +973,21 @@ impl Connection for PendingShmConnection {
         self.with_ready(|c| c.recv())
     }
 
+    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
+        self.with_ready(|c| c.send_split(head, tail))
+    }
+
     fn send_batch(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
         self.with_ready(|c| c.send_batch(frames))
+    }
+
+    fn max_frame(&self) -> u64 {
+        // The ring's size is the client's choice, known once its hello
+        // is read; until then (or after a refused one) nothing fits.
+        match &*self.state.lock() {
+            ShmServerState::Ready(c) => c.max_frame(),
+            _ => 0,
+        }
     }
 
     fn try_recv(&self) -> Result<Option<FrameView>, TransportError> {
@@ -1028,10 +999,8 @@ impl Connection for PendingShmConnection {
 
     fn enter_event_mode(&self) -> bool {
         // Adoptable: before the handshake the hello's arrival is itself
-        // a socket-readable event. Whether the *ring* can be event-driven
-        // is only known post-handshake — the executor re-queries
-        // `event_fds` after each drain and demotes to a dedicated thread
-        // if the client sent no doorbells.
+        // a socket-readable event; after it, the doorbell is (the
+        // executor re-queries `event_fds` after each drain).
         true
     }
 
@@ -1166,7 +1135,12 @@ impl Dialer for ShmDialer {
         let sock = UnixStream::connect(&self.path).map_err(|e| io_err("dial", &e))?;
         sock.set_read_timeout(Some(HANDSHAKE_TIMEOUT))
             .map_err(|e| io_err("handshake", &e))?;
-        send_hello_with_bells(&sock, &ring_path, self.capacity, &client_bell, &server_bell)?;
+        send_hello(
+            &sock,
+            &ring_path,
+            self.capacity,
+            &[client_bell.raw(), server_bell.raw()],
+        )?;
         let mut ready = [0u8; 1];
         (&sock)
             .read_exact(&mut ready)
@@ -1189,10 +1163,10 @@ impl Dialer for ShmDialer {
             sock,
             self.capacity,
             Side::Client,
-            Some(Doorbells {
+            Doorbells {
                 mine: client_bell,
                 peers: server_bell,
-            }),
+            },
             None,
         )))
     }
@@ -1205,6 +1179,48 @@ mod tests {
 
     fn temp_sock(tag: &str) -> PathBuf {
         crate::fixtures::temp_socket_path(&format!("shm-test-{tag}"))
+    }
+
+    /// A hand-rolled client's ring file of `capacity`, created and
+    /// mapped the way a dialer would, at a `tag`-named path.
+    fn hand_rolled_ring(tag: &str, capacity: u32) -> (PathBuf, RawMap) {
+        let ring_path =
+            std::env::temp_dir().join(format!("grd-{tag}-ring-{}.shm", std::process::id()));
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&ring_path)
+            .unwrap();
+        file.set_len(file_len(capacity)).unwrap();
+        let map = RawMap::map(&file, file_len(capacity) as usize).unwrap();
+        map.atomic_u32(OFF_VERSION)
+            .store(frame::TRANSPORT_VERSION as u32, Ordering::Release);
+        map.atomic_u32(OFF_CAPACITY)
+            .store(capacity, Ordering::Release);
+        map.atomic_u64(OFF_MAGIC)
+            .store(SHM_MAGIC, Ordering::Release);
+        (ring_path, map)
+    }
+
+    /// Send a hello naming `ring_path` with `bells` attached, and read
+    /// the listener's ready byte.
+    fn hand_rolled_hello(
+        path: &Path,
+        ring_path: &Path,
+        capacity: u32,
+        bells: &[sys::OwnedFd],
+    ) -> std::io::Result<(UnixStream, u8)> {
+        let sock = UnixStream::connect(path)?;
+        let fds: Vec<_> = bells.iter().map(sys::OwnedFd::raw).collect();
+        send_hello(&sock, ring_path, capacity, &fds).map_err(std::io::Error::other)?;
+        let mut ready = [0u8; 1];
+        (&sock).read_exact(&mut ready)?;
+        Ok((sock, ready[0]))
+    }
+
+    fn bells() -> [sys::OwnedFd; 2] {
+        [sys::eventfd_new().unwrap(), sys::eventfd_new().unwrap()]
     }
 
     #[test]
@@ -1349,27 +1365,9 @@ mod tests {
         });
         // Hand-rolled hostile client: create + map the ring, handshake.
         let capacity = 4096u32;
-        let ring_path =
-            std::env::temp_dir().join(format!("grd-hostile-ring-{}.shm", std::process::id()));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&ring_path)
-            .unwrap();
-        file.set_len(file_len(capacity)).unwrap();
-        let map = RawMap::map(&file, file_len(capacity) as usize).unwrap();
-        map.atomic_u32(OFF_VERSION)
-            .store(frame::TRANSPORT_VERSION as u32, Ordering::Release);
-        map.atomic_u32(OFF_CAPACITY)
-            .store(capacity, Ordering::Release);
-        map.atomic_u64(OFF_MAGIC)
-            .store(SHM_MAGIC, Ordering::Release);
-        let sock = UnixStream::connect(&path).unwrap();
-        send_hello(&sock, &ring_path, capacity).unwrap();
-        let mut ready = [0u8; 1];
-        (&sock).read_exact(&mut ready).unwrap();
-        assert_eq!(ready[0], 1);
+        let (ring_path, map) = hand_rolled_ring("hostile", capacity);
+        let (_sock, ready) = hand_rolled_hello(&path, &ring_path, capacity, &bells()).unwrap();
+        assert_eq!(ready, 1);
         let _ = std::fs::remove_file(&ring_path);
         let server = accept_thread.join().unwrap();
         // The attack: publish an impossible s2c consumer head.
@@ -1399,32 +1397,14 @@ mod tests {
         // unlinked by racing the dialer: hand-roll the handshake twice
         // with one file instead.
         let capacity = 4096u32;
-        let ring_path =
-            std::env::temp_dir().join(format!("grd-alias-ring-{}.shm", std::process::id()));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&ring_path)
-            .unwrap();
-        file.set_len(file_len(capacity)).unwrap();
-        let map = RawMap::map(&file, file_len(capacity) as usize).unwrap();
-        map.atomic_u32(OFF_VERSION)
-            .store(frame::TRANSPORT_VERSION as u32, Ordering::Release);
-        map.atomic_u32(OFF_CAPACITY)
-            .store(capacity, Ordering::Release);
-        map.atomic_u64(OFF_MAGIC)
-            .store(SHM_MAGIC, Ordering::Release);
+        let (ring_path, _map) = hand_rolled_ring("alias", capacity);
 
         let dial_once = || -> std::io::Result<u8> {
-            let sock = UnixStream::connect(&path)?;
-            send_hello(&sock, &ring_path, capacity).map_err(std::io::Error::other)?;
-            let mut ready = [0u8; 1];
-            (&sock).read_exact(&mut ready)?;
+            let (sock, ready) = hand_rolled_hello(&path, &ring_path, capacity, &bells())?;
             // Leak the socket so the first connection stays alive for
             // the duration of the test.
             std::mem::forget(sock);
-            Ok(ready[0])
+            Ok(ready)
         };
         assert_eq!(dial_once().unwrap(), 1, "first handshake accepted");
         // Second handshake naming the same file: the claim conflict
@@ -1576,54 +1556,52 @@ mod tests {
         }
     }
 
-    /// A legacy hello (no SCM_RIGHTS doorbells) still yields a working
-    /// connection: the server falls back to the poll-based park.
+    /// A hello without exactly two doorbell eventfds is refused at the
+    /// handshake — nothing could wake a peer parked on such a ring — and
+    /// the listener goes on serving dialers that send them.
     #[test]
-    fn doorbell_less_hello_falls_back_cleanly() {
-        let path = temp_sock("legacyhello");
+    fn hello_without_doorbells_is_refused() {
+        let path = temp_sock("nobells");
         let (listener, _unblock) = ShmListener::bind(&path).unwrap();
-        let accept_thread = std::thread::spawn(move || {
-            let c = listener.accept().unwrap();
-            let f = c.recv().unwrap();
-            c.send(f).unwrap();
-            let start = Instant::now();
-            let r = c.recv();
-            (r, start.elapsed())
-        });
-        // Hand-rolled legacy client: create + map the ring, plain hello.
         let capacity = 4096u32;
-        let ring_path =
-            std::env::temp_dir().join(format!("grd-legacy-ring-{}.shm", std::process::id()));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&ring_path)
-            .unwrap();
-        file.set_len(file_len(capacity)).unwrap();
-        let map = RawMap::map(&file, file_len(capacity) as usize).unwrap();
-        map.atomic_u32(OFF_VERSION)
-            .store(frame::TRANSPORT_VERSION as u32, Ordering::Release);
-        map.atomic_u32(OFF_CAPACITY)
-            .store(capacity, Ordering::Release);
-        map.atomic_u64(OFF_MAGIC)
-            .store(SHM_MAGIC, Ordering::Release);
-        let sock = UnixStream::connect(&path).unwrap();
-        send_hello(&sock, &ring_path, capacity).unwrap();
-        let mut ready = [0u8; 1];
-        (&sock).read_exact(&mut ready).unwrap();
-        assert_eq!(ready[0], 1);
-        let _ = std::fs::remove_file(&ring_path);
-        let client = ShmConnection::new(map, sock, capacity, Side::Client, None, None);
+        let server_thread = std::thread::spawn(move || {
+            let mut refusals = Vec::new();
+            for _ in 0..2 {
+                let c = listener.accept().unwrap();
+                refusals.push(c.recv());
+                // A refused connection stays refused.
+                assert_eq!(c.try_recv(), Err(TransportError::Disconnected));
+            }
+            let good = listener.accept().unwrap();
+            let f = good.recv().unwrap();
+            good.send(f).unwrap();
+            refusals
+        });
+        let one = bells();
+        for (tag, bells) in [("nobell", Vec::new()), ("onebell", vec![one[0].raw()])] {
+            let (ring_path, _map) = hand_rolled_ring(tag, capacity);
+            let sock = UnixStream::connect(&path).unwrap();
+            send_hello(&sock, &ring_path, capacity, &bells).unwrap();
+            // No ready byte: the server hangs up instead.
+            let mut ready = [0u8; 1];
+            assert_eq!((&sock).read(&mut ready).unwrap_or(0), 0, "{tag}");
+            let _ = std::fs::remove_file(&ring_path);
+        }
+        let client = ShmDialer::with_capacity(&path, capacity).dial().unwrap();
         client.send(vec![42; 10]).unwrap();
         assert_eq!(client.recv().unwrap(), vec![42; 10]);
-        // Death detection also works without bells (1 ms fallback poll).
-        drop(client);
-        let (r, elapsed) = accept_thread.join().unwrap();
-        assert_eq!(r, Err(TransportError::Disconnected));
-        assert!(
-            elapsed < Duration::from_millis(100),
-            "fallback park took {elapsed:?} to notice the dead peer"
-        );
+        for r in server_thread.join().unwrap() {
+            assert!(
+                matches!(
+                    r,
+                    Err(TransportError::Io {
+                        op: "handshake",
+                        kind: std::io::ErrorKind::InvalidData,
+                        ..
+                    })
+                ),
+                "{r:?}"
+            );
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! externs in [`super::shm`], this module declares exactly the handful of
 //! Linux calls the executor and the ring doorbells need — `eventfd` for
 //! wakeups, `epoll` for readiness, `poll` for single-connection parking,
-//! and `sendmsg`/`recvmsg` with `SCM_RIGHTS` to pass the doorbell fds
-//! across the handshake socket. Everything is wrapped in safe helpers
+//! `sendmsg`/`recvmsg` with `SCM_RIGHTS` to pass the doorbell fds
+//! across the handshake socket, and `read` into a buffer's unused
+//! capacity for bulk frames. Everything is wrapped in safe helpers
 //! returning `io::Result`, so the transports above never touch a raw
 //! pointer.
 
@@ -155,6 +156,24 @@ pub fn eventfd_signal(fd: RawFd) {
 pub fn eventfd_drain(fd: RawFd) -> bool {
     let mut buf = [0u8; 8];
     unsafe { read(fd, buf.as_mut_ptr() as *mut c_void, 8) == 8 }
+}
+
+/// `read(2)` into the unused capacity of `buf`, extending its length by
+/// the bytes received: bytes land in their final buffer with no
+/// zero-filled staging in between. `Ok(0)` (with spare capacity) is EOF.
+pub fn read_spare(fd: RawFd, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let len = buf.len();
+    let spare = buf.capacity() - len;
+    // SAFETY: the kernel writes at most `spare` bytes into the
+    // allocation's unused tail, and only the bytes it reports written
+    // become part of the vector.
+    let n = unsafe { read(fd, buf.as_mut_ptr().add(len) as *mut c_void, spare) };
+    if n < 0 {
+        return Err(last_os_error());
+    }
+    // SAFETY: `n <= spare`, and the kernel initialized those `n` bytes.
+    unsafe { buf.set_len(len + n as usize) };
+    Ok(n as usize)
 }
 
 /// `poll(2)` the given (fd, events) pairs. Returns the revents of each
@@ -404,6 +423,22 @@ mod tests {
         // written before the transfer is visible through the new fd.
         assert!(eventfd_drain(fds[0].raw()));
         assert!(!eventfd_drain(fds[1].raw()));
+    }
+
+    #[test]
+    fn read_spare_fills_only_unused_capacity() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        a.write_all(b"abcdefgh").unwrap();
+        let mut buf = Vec::with_capacity(6);
+        buf.push(b'>');
+        // Five bytes of room: the rest stays in the socket.
+        assert_eq!(read_spare(b.as_raw_fd(), &mut buf).unwrap(), 5);
+        assert_eq!(buf, b">abcde");
+        let mut rest = Vec::with_capacity(8);
+        assert_eq!(read_spare(b.as_raw_fd(), &mut rest).unwrap(), 3);
+        assert_eq!(rest, b"fgh");
+        drop(a);
+        assert_eq!(read_spare(b.as_raw_fd(), &mut rest).unwrap(), 0, "EOF");
     }
 
     #[test]

@@ -92,6 +92,10 @@ pub struct UdsConnection {
 /// live manager drains its socket continuously.
 const SEND_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Bytes one socket read pulls into the decoder's staging; a plain frame
+/// longer than this is read straight into a buffer of its own.
+const READ_SIZE: usize = 16 * 1024;
+
 impl UdsConnection {
     fn new(stream: UnixStream, handshaken: bool) -> Self {
         Self::with_peer_uid(stream, handshaken, None)
@@ -101,7 +105,7 @@ impl UdsConnection {
         UdsConnection {
             stream,
             send_lock: Mutex::new(SendState::default()),
-            recv_state: Mutex::new(FrameDecoder::new(MAX_FRAME)),
+            recv_state: Mutex::new(FrameDecoder::with_read_size(MAX_FRAME, READ_SIZE)),
             handshaken: Mutex::new(handshaken),
             event_mode: AtomicBool::new(false),
             peer_uid,
@@ -126,6 +130,37 @@ impl UdsConnection {
             *done = true;
         }
         Ok(())
+    }
+
+    /// One read from the socket into the decoder: straight into the
+    /// frame it is receiving in place, if any, else a `READ_SIZE` chunk.
+    /// `Ok(0)` is EOF.
+    fn read_into(&self, dec: &mut FrameDecoder) -> std::io::Result<usize> {
+        if let Some(frame) = dec.in_place() {
+            return sys::read_spare(self.stream.as_raw_fd(), frame);
+        }
+        let mut chunk = [0u8; READ_SIZE];
+        let n = (&self.stream).read(&mut chunk)?;
+        dec.push(&chunk[..n]);
+        Ok(n)
+    }
+
+    /// Send one frame given as `parts` (one writev of prefix + parts).
+    fn send_parts(&self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.ensure_handshaken()?;
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len as u64 > MAX_FRAME as u64 {
+            return Err(TransportError::FrameTooLarge {
+                len: len as u64,
+                max: MAX_FRAME as u64,
+            });
+        }
+        let mut st = self.send_lock.lock();
+        st.prefixes.clear();
+        st.prefixes.extend_from_slice(&(len as u32).to_le_bytes());
+        let mut iov: [&[u8]; 3] = [&st.prefixes[..], &[], &[]];
+        iov[1..1 + parts.len()].copy_from_slice(parts);
+        self.send_vectored(&iov[..1 + parts.len()])
     }
 
     /// Gather-write every byte of `parts` in order — one `writev(2)` per
@@ -185,39 +220,30 @@ impl UdsConnection {
 
 impl Connection for UdsConnection {
     fn send(&self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.ensure_handshaken()?;
-        if frame.len() as u64 > MAX_FRAME as u64 {
-            return Err(TransportError::FrameTooLarge {
-                len: frame.len() as u64,
-                max: MAX_FRAME as u64,
-            });
-        }
-        let mut st = self.send_lock.lock();
-        st.prefixes.clear();
-        st.prefixes
-            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
         // Vectored write: prefix + payload, no coalescing copy.
-        self.send_vectored(&[&st.prefixes[..], &frame])
+        self.send_parts(&[&frame])
+    }
+
+    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
+        self.send_parts(&[head, tail])
     }
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
         self.ensure_handshaken()?;
         let mut dec = self.recv_state.lock();
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             if let Some(f) = dec.next_frame()? {
                 return Ok(f.into_vec());
             }
-            let n = (&self.stream)
-                .read(&mut chunk)
-                .map_err(|e| io_err("recv", &e))?;
-            if n == 0 {
+            match self.read_into(&mut dec) {
                 // EOF. Whether the peer exited cleanly or was SIGKILLed
                 // mid-frame, the session's answer is the same: treat the
                 // tenant as gone so its partition is reclaimed.
-                return Err(TransportError::Disconnected);
+                Ok(0) => return Err(TransportError::Disconnected),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(io_err("recv", &e)),
             }
-            dec.push(&chunk[..n]);
         }
     }
 
@@ -278,14 +304,13 @@ impl Connection for UdsConnection {
     fn try_recv(&self) -> Result<Option<FrameView>, TransportError> {
         self.ensure_handshaken()?;
         let mut dec = self.recv_state.lock();
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             if let Some(f) = dec.next_frame()? {
                 return Ok(Some(f));
             }
-            match (&self.stream).read(&mut chunk) {
+            match self.read_into(&mut dec) {
                 Ok(0) => return Err(TransportError::Disconnected),
-                Ok(n) => dec.push(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(io_err("recv", &e)),
@@ -672,6 +697,64 @@ mod tests {
             }
         }
         assert_eq!(end, Some(Err(TransportError::Disconnected)));
+    }
+
+    /// A split send arrives as the one frame it describes — through the
+    /// in-place receive path when it is longer than one read — on both
+    /// the blocking and the event-mode receiver.
+    #[test]
+    fn split_send_arrives_as_one_frame() {
+        let path = temp_sock("split");
+        let (listener, _unblock) = UdsListener::bind(&path).unwrap();
+        let tail: Vec<u8> = (0..3 * READ_SIZE as u32 + 5).map(|i| i as u8).collect();
+        let expect = [&b"head"[..], &tail].concat();
+        let server_thread = {
+            let expect = expect.clone();
+            std::thread::spawn(move || {
+                let server = listener.accept().unwrap();
+                assert_eq!(server.recv().unwrap(), expect);
+                assert!(server.enter_event_mode());
+                loop {
+                    match server.try_recv().unwrap() {
+                        Some(f) => break assert_eq!(f, expect),
+                        None => {
+                            sys::poll_fds(&[(server.event_fds()[0], sys::POLLIN)], 1000);
+                        }
+                    }
+                }
+            })
+        };
+        let client = UdsDialer::new(&path).dial().unwrap();
+        client.send_split(b"head", &tail).unwrap();
+        client.send_split(b"head", &tail).unwrap();
+        server_thread.join().unwrap();
+        assert_eq!(client.max_frame(), MAX_FRAME as u64);
+        assert!(matches!(
+            client.send_split(&[0; 8], &vec![0; MAX_FRAME as usize]),
+            Err(TransportError::FrameTooLarge { .. })
+        ));
+    }
+
+    /// A peer that claims a maximal frame, trickles a few bytes and
+    /// hangs up is a disconnect mid-frame — not a frame, not a hang.
+    #[test]
+    fn claimed_max_frame_then_trickle_then_eof_is_disconnected() {
+        let path = temp_sock("trickle");
+        let (listener, _unblock) = UdsListener::bind(&path).unwrap();
+        let server_thread = std::thread::spawn(move || listener.accept().unwrap().recv());
+        let stream = UnixStream::connect(&path).unwrap();
+        let mut got = [0u8; 4];
+        (&stream).write_all(&PREAMBLE).unwrap();
+        (&stream).read_exact(&mut got).unwrap();
+        (&stream).write_all(&MAX_FRAME.to_le_bytes()).unwrap();
+        for _ in 0..3 {
+            (&stream).write_all(&[0xAA; 7]).unwrap();
+        }
+        drop(stream);
+        assert_eq!(
+            server_thread.join().unwrap(),
+            Err(TransportError::Disconnected)
+        );
     }
 
     #[test]

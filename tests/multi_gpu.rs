@@ -122,7 +122,10 @@ fn four_tenants_two_gpus_end_to_end() {
     let (old_base, old_size) = t2.partition();
 
     // Other tenants' data planes must be undisturbed during the move.
+    // The churn thread reports each round, so the move below provably
+    // runs amid churn even when every thread shares one CPU.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (round_tx, rounds) = std::sync::mpsc::channel();
     let churn = {
         let stop = stop.clone();
         std::thread::spawn(move || {
@@ -131,11 +134,13 @@ fn four_tenants_two_gpus_end_to_end() {
                 run_fill(&mut t0, 64);
                 run_fill(&mut t1, 64);
                 n += 1;
+                let _ = round_tx.send(n);
             }
             (t0, t1, n)
         })
     };
 
+    rounds.recv().expect("churn thread died");
     let delta = t2.migrate(dst_device).unwrap();
     assert_eq!(t2.device(), dst_device, "migration must rebind the device");
     let (new_base, new_size) = t2.partition();
@@ -148,9 +153,12 @@ fn four_tenants_two_gpus_end_to_end() {
     // The migrated tenant's data plane works on the new device.
     run_fill(&mut t2, 128);
 
+    // And the others kept going after it.
+    let before_stop = rounds.try_iter().last().unwrap_or(0);
+    while rounds.recv().expect("churn thread died") <= before_stop + 1 {}
     stop.store(true, std::sync::atomic::Ordering::SeqCst);
     let (t0, t1, churn_rounds) = churn.join().unwrap();
-    assert!(churn_rounds > 0, "churn thread never ran");
+    assert!(churn_rounds > 1, "churn thread never ran");
 
     // Source pool bytes were reclaimed; destination gained them.
     let infos = mgr.device_infos().unwrap();
@@ -351,5 +359,200 @@ fn default_pool_is_half_of_total_memory_despite_context_overhead() {
         32 << 20,
         "64 MiB device must yield a 32 MiB default pool"
     );
+    mgr.shutdown();
+}
+
+/// Session-served `malloc`/`free` racing live migrations and a teardown.
+/// The tenant's two partitions (GPU 0 and GPU 1) are numerically disjoint
+/// — a filler tenant holds GPU 1's first — so every pointer names the
+/// binding it was carved from, and a stale one is refused, never
+/// misdirected. A shared phase counter (odd while a migration is in
+/// flight) tells the allocating thread which bindings a call could have
+/// seen. Checked: every returned pointer lies in the binding current at
+/// return; a refused address or free only ever follows a migration;
+/// `bytes_held` equals the heap's usage; the lease cap holds to the byte;
+/// a tenant revoked mid-churn gets typed errors from then on and its
+/// partition comes back.
+#[test]
+fn session_malloc_free_race_migration_and_teardown() {
+    use guardian::LeaseSpec;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::sync::Arc;
+
+    const CAP: u64 = 640 << 10;
+    const GRAIN: u64 = 256;
+    let devices = gpu_sim::device_set(vec![test_gpu(), test_gpu()])
+        .into_iter()
+        .map(share_device)
+        .collect();
+    let mgr = spawn_manager_multi(
+        devices,
+        ManagerConfig {
+            pool_bytes: Some(8 << 20),
+            lease_default: Some(LeaseSpec::parse("mem=640K").unwrap()),
+            ..ManagerConfig::default()
+        },
+        &[],
+        BoundTransport::channel(),
+    )
+    .unwrap();
+    let _filler = GrdLib::connect_hinted(&mgr, CAP, Some(PlacementHint::pin(1))).unwrap();
+    let mut t = GrdLib::connect_hinted(&mgr, CAP, Some(PlacementHint::pin(0))).unwrap();
+    let id = t.client_id();
+    let held = |mgr: &guardian::ManagerHandle| {
+        mgr.control_plane()
+            .tenants_table()
+            .into_iter()
+            .find(|r| r.client == id.0)
+            .map(|r| r.bytes_held)
+    };
+    let (size, bases) = {
+        let (b0, size) = t.partition();
+        let (b1, _) = mgr.migrate_partition(id, 1).unwrap();
+        assert_eq!(mgr.migrate_partition(id, 0).unwrap().0, b0);
+        assert!(
+            b1 >= b0 + size || b1 + size <= b0,
+            "partitions must be disjoint"
+        );
+        (size, [b0, b1])
+    };
+    let gpu_of = |phase: u64| ((phase / 2) % 2) as usize;
+    let home = move |p: u64| (0..2).find(|&g| p >= bases[g] && p < bases[g] + size);
+    let phase = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let ops = Arc::new(AtomicU64::new(0));
+
+    let worker = {
+        let (phase, stop, ops) = (phase.clone(), stop.clone(), ops.clone());
+        std::thread::spawn(move || {
+            // Live blocks as (partition offset, rounded size, tag).
+            let mut live: Vec<(u64, u64, u64)> = Vec::new();
+            let mut rng = 0x2545_F491_4F6C_DD1Du64;
+            // Retry an address-taking call until it lands on the current
+            // binding; a refusal must be explained by a migration.
+            let at_current = |off: u64, f: &mut dyn FnMut(u64) -> Result<(), CudaError>| loop {
+                let ph = phase.load(SeqCst);
+                if ph % 2 == 1 {
+                    std::thread::yield_now();
+                    continue;
+                }
+                match f(bases[gpu_of(ph)] + off) {
+                    Ok(()) => return,
+                    Err(e) => {
+                        assert_ne!(phase.load(SeqCst), ph, "refused without a migration: {e}")
+                    }
+                }
+            };
+            while !stop.load(SeqCst) {
+                ops.fetch_add(1, SeqCst);
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let used: u64 = live.iter().map(|b| b.1).sum();
+                if live.len() < 6 || !rng.is_multiple_of(3) {
+                    let bytes: u64 = [1, 200, 256, 1000, 4096, 20_000][(rng >> 8) as usize % 6];
+                    let rounded = bytes.next_multiple_of(GRAIN);
+                    let ph0 = phase.load(SeqCst);
+                    let r = t.cuda_malloc(bytes);
+                    let ph1 = phase.load(SeqCst);
+                    let p = match r {
+                        Ok(p) => p,
+                        Err(CudaError::OutOfMemory) if used + rounded > CAP => continue,
+                        Err(CudaError::OutOfMemory) => continue, // fragmentation
+                        Err(e) => panic!("malloc failed: {e}"),
+                    };
+                    assert!(used + rounded <= CAP, "lease cap exceeded");
+                    let g = home(p).unwrap_or_else(|| panic!("{p:#x} is in no partition"));
+                    if ph0 == ph1 && ph0 % 2 == 0 {
+                        assert_eq!(g, gpu_of(ph0), "pointer from a binding not current");
+                    }
+                    assert!(p + rounded <= bases[g] + size && p % GRAIN == 0);
+                    let off = p - bases[g];
+                    let tag = rng;
+                    at_current(off, &mut |a| t.cuda_memcpy_h2d(a, &tag.to_le_bytes()));
+                    live.push((off, rounded, tag));
+                } else {
+                    let (off, _, tag) = live.swap_remove((rng >> 8) as usize % live.len());
+                    let mut seen = 0;
+                    at_current(off, &mut |a| {
+                        seen = u64::from_le_bytes(t.cuda_memcpy_d2h(a, 8)?.try_into().unwrap());
+                        Ok(())
+                    });
+                    assert_eq!(seen, tag, "a live block was overwritten");
+                    at_current(off, &mut |a| t.cuda_free(a));
+                }
+            }
+            (t, live)
+        })
+    };
+    // Migrate back and forth 24 times. The worker keeps operating during
+    // each move, and gets a few operations in between moves — on one CPU,
+    // back-to-back moves would otherwise starve it of the binding lock.
+    let mut seen = 0;
+    for _ in 0..12 {
+        for dst in [1, 0] {
+            while ops.load(SeqCst) < seen + 8 && !worker.is_finished() {
+                std::thread::yield_now();
+            }
+            seen = ops.load(SeqCst);
+            phase.fetch_add(1, SeqCst);
+            mgr.migrate_partition(id, dst).unwrap();
+            phase.fetch_add(1, SeqCst);
+            assert!(held(&mgr).unwrap() <= CAP);
+        }
+    }
+    stop.store(true, SeqCst);
+    let (mut t, live) = worker.join().unwrap();
+    let base = t.partition().0;
+    assert_eq!(base, bases[0]);
+    assert_eq!(
+        held(&mgr),
+        Some(live.iter().map(|b| b.1).sum()),
+        "bytes_held != heap usage"
+    );
+    for (off, _, _) in live {
+        t.cuda_free(base + off).unwrap();
+    }
+    assert_eq!(held(&mgr), Some(0));
+    // The cap to the byte: CAP / GRAIN smallest blocks fit, one more not.
+    for _ in 0..CAP / GRAIN {
+        t.cuda_malloc(1).unwrap();
+    }
+    assert_eq!(held(&mgr), Some(CAP));
+    assert_eq!(t.cuda_malloc(1), Err(CudaError::OutOfMemory));
+
+    // Teardown mid-churn: a revoked tenant's next call fails typed, and
+    // so does every call after it; its partition returns to the pool.
+    let mut u = GrdLib::connect_hinted(&mgr, CAP, Some(PlacementHint::pin(0))).unwrap();
+    let uid = u.client_id();
+    let gpu0_used = mgr.device_infos().unwrap()[0].used_bytes;
+    let churn = std::thread::spawn(move || {
+        let mut ok = 0u64;
+        loop {
+            let r = u.cuda_malloc(4096).and_then(|p| u.cuda_free(p));
+            match r {
+                Ok(()) => ok += 1,
+                Err(CudaError::Rejected(_)) => break,
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+        for _ in 0..3 {
+            assert!(matches!(u.cuda_malloc(16), Err(CudaError::Rejected(_))));
+            assert!(matches!(u.cuda_free(0), Err(CudaError::Rejected(_))));
+        }
+        ok
+    });
+    mgr.revoke(uid).unwrap();
+    churn.join().unwrap();
+    assert!(mgr
+        .control_plane()
+        .tenants_table()
+        .iter()
+        .all(|r| r.client != uid.0));
+    assert_eq!(
+        mgr.device_infos().unwrap()[0].used_bytes,
+        gpu0_used - (1 << 20)
+    );
+    drop((t, _filler));
     mgr.shutdown();
 }

@@ -645,3 +645,55 @@ fn graceful_exit_frees_partition_for_next_process() {
     drop(daemon);
     let _ = std::fs::remove_file(&shm_sock);
 }
+
+// ---- hostile frame lengths ----------------------------------------------------
+
+/// Resident memory of process `pid`, in bytes.
+fn rss_bytes(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .expect("VmRSS line");
+    kib * 1024
+}
+
+/// A peer that claims a maximal frame and then sends a small part of it
+/// is received in place — into a buffer sized by the claim — but costs
+/// the daemon only the bytes it actually sent: resident memory does not
+/// grow by the claimed length, the daemon keeps serving, and the hang-up
+/// is an ordinary disconnect.
+#[test]
+fn claimed_max_frame_does_not_grow_daemon_rss() {
+    use guardian::transport::frame::{MAX_FRAME, PREAMBLE};
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let daemon = Daemon::spawn("uds", &["--pool-bytes", &(8u64 << 20).to_string()]);
+    let mut probe = dial_until("uds", &daemon.socket, 1 << 20);
+    let pid = daemon.child.id();
+    let mut s = UnixStream::connect(&daemon.socket).unwrap();
+    s.write_all(&PREAMBLE).unwrap();
+    let mut preamble = [0u8; 4];
+    s.read_exact(&mut preamble).unwrap();
+    let before = rss_bytes(pid);
+    s.write_all(&MAX_FRAME.to_le_bytes()).unwrap();
+    // Several socket buffers' worth: `write_all` returns only once the
+    // daemon has read all but the last bufferful, so the claim has been
+    // acted on by the time we look.
+    let sent = 2u64 << 20;
+    s.write_all(&vec![0xAA; sent as usize]).unwrap();
+    let grown = rss_bytes(pid).saturating_sub(before);
+    assert!(
+        grown < sent + (4 << 20),
+        "daemon RSS grew {grown} bytes on a {MAX_FRAME}-byte claim after {sent} bytes"
+    );
+    // The daemon keeps serving, during the claim and after the hang-up.
+    let p = probe.cuda_malloc(4096).unwrap();
+    probe.cuda_free(p).unwrap();
+    drop(s);
+    let p = probe.cuda_malloc(4096).unwrap();
+    probe.cuda_free(p).unwrap();
+}

@@ -584,3 +584,82 @@ fn symbol_direct_access_inside_its_variable_still_works() {
         n.shutdown();
     }
 }
+
+// ---------------------------------------------------------------------------
+// One-way frees: under deferred acks `cudaFree` sends a `FreeAsync` frame
+// that gets no reply, so a bad pointer can only be reported later. Each
+// attack must surface at the attacker's next sync and leave the
+// neighbour's heap and bytes exactly as they were.
+// ---------------------------------------------------------------------------
+
+use guardian::{spawn_manager, GrdLib, LaunchAck, ManagerConfig};
+
+/// `bytes_held` of client `id`, as the control plane accounts it.
+fn bytes_held(mgr: &guardian::ManagerHandle, id: u32) -> u64 {
+    mgr.control_plane()
+        .tenants_table()
+        .into_iter()
+        .find(|t| t.client == id)
+        .expect("live tenant")
+        .bytes_held
+}
+
+#[test]
+fn one_way_free_of_a_bad_pointer_fails_at_sync_and_spares_the_neighbour() {
+    let mgr = spawn_manager(
+        share_device(Device::new(test_gpu())),
+        ManagerConfig {
+            pool_bytes: Some(8 << 20),
+            launch_ack: LaunchAck::Deferred,
+            ..ManagerConfig::default()
+        },
+        &[],
+    )
+    .unwrap();
+    let mut attacker = GrdLib::connect(&mgr, 4 << 20).unwrap();
+    let mut victim = GrdLib::connect(&mgr, 4 << 20).unwrap();
+    let victim_buf = victim.cuda_malloc(4096).unwrap();
+    victim.cuda_memcpy_h2d(victim_buf, &sentinel()).unwrap();
+    victim.cuda_device_synchronize().unwrap();
+    let victim_held = bytes_held(&mgr, victim.client_id().0);
+    let own = attacker.cuda_malloc(4096).unwrap();
+
+    // Each free "succeeds" locally (nothing comes back) and fails at the
+    // attacker's next sync.
+    let attacks: [(&str, u64); 3] = [
+        ("foreign", victim_buf),
+        ("interior", own + 256),
+        ("double free", own),
+    ];
+    for (what, ptr) in attacks {
+        if what == "double free" {
+            attacker.cuda_free(own).unwrap();
+            attacker.cuda_device_synchronize().unwrap();
+        }
+        attacker.cuda_free(ptr).unwrap();
+        assert_eq!(
+            attacker.cuda_device_synchronize(),
+            Err(CudaError::InvalidValue),
+            "{what}"
+        );
+        // The error is reported once; the attacker's session goes on.
+        attacker.cuda_device_synchronize().unwrap();
+        let held = bytes_held(&mgr, victim.client_id().0);
+        assert_eq!(held, victim_held, "{what}: the neighbour's heap changed");
+        assert_eq!(
+            victim.cuda_memcpy_d2h(victim_buf, 16).unwrap(),
+            sentinel(),
+            "{what}: the neighbour's bytes changed"
+        );
+    }
+    // Control: the neighbour's allocation was never freed by anyone else,
+    // so its own free succeeds — and a good one-way free syncs clean.
+    victim.cuda_free(victim_buf).unwrap();
+    victim.cuda_device_synchronize().unwrap();
+    assert_eq!(bytes_held(&mgr, victim.client_id().0), 0);
+    let again = attacker.cuda_malloc(4096).unwrap();
+    attacker.cuda_free(again).unwrap();
+    attacker.cuda_device_synchronize().unwrap();
+    drop((attacker, victim));
+    mgr.shutdown();
+}
