@@ -498,6 +498,21 @@ $L_end:
     }
 
     #[test]
+    fn oversized_memset_and_copies_are_errors() {
+        type Call = fn(&mut NativeRuntime, DevicePtr) -> CudaResult<()>;
+        let calls: [Call; 3] = [
+            |rt, p| rt.cuda_memset(p, 7, u64::MAX - 4096),
+            |rt, p| rt.cuda_memcpy_d2d(p, p + 64, u64::MAX - 4096),
+            |rt, p| rt.cuda_memcpy_d2d(p, p + 64, 1 << 40),
+        ];
+        for call in calls {
+            let mut rt = runtime();
+            let p = rt.cuda_malloc(4096).unwrap();
+            assert!(call(&mut rt, p).is_err());
+        }
+    }
+
+    #[test]
     fn two_runtimes_share_one_device() {
         let dev = share_device(Device::new(test_gpu()));
         let mut a = NativeRuntime::new(dev.clone()).unwrap();

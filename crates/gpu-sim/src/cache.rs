@@ -13,21 +13,35 @@ use serde::{Deserialize, Serialize};
 pub const LINE_SIZE: u64 = 128;
 
 /// One set-associative tag array with LRU replacement.
+///
+/// Set `s` owns ways `s * ways ..` of the flat `tags`/`lru` arrays, of which
+/// the first `valid[s]` are filled, in fill order.
 #[derive(Debug, Clone)]
 pub struct TagArray {
-    sets: Vec<Vec<(u64, u64)>>, // (tag, last_use) per way
+    tags: Vec<u64>,
+    /// Tick of each way's last use.
+    lru: Vec<u64>,
+    valid: Vec<u8>,
     ways: usize,
+    nsets: u64,
+    /// `log2(nsets)` when the set count is a power of two.
+    set_shift: Option<u32>,
     tick: u64,
 }
 
 impl TagArray {
     /// Build a tag array of `capacity` bytes with the given associativity.
     pub fn new(capacity: u64, ways: usize) -> Self {
+        assert!((1..=u8::MAX as usize).contains(&ways), "1 to 255 ways");
         let lines = (capacity / LINE_SIZE).max(1) as usize;
         let nsets = (lines / ways).max(1);
         TagArray {
-            sets: vec![Vec::with_capacity(ways); nsets],
+            tags: vec![0; nsets * ways],
+            lru: vec![0; nsets * ways],
+            valid: vec![0; nsets],
             ways,
+            nsets: nsets as u64,
+            set_shift: nsets.is_power_of_two().then_some(nsets.trailing_zeros()),
             tick: 0,
         }
     }
@@ -36,30 +50,32 @@ impl TagArray {
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         let line = addr / LINE_SIZE;
-        let set_idx = (line as usize) % self.sets.len();
-        let tag = line / self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|(t, _)| *t == tag) {
-            way.1 = self.tick;
+        let (set, tag) = match self.set_shift {
+            Some(shift) => ((line & (self.nsets - 1)) as usize, line >> shift),
+            None => ((line % self.nsets) as usize, line / self.nsets),
+        };
+        let first = set * self.ways;
+        let tags = &mut self.tags[first..first + self.ways];
+        let lru = &mut self.lru[first..first + self.ways];
+        let filled = self.valid[set] as usize;
+        if let Some(way) = tags[..filled].iter().position(|&t| t == tag) {
+            lru[way] = self.tick;
             return true;
         }
-        if set.len() < self.ways {
-            set.push((tag, self.tick));
+        let way = if filled < self.ways {
+            self.valid[set] += 1;
+            filled
         } else {
-            let victim = set
-                .iter_mut()
-                .min_by_key(|(_, lru)| *lru)
-                .expect("ways >= 1");
-            *victim = (tag, self.tick);
-        }
+            (0..self.ways).min_by_key(|&w| lru[w]).expect("ways >= 1")
+        };
+        tags[way] = tag;
+        lru[way] = self.tick;
         false
     }
 
     /// Drop all entries (context switch / kernel boundary invalidation).
     pub fn invalidate(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.valid.fill(0);
     }
 }
 
@@ -257,5 +273,116 @@ mod tests {
         s.merge(&other);
         assert_eq!(s.accesses, 200);
         assert_eq!(s.l1_hits, 100);
+    }
+
+    /// The tag array as it was before it went flat: one `Vec` of
+    /// `(tag, last_use)` per set. The reference [`TagArray`] is held to.
+    struct ReferenceTags {
+        sets: Vec<Vec<(u64, u64)>>,
+        ways: usize,
+        tick: u64,
+    }
+
+    impl ReferenceTags {
+        fn new(capacity: u64, ways: usize) -> Self {
+            let lines = (capacity / LINE_SIZE).max(1) as usize;
+            let nsets = (lines / ways).max(1);
+            ReferenceTags {
+                sets: vec![Vec::with_capacity(ways); nsets],
+                ways,
+                tick: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            let line = addr / LINE_SIZE;
+            let set_idx = (line as usize) % self.sets.len();
+            let tag = line / self.sets.len() as u64;
+            let set = &mut self.sets[set_idx];
+            if let Some(way) = set.iter_mut().find(|(t, _)| *t == tag) {
+                way.1 = self.tick;
+                return true;
+            }
+            if set.len() < self.ways {
+                set.push((tag, self.tick));
+            } else {
+                let victim = set.iter_mut().min_by_key(|(_, lru)| *lru).unwrap();
+                *victim = (tag, self.tick);
+            }
+            false
+        }
+
+        fn invalidate(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    /// Drive the L1/L2 pair of each GPU model, flat and reference, through
+    /// `ops` (`(op, slot)` per mille: invalidate all, new block, store or
+    /// load at one of `2^span_log` addresses `2^stride_log` apart from
+    /// `base`); every probe must agree. Invalidations are rare so that sets
+    /// fill, and large strides pile the addresses into a few sets, so that
+    /// LRU eviction is exercised.
+    fn tags_match_reference(span_log: u32, stride_log: u32, base: u64, ops: &[(u16, u64)]) {
+        use crate::spec::{rtx_3080ti, rtx_a4000, test_gpu};
+        for spec in [test_gpu(), rtx_a4000(), rtx_3080ti()] {
+            let (l1, l2) = (spec.l1_bytes, spec.l2_bytes);
+            let mut flat = [TagArray::new(l1, 4), TagArray::new(l2, 16)];
+            let mut reference = [ReferenceTags::new(l1, 4), ReferenceTags::new(l2, 16)];
+            for (i, &(op, slot)) in ops.iter().enumerate() {
+                let addr = base.wrapping_add((slot % (1 << span_log)) << stride_log);
+                let levels: &[usize] = match op {
+                    0 => {
+                        flat.iter_mut().for_each(TagArray::invalidate);
+                        reference.iter_mut().for_each(ReferenceTags::invalidate);
+                        continue;
+                    }
+                    1..=4 => {
+                        flat[0].invalidate();
+                        reference[0].invalidate();
+                        continue;
+                    }
+                    5..=299 => &[1],
+                    _ => &[0, 1],
+                };
+                for &level in levels {
+                    let hit = reference[level].access(addr);
+                    assert_eq!(flat[level].access(addr), hit, "{}: op {i}", spec.name);
+                    if hit {
+                        break; // a load that hits L1 does not probe L2
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn flat_tags_match_the_reference_lru(
+            span_log in 1u32..13,
+            stride_log in 5u32..24,
+            base in proptest::prelude::any::<u64>(),
+            ops in proptest::collection::vec((0u16..1000, proptest::prelude::any::<u64>()), 1..3000),
+        ) {
+            tags_match_reference(span_log, stride_log, base, &ops);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        #[ignore = "nightly budget"]
+        fn tags_equiv_nightly(
+            span_log in 1u32..16,
+            stride_log in 5u32..26,
+            base in proptest::prelude::any::<u64>(),
+            ops in proptest::collection::vec((0u16..1000, proptest::prelude::any::<u64>()), 1..20_000),
+        ) {
+            tags_match_reference(span_log, stride_log, base, &ops);
+        }
     }
 }

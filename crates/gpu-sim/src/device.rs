@@ -939,12 +939,7 @@ impl Device {
             }
             Command::MemcpyD2D { dst, src, len } => {
                 let dur = self.transfer_cycles(len, self.spec.dram_bytes_per_sec / 2.0);
-                let mut buf = vec![0u8; len as usize];
-                let r = self
-                    .dram
-                    .read(src, &mut buf)
-                    .and_then(|_| self.dram.write(dst, &buf));
-                if let Err(f) = r {
+                if let Err(f) = self.dram.copy(dst, src, len) {
                     self.record_fault(ctx, sid, None, f);
                     self.complete_command(sid);
                     return true;
@@ -1571,6 +1566,38 @@ $L_done:
             .is_err());
         // The device still synchronizes cleanly with the stream gone.
         dev.synchronize();
+    }
+
+    #[test]
+    fn oversized_memset_and_copies_fault_instead_of_panicking() {
+        let commands: [fn(u64) -> Command; 3] = [
+            |p| Command::Memset {
+                dst: p,
+                byte: 7,
+                len: u64::MAX - 4096,
+            },
+            |p| Command::MemcpyD2D {
+                dst: p,
+                src: p + 64,
+                len: u64::MAX - 4096,
+            },
+            |p| Command::MemcpyD2D {
+                dst: p,
+                src: p + 64,
+                len: 1 << 40,
+            },
+        ];
+        for command in commands {
+            // A fresh device each: the first fault poisons the context.
+            let mut dev = Device::new(test_gpu());
+            let ctx = dev.create_context().unwrap();
+            let s = dev.create_stream(ctx).unwrap();
+            let p = dev.malloc(ctx, 4096).unwrap();
+            dev.enqueue(s, command(p)).unwrap();
+            dev.synchronize();
+            let faults: Vec<_> = dev.fault_log().iter().map(|r| &r.fault).collect();
+            assert!(matches!(faults[..], [Fault::Unmapped { .. }]), "{faults:?}");
+        }
     }
 
     #[test]

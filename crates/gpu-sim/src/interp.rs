@@ -209,7 +209,7 @@ impl<'a> Executor<'a> {
                     continue;
                 }
                 any_live = true;
-                match self.run_thread(kernel, cfg, ctaid, params, guard, &mut shared, t, stats)? {
+                match self.resume(kernel, cfg, ctaid, params, guard, &mut shared, t, stats)? {
                     ThreadStop::Done => t.done = true,
                     ThreadStop::Barrier => any_barrier = true,
                 }
@@ -224,6 +224,27 @@ impl<'a> Executor<'a> {
         stats.thread_cycles += total;
         let lanes = self.spec.cores_per_sm as u64;
         Ok(max.max(total / lanes))
+    }
+
+    /// Run `t` to its next barrier, its end or its fault, then fold the
+    /// instructions it executed meanwhile into the kernel's count (the
+    /// dispatch loop counts only the thread's own).
+    #[allow(clippy::too_many_arguments)]
+    fn resume(
+        &mut self,
+        kernel: &CompiledKernel,
+        cfg: LaunchConfig,
+        ctaid: (u32, u32, u32),
+        params: &[u8],
+        guard: MemGuard,
+        shared: &mut [u8],
+        t: &mut Thread,
+        stats: &mut KernelStats,
+    ) -> Result<ThreadStop, Fault> {
+        let before = t.instructions;
+        let stop = self.run_thread(kernel, cfg, ctaid, params, guard, shared, t, stats);
+        stats.instructions += t.instructions - before;
+        stop
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -241,16 +262,12 @@ impl<'a> Executor<'a> {
         let spec = self.spec;
         let code: &[CInstr] = &kernel.code;
         loop {
-            if t.pc >= code.len() {
+            let Some(instr) = code.get(t.pc) else {
                 return Ok(ThreadStop::Done);
-            }
-            let instr = &code[t.pc];
+            };
             t.instructions += 1;
-            stats.instructions += 1;
             if t.instructions > INSTRUCTION_BUDGET {
-                return Err(Fault::InstructionBudgetExceeded {
-                    budget: INSTRUCTION_BUDGET,
-                });
+                return Err(budget_exceeded());
             }
 
             // Guard predicate. A predicated *branch* pays the Address
@@ -258,9 +275,7 @@ impl<'a> Executor<'a> {
             // itself is what costs, §4.4); other predicated ops cost one
             // ALU slot when skipped.
             if let Some((slot, negated)) = instr.pred {
-                let p = t.preds[slot as usize];
-                let fire = if negated { !p } else { p };
-                if !fire {
+                if t.preds[slot as usize] == negated {
                     t.cycles += match instr.op {
                         COp::Bra { .. } | COp::BrxIdx { .. } => spec.branch_cycles,
                         _ => spec.alu_cycles,
@@ -277,7 +292,7 @@ impl<'a> Executor<'a> {
                     t.cycles += spec.alu_cycles;
                 }
                 COp::LdParamRun { n, .. } => {
-                    charge_fused(t, stats, *n as u64 - 1)?;
+                    charge_fused(t, *n as u64 - 1)?;
                     ld_param_run(code, params, t);
                     t.cycles += *n as u64 * spec.alu_cycles;
                     next_pc = t.pc + *n as usize;
@@ -290,7 +305,7 @@ impl<'a> Executor<'a> {
                     base,
                 } => {
                     let n = lead.is_some() as u64 + kind.instructions() as u64;
-                    charge_fused(t, stats, n - 1)?;
+                    charge_fused(t, n - 1)?;
                     fence_addr(&mut t.regs, *kind, *reg, *lead, *bound, *base);
                     // Every constituent is an ALU op but the 64-bit `rem`.
                     t.cycles += match kind {
@@ -556,14 +571,18 @@ impl<'a> Executor<'a> {
         // Barriers inside .func are not supported (they cannot suspend a
         // call frame); the validator-level kernels in this repo never use
         // them. A barrier here simply costs cycles and continues.
-        loop {
-            match self.run_thread(callee, cfg, ctaid, params, guard, shared, &mut frame, stats)? {
-                ThreadStop::Done => break,
-                ThreadStop::Barrier => continue,
+        let ended = loop {
+            match self.run_thread(callee, cfg, ctaid, params, guard, shared, &mut frame, stats) {
+                Ok(ThreadStop::Done) => break Ok(()),
+                Ok(ThreadStop::Barrier) => continue,
+                Err(fault) => break Err(fault),
             }
-        }
-        caller.cycles += frame.cycles;
+        };
+        // The frame's instructions are the caller's, faulting or not: the
+        // caller's resume folds them into the kernel's count.
         caller.instructions = frame.instructions;
+        ended?;
+        caller.cycles += frame.cycles;
         Ok(())
     }
 
@@ -580,39 +599,14 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// An operand's bits: a register or an immediate is read in place, and
+    /// only a special register leaves the dispatch loop.
+    #[inline(always)]
     fn value(&self, src: &CSrc, t: &Thread, cfg: LaunchConfig, ctaid: (u32, u32, u32)) -> u64 {
-        match src {
-            CSrc::Reg(slot) => t.regs[*slot as usize],
-            CSrc::Imm(v) => *v,
-            CSrc::Special(s) => {
-                let (tx, ty, tz) = t.tid;
-                match s {
-                    SpecialReg::Tid(Dim::X) => tx as u64,
-                    SpecialReg::Tid(Dim::Y) => ty as u64,
-                    SpecialReg::Tid(Dim::Z) => tz as u64,
-                    SpecialReg::Ntid(Dim::X) => cfg.block.0 as u64,
-                    SpecialReg::Ntid(Dim::Y) => cfg.block.1 as u64,
-                    SpecialReg::Ntid(Dim::Z) => cfg.block.2 as u64,
-                    SpecialReg::Ctaid(Dim::X) => ctaid.0 as u64,
-                    SpecialReg::Ctaid(Dim::Y) => ctaid.1 as u64,
-                    SpecialReg::Ctaid(Dim::Z) => ctaid.2 as u64,
-                    SpecialReg::Nctaid(Dim::X) => cfg.grid.0 as u64,
-                    SpecialReg::Nctaid(Dim::Y) => cfg.grid.1 as u64,
-                    SpecialReg::Nctaid(Dim::Z) => cfg.grid.2 as u64,
-                    SpecialReg::LaneId => {
-                        let linear = tx as u64
-                            + ty as u64 * cfg.block.0 as u64
-                            + tz as u64 * cfg.block.0 as u64 * cfg.block.1 as u64;
-                        linear % 32
-                    }
-                    SpecialReg::WarpId => {
-                        let linear = tx as u64
-                            + ty as u64 * cfg.block.0 as u64
-                            + tz as u64 * cfg.block.0 as u64 * cfg.block.1 as u64;
-                        linear / 32
-                    }
-                }
-            }
+        match *src {
+            CSrc::Reg(slot) => t.regs[slot as usize],
+            CSrc::Imm(v) => v,
+            CSrc::Special(s) => special(s, t.tid, cfg, ctaid),
         }
     }
 
@@ -876,11 +870,9 @@ fn ld_param(params: &[u8], ty: Type, offset: u32) -> u64 {
 /// Count the `extra` instructions a macro-op stands for behind its head
 /// (which the dispatch loop has counted and checked already), as if each
 /// had been dispatched: one at a time, until the budget trips.
-fn charge_fused(t: &mut Thread, stats: &mut KernelStats, extra: u64) -> Result<(), Fault> {
+fn charge_fused(t: &mut Thread, extra: u64) -> Result<(), Fault> {
     let room = INSTRUCTION_BUDGET - t.instructions;
-    let counted = extra.min(room + 1);
-    t.instructions += counted;
-    stats.instructions += counted;
+    t.instructions += extra.min(room + 1);
     if extra > room {
         return Err(budget_exceeded());
     }
@@ -891,6 +883,34 @@ fn charge_fused(t: &mut Thread, stats: &mut KernelStats, extra: u64) -> Result<(
 fn budget_exceeded() -> Fault {
     Fault::InstructionBudgetExceeded {
         budget: INSTRUCTION_BUDGET,
+    }
+}
+
+/// A special register's value for the thread `tid` of block `ctaid`.
+#[cold]
+#[inline(never)]
+fn special(s: SpecialReg, tid: (u32, u32, u32), cfg: LaunchConfig, ctaid: (u32, u32, u32)) -> u64 {
+    let (tx, ty, tz) = tid;
+    let linear = || {
+        tx as u64
+            + ty as u64 * cfg.block.0 as u64
+            + tz as u64 * cfg.block.0 as u64 * cfg.block.1 as u64
+    };
+    match s {
+        SpecialReg::Tid(Dim::X) => tx as u64,
+        SpecialReg::Tid(Dim::Y) => ty as u64,
+        SpecialReg::Tid(Dim::Z) => tz as u64,
+        SpecialReg::Ntid(Dim::X) => cfg.block.0 as u64,
+        SpecialReg::Ntid(Dim::Y) => cfg.block.1 as u64,
+        SpecialReg::Ntid(Dim::Z) => cfg.block.2 as u64,
+        SpecialReg::Ctaid(Dim::X) => ctaid.0 as u64,
+        SpecialReg::Ctaid(Dim::Y) => ctaid.1 as u64,
+        SpecialReg::Ctaid(Dim::Z) => ctaid.2 as u64,
+        SpecialReg::Nctaid(Dim::X) => cfg.grid.0 as u64,
+        SpecialReg::Nctaid(Dim::Y) => cfg.grid.1 as u64,
+        SpecialReg::Nctaid(Dim::Z) => cfg.grid.2 as u64,
+        SpecialReg::LaneId => linear() % 32,
+        SpecialReg::WarpId => linear() / 32,
     }
 }
 
@@ -949,6 +969,18 @@ pub fn binary(kind: BinKind, ty: Type, a: u64, b: u64) -> u64 {
 
 fn integer_binary(kind: BinKind, ty: Type, a: u64, b: u64) -> u64 {
     use BinKind::*;
+    // The low `w` bits of a two's-complement sum, difference or product, and
+    // of a bitwise op, depend only on the low `w` bits of the operands: these
+    // skip the extension and truncate only the result.
+    match kind {
+        Add => return crate::compile::truncate_to(ty, a.wrapping_add(b)),
+        Sub => return crate::compile::truncate_to(ty, a.wrapping_sub(b)),
+        MulLo => return crate::compile::truncate_to(ty, a.wrapping_mul(b)),
+        And => return crate::compile::truncate_to(ty, a & b),
+        Or => return crate::compile::truncate_to(ty, a | b),
+        Xor => return crate::compile::truncate_to(ty, a ^ b),
+        _ => {}
+    }
     let width_bits = (ty.size() * 8) as u32;
     let sa = as_i64(ty, a);
     let sb = as_i64(ty, b);
@@ -956,9 +988,7 @@ fn integer_binary(kind: BinKind, ty: Type, a: u64, b: u64) -> u64 {
     let ub = crate::compile::truncate_to(ty, b);
     let signed = ty.is_signed();
     let r: u64 = match kind {
-        Add => (sa.wrapping_add(sb)) as u64,
-        Sub => (sa.wrapping_sub(sb)) as u64,
-        MulLo => (sa.wrapping_mul(sb)) as u64,
+        Add | Sub | MulLo | And | Or | Xor => unreachable!("returned above"),
         MulHi => {
             if signed {
                 (((sa as i128 * sb as i128) >> width_bits) & 0xFFFF_FFFF_FFFF_FFFF) as u64
@@ -992,9 +1022,6 @@ fn integer_binary(kind: BinKind, ty: Type, a: u64, b: u64) -> u64 {
                 ua % ub
             }
         }
-        And => ua & ub,
-        Or => ua | ub,
-        Xor => ua ^ ub,
         Shl => {
             let sh = (ub & 0xFFFF_FFFF) as u32;
             if sh >= width_bits {
@@ -1857,7 +1884,7 @@ $L_add:
                 };
                 let mut stats = KernelStats::default();
                 let fault = ex
-                    .run_thread(
+                    .resume(
                         &k,
                         LaunchConfig::linear(1, 1),
                         (0, 0, 0),
@@ -1872,6 +1899,9 @@ $L_add:
             });
             assert_eq!(a, b, "{room} instructions of budget left");
             assert_eq!(a.0.is_some(), room < 17, "the thread needs 17");
+            // Exact: the tripping instruction counts, none after it does.
+            assert_eq!(a.1, room.min(16) + 1, "{room} left: kernel count");
+            assert_eq!(a.2, INSTRUCTION_BUDGET - room + a.1, "{room} left");
         }
     }
 
@@ -1978,6 +2008,194 @@ $L_add:
                 }),
                 "{access}"
             );
+        }
+    }
+
+    #[test]
+    fn instruction_count_is_exact_across_a_barrier_yield() {
+        // 16 threads, 16 elements: every thread runs the 19 instructions up
+        // to the second branch, 15 then `ret`, and thread 0 sums the tile
+        // (2 + 16 x 8 loop + 2 exit + store + `ret` = 134 more). Each thread
+        // yields once at `bar.sync` and is folded in twice.
+        let mut dram = Dram::new(1 << 20);
+        let mut params = params_of(&[DEVICE_BASE, DEVICE_BASE + 4096]);
+        params.extend_from_slice(&16u32.to_le_bytes());
+        let out = run_kernel(
+            REDUCE,
+            "reduce",
+            LaunchConfig::linear(1, 16),
+            &params,
+            &mut dram,
+            MemGuard::None,
+        );
+        assert_eq!(out.fault, None);
+        assert_eq!(out.stats.instructions, 15 * 20 + 19 + 134);
+    }
+
+    /// `caller` forwards its pointer to `writer`, which stores through it.
+    const CALL_STORE: &str = r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.func writer(.param .u64 dst)
+{
+    .reg .b32 %r<2>;
+    .reg .b64 %rd<2>;
+    ld.param.u64 %rd1, [dst];
+    mov.u32 %r1, 7;
+    st.global.u32 [%rd1], %r1;
+    ret;
+}
+.visible .entry caller(.param .u64 p)
+{
+    .reg .b64 %rd<2>;
+    ld.param.u64 %rd1, [p];
+    call writer, (%rd1);
+    ret;
+}
+"#;
+
+    #[test]
+    fn instruction_count_is_exact_across_a_fault_in_a_func_frame() {
+        let run = |p: u64, threads: u32| {
+            let mut dram = Dram::new(1 << 20);
+            let cfg = LaunchConfig::linear(1, threads);
+            let out = run_kernel(
+                CALL_STORE,
+                "caller",
+                cfg,
+                &p.to_le_bytes(),
+                &mut dram,
+                MemGuard::None,
+            );
+            (out.fault, out.stats.instructions)
+        };
+        // Caller `ld.param` + `call` + `ret`, writer's four: 7 a thread.
+        assert_eq!(run(DEVICE_BASE, 2), (None, 14));
+        // The first thread's store faults in the frame: its 2 + 3 count,
+        // and the second thread never runs.
+        let wild = DEVICE_BASE + (1 << 30);
+        assert_eq!(run(wild, 2), (Some(Fault::Unmapped { addr: wild }), 5));
+    }
+
+    /// `integer_binary` before the modular kinds skipped operand extension:
+    /// the semantics the fast path is held to.
+    fn reference_integer_binary(kind: BinKind, ty: Type, a: u64, b: u64) -> u64 {
+        use crate::compile::truncate_to;
+        use BinKind::*;
+        let width_bits = (ty.size() * 8) as u32;
+        let (sa, sb) = (as_i64(ty, a), as_i64(ty, b));
+        let (ua, ub) = (truncate_to(ty, a), truncate_to(ty, b));
+        let signed = ty.is_signed();
+        let r: u64 = match kind {
+            Add => sa.wrapping_add(sb) as u64,
+            Sub => sa.wrapping_sub(sb) as u64,
+            MulLo => sa.wrapping_mul(sb) as u64,
+            MulHi if signed => ((sa as i128 * sb as i128) >> width_bits) as u64,
+            MulHi => ((ua as u128 * ub as u128) >> width_bits) as u64,
+            Div | Rem if signed && sb == 0 => 0,
+            Div if signed => sa.wrapping_div(sb) as u64,
+            Div => ua.checked_div(ub).unwrap_or(0),
+            Rem if signed => sa.wrapping_rem(sb) as u64,
+            Rem => ua.checked_rem(ub).unwrap_or(0),
+            And => ua & ub,
+            Or => ua | ub,
+            Xor => ua ^ ub,
+            Shl => {
+                let sh = (ub & 0xFFFF_FFFF) as u32;
+                if sh >= width_bits {
+                    0
+                } else {
+                    ua << sh
+                }
+            }
+            Shr => {
+                let sh = (ub & 0xFFFF_FFFF) as u32;
+                match (signed, sh >= width_bits) {
+                    (true, true) => (sa >> 63) as u64,
+                    (true, false) => (sa >> sh) as u64,
+                    (false, true) => 0,
+                    (false, false) => ua >> sh,
+                }
+            }
+            Min if signed => sa.min(sb) as u64,
+            Min => ua.min(ub),
+            Max if signed => sa.max(sb) as u64,
+            Max => ua.max(ub),
+        };
+        truncate_to(ty, r)
+    }
+
+    const BIN_KINDS: [BinKind; 13] = {
+        use BinKind::*;
+        [
+            Add, Sub, MulLo, MulHi, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max,
+        ]
+    };
+
+    const INT_TYPES: [Type; 12] = {
+        use Type::*;
+        [B8, B16, B32, B64, U8, U16, U32, U64, S8, S16, S32, S64]
+    };
+
+    /// An operand of `ty`'s width: 0, 1, 2, -1, the signed minimum and
+    /// maximum, or `raw`; with `garbage` above the width when `dirty`.
+    fn edge_operand(ty: Type, pick: u8, raw: u64, dirty: bool, garbage: u64) -> u64 {
+        let mask = crate::compile::truncate_to(ty, u64::MAX);
+        let smin = 1u64 << (ty.size() * 8 - 1);
+        let low = match pick {
+            0 => 0,
+            1 => 1,
+            2 => 2,
+            3 => mask,
+            4 => smin,
+            5 => smin - 1,
+            _ => raw & mask,
+        };
+        if dirty {
+            low | (garbage & !mask)
+        } else {
+            low
+        }
+    }
+
+    fn alu_matches_reference(ops: [(u8, u64, bool, u64); 2]) {
+        let [(pa, ra, da, ga), (pb, rb, db, gb)] = ops;
+        for ty in INT_TYPES {
+            let a = edge_operand(ty, pa, ra, da, ga);
+            let b = edge_operand(ty, pb, rb, db, gb);
+            for kind in BIN_KINDS {
+                assert_eq!(
+                    binary(kind, ty, a, b),
+                    reference_integer_binary(kind, ty, a, b),
+                    "{kind:?}.{ty:?} {a:#x}, {b:#x}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn integer_fast_path_matches_the_full_semantics(
+            a in (0u8..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<bool>(), proptest::prelude::any::<u64>()),
+            b in (0u8..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<bool>(), proptest::prelude::any::<u64>()),
+        ) {
+            alu_matches_reference([a, b]);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1_000_000))]
+
+        #[test]
+        #[ignore = "nightly budget"]
+        fn alu_equiv_nightly(
+            a in (0u8..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<bool>(), proptest::prelude::any::<u64>()),
+            b in (0u8..8, proptest::prelude::any::<u64>(), proptest::prelude::any::<bool>(), proptest::prelude::any::<u64>()),
+        ) {
+            alu_matches_reference([a, b]);
         }
     }
 }

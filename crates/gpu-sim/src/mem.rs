@@ -74,18 +74,36 @@ impl Dram {
         self.pages[idx].as_mut().expect("just populated")
     }
 
+    /// The DRAM offset of `[addr, addr + len)`, once the whole range is
+    /// known to lie in DRAM (a `len` that wraps the address space does not).
+    fn range_offset(&self, addr: u64, len: u64) -> Result<u64, Fault> {
+        let off = self.offset_of(addr)?;
+        match off.checked_add(len) {
+            Some(end) if end <= self.capacity => Ok(off),
+            _ => Err(Fault::Unmapped {
+                addr: addr.wrapping_add(len),
+            }),
+        }
+    }
+
+    /// The page and in-page offset of a `size`-byte scalar at `addr`, when
+    /// it lies inside one page of DRAM.
+    #[inline(always)]
+    fn scalar_slot(&self, addr: u64, size: usize) -> Option<(usize, usize)> {
+        let off = addr.checked_sub(DEVICE_BASE)?;
+        let in_page = (off % PAGE_SIZE) as usize;
+        // Capacity is whole pages, so a scalar in one page ends inside it.
+        (off < self.capacity && in_page + size <= PAGE_SIZE as usize)
+            .then_some(((off / PAGE_SIZE) as usize, in_page))
+    }
+
     /// Read bytes at a device virtual address.
     ///
     /// # Errors
     ///
     /// Returns [`Fault::Unmapped`] if the range exceeds DRAM.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), Fault> {
-        let off = self.offset_of(addr)?;
-        if off + buf.len() as u64 > self.capacity {
-            return Err(Fault::Unmapped {
-                addr: addr + buf.len() as u64,
-            });
-        }
+        let off = self.range_offset(addr, buf.len() as u64)?;
         let mut pos = 0usize;
         while pos < buf.len() {
             let cur = off + pos as u64;
@@ -109,13 +127,8 @@ impl Dram {
     /// Returns [`Fault::Unmapped`] if the range exceeds DRAM; `out` is
     /// then left as it was.
     pub fn read_append(&self, addr: u64, len: u64, out: &mut Vec<u8>) -> Result<(), Fault> {
-        let off = self.offset_of(addr)?;
-        let end = off
-            .checked_add(len)
-            .filter(|&end| end <= self.capacity)
-            .ok_or(Fault::Unmapped {
-                addr: addr.wrapping_add(len),
-            })?;
+        let off = self.range_offset(addr, len)?;
+        let end = off + len;
         out.reserve(len as usize);
         let mut cur = off;
         while cur < end {
@@ -137,12 +150,7 @@ impl Dram {
     ///
     /// Returns [`Fault::Unmapped`] if the range exceeds DRAM.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), Fault> {
-        let off = self.offset_of(addr)?;
-        if off + data.len() as u64 > self.capacity {
-            return Err(Fault::Unmapped {
-                addr: addr + data.len() as u64,
-            });
-        }
+        let off = self.range_offset(addr, data.len() as u64)?;
         let mut pos = 0usize;
         while pos < data.len() {
             let cur = off + pos as u64;
@@ -161,10 +169,7 @@ impl Dram {
     ///
     /// Returns [`Fault::Unmapped`] if the range exceeds DRAM.
     pub fn fill(&mut self, addr: u64, byte: u8, len: u64) -> Result<(), Fault> {
-        let off = self.offset_of(addr)?;
-        if off + len > self.capacity {
-            return Err(Fault::Unmapped { addr: addr + len });
-        }
+        let off = self.range_offset(addr, len)?;
         let mut pos = 0u64;
         while pos < len {
             let cur = off + pos;
@@ -186,7 +191,14 @@ impl Dram {
     pub fn read_scalar(&self, addr: u64, size: usize) -> Result<u64, Fault> {
         debug_assert!(size <= 8);
         let mut buf = [0u8; 8];
-        self.read(addr, &mut buf[..size])?;
+        match self.scalar_slot(addr, size) {
+            Some((page, at)) => {
+                if let Some(p) = &self.pages[page] {
+                    buf[..size].copy_from_slice(&p[at..at + size]);
+                }
+            }
+            None => self.read(addr, &mut buf[..size])?,
+        }
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -198,7 +210,29 @@ impl Dram {
     pub fn write_scalar(&mut self, addr: u64, size: usize, bits: u64) -> Result<(), Fault> {
         debug_assert!(size <= 8);
         let bytes = bits.to_le_bytes();
-        self.write(addr, &bytes[..size])
+        match self.scalar_slot(addr, size) {
+            Some((page, at)) => {
+                self.page_mut(page)[at..at + size].copy_from_slice(&bytes[..size]);
+                Ok(())
+            }
+            None => self.write(addr, &bytes[..size]),
+        }
+    }
+
+    /// Copy `len` bytes from `src` to `dst` (cudaMemcpy device to device),
+    /// as if through a buffer, so overlapping ranges copy the source as it
+    /// was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Fault::Unmapped`] if either range exceeds DRAM, the source
+    /// checked first; nothing is allocated or written before both pass.
+    pub fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Fault> {
+        self.range_offset(src, len)?;
+        self.range_offset(dst, len)?;
+        let mut buf = vec![0u8; len as usize];
+        self.read(src, &mut buf)?;
+        self.write(dst, &buf)
     }
 
     /// Number of resident (touched) pages — used by memory-footprint
@@ -404,6 +438,63 @@ mod tests {
             0xAB
         );
         assert_eq!(d.read_scalar(DEVICE_BASE + 10 + PAGE_SIZE, 1).unwrap(), 0);
+    }
+
+    #[test]
+    fn ranges_that_wrap_or_overrun_fault_without_touching_a_page() {
+        let mut d = Dram::new(PAGE_SIZE);
+        let at = DEVICE_BASE + 64;
+        for len in [u64::MAX - 4096, u64::MAX, PAGE_SIZE, 1 << 40] {
+            let fault = Err(Fault::Unmapped {
+                addr: at.wrapping_add(len),
+            });
+            assert_eq!(d.fill(at, 7, len), fault, "fill {len:#x}");
+            let from = Err(Fault::Unmapped {
+                addr: (at + 64).wrapping_add(len),
+            });
+            assert_eq!(d.copy(at, at + 64, len), from, "copy from {len:#x}");
+            // A source in range does not license the destination.
+            let len = len.min(PAGE_SIZE);
+            let to = Err(Fault::Unmapped {
+                addr: at + 64 + len,
+            });
+            assert_eq!(d.copy(at + 64, DEVICE_BASE, len), to, "copy to");
+        }
+        assert_eq!(d.resident_pages(), 0);
+        // In range, an overlapping copy moves the source as it was.
+        d.write(at, &[1, 2, 3, 4]).unwrap();
+        d.copy(at + 1, at, 4).unwrap();
+        assert_eq!(d.read_scalar(at, 8).unwrap(), 0x04_0302_0101);
+    }
+
+    #[test]
+    fn scalar_fast_path_agrees_with_the_range_path() {
+        let mut d = Dram::new(2 * PAGE_SIZE);
+        let end = DEVICE_BASE + 2 * PAGE_SIZE;
+        let addrs = [
+            DEVICE_BASE - 4,
+            DEVICE_BASE,
+            DEVICE_BASE + PAGE_SIZE - 8,
+            DEVICE_BASE + PAGE_SIZE - 3,
+            end - 8,
+            end - 3,
+            end,
+            u64::MAX - 2,
+        ];
+        for (i, addr) in addrs.into_iter().enumerate() {
+            for size in [1, 2, 4, 8] {
+                let bits = 0x0102_0304_0506_0708u64.wrapping_mul(i as u64 + 1);
+                let wrote = d.write_scalar(addr, size, bits);
+                let mut want = [0u8; 8];
+                let read = d.read(addr, &mut want[..size]);
+                assert_eq!(wrote, read, "{addr:#x}/{size}");
+                assert_eq!(
+                    d.read_scalar(addr, size),
+                    read.map(|()| u64::from_le_bytes(want)),
+                    "{addr:#x}/{size}"
+                );
+            }
+        }
     }
 
     #[test]
