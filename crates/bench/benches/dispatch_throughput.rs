@@ -1,21 +1,17 @@
-//! Dispatch throughput: launches/sec vs tenant count, across dispatch
-//! modes *and* transports.
+//! Dispatch throughput: launches/sec vs tenant count, across launch
+//! acks, transports, device sets and tenant scale.
 //!
-//! The old grdManager drained every tenant's every call through one
-//! serial queue; the split dispatch core executes data-plane operations
-//! concurrently across tenants. This bench quantifies the difference and
-//! emits `BENCH_dispatch.json` so CI can track dispatch regressions.
+//! The split dispatch core executes data-plane operations concurrently
+//! across tenants. This bench measures its rate and emits
+//! `BENCH_dispatch.json` so CI can track dispatch regressions.
 //!
-//! Two sweeps per tenant count:
+//! Sweeps:
 //!
-//! * **dispatch modes** (in-process channel transport):
-//!   - `serial`      — [`DispatchMode::Serial`], eager launch acks (the
-//!     old single-queue core, kept as the lockstep-deterministic
-//!     baseline);
-//!   - `concurrent`  — [`DispatchMode::Concurrent`], eager acks;
-//!   - `concurrent+deferred` — concurrent data plane with one-way launch
-//!     frames ([`LaunchAck::Deferred`]): true async enqueue, errors
-//!     surface at sync.
+//! * **launch acks** (in-process channel transport):
+//!   - `concurrent`  — eager acks: a launch returns once enqueued;
+//!   - `concurrent+deferred` — one-way launch frames
+//!     ([`LaunchAck::Deferred`]): true async enqueue, errors surface at
+//!     sync.
 //!
 //! * **transports** (deferred launches, the transport-bound hot path):
 //!   `channel` vs `uds` vs `shm`. Tenant threads stay in-process but
@@ -30,13 +26,10 @@
 //!   aggregate deferred-launch rate must *scale*: the bench hard-fails
 //!   if 2 GPUs fall measurably behind 1 GPU at 8 tenants.
 //!
-//! * **session drivers** (deferred launches, uds transport): 64–256
-//!   tenants under the event-pool executor vs the thread-per-session
-//!   baseline. The executor's case is exactly this regime — hundreds of
-//!   mostly-idle sessions multiplexed onto ~cores pollers instead of
-//!   hundreds of parked OS threads — so the bench hard-fails if the
-//!   event pool stops keeping pace with thread-per-session at 64
-//!   tenants.
+//! * **tenant scale** (deferred launches, uds transport): 64–256
+//!   tenants on the event-pool executor — hundreds of mostly-idle
+//!   sessions multiplexed onto ~cores pollers. The bench hard-fails if
+//!   the 256-tenant rate falls off a cliff against the 64-tenant rate.
 //!
 //! * **control-plane hooks** (deferred launches, 64 tenants, uds): the
 //!   64-tenant event-pool point re-measured with the node control plane
@@ -63,8 +56,8 @@ use gpu_sim::LaunchConfig;
 use guardian::telemetry::{HistSnapshot, OpClass};
 use guardian::transport::UidPolicy;
 use guardian::{
-    spawn_manager_multi, Admission, BoundTransport, DispatchMode, GrdLib, LaunchAck, LeaseSpec,
-    ManagerConfig, QosClass, SessionDriver,
+    spawn_manager_multi, Admission, BoundTransport, GrdLib, LaunchAck, LeaseSpec, ManagerConfig,
+    QosClass,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,20 +74,25 @@ const TENANT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const GPU_COUNTS: [usize; 3] = [1, 2, 4];
 /// Tenant count for the multi-GPU scaling sweep (and its CI gate).
 const GPU_SWEEP_TENANTS: usize = 8;
-/// Tenant counts for the session-driver scaling sweep. Fewer launches
+/// Tenant counts for the tenant-scale sweep. Fewer launches
 /// per tenant than the main sweeps: the point is many concurrent mostly
 /// idle sessions, not per-session depth — and 256 × 1000 would dominate
 /// the bench's wall clock.
 const SCALE_TENANT_COUNTS: [usize; 3] = [64, 128, 256];
 const SCALE_LAUNCHES: usize = 500;
-/// Tenant count the event-pool-vs-threads CI gate is evaluated at —
-/// also where the control-plane-hooks gate runs (the accept loop and
+/// Base tenant count of the 256-tenant cliff gate — also where the
+/// control-plane-hooks and telemetry gates run (the accept loop and
 /// drain path are busiest there, so hook cost is least hideable).
 const SCALE_GATE_TENANTS: usize = 64;
 /// Noise floor for rate-vs-rate CI gates: "A must keep pace with B"
 /// flips on sub-permille scheduler noise when asserted strictly, so a
 /// measured-equal pair passes and only a real regression (>3%) fails.
 const GATE_NOISE_FLOOR: f64 = 0.97;
+/// Floor for the event pool's 256-tenant rate against its own 64-tenant
+/// rate. The cliff this guards against was 7× (2.6k vs 18.2k
+/// launches/s); a healthy pool measures ≈ 0.97. Half is far outside
+/// scheduler noise and far inside the cliff.
+const CLIFF_FLOOR: f64 = 0.5;
 /// Wider floor for the 2-vs-1 GPU gate. Historically 2 GPUs measured
 /// 1.3–1.4x because eight tenants convoyed on the single device lock
 /// and a second device relieved it; batched enqueue (one lock
@@ -185,7 +183,6 @@ fn temp_sock(tag: &str) -> PathBuf {
 fn measure(
     tenants: usize,
     gpus: usize,
-    dispatch: DispatchMode,
     ack: LaunchAck,
     mode: &'static str,
     transport: Transport,
@@ -193,12 +190,10 @@ fn measure(
     measure_with(
         tenants,
         gpus,
-        dispatch,
         ack,
         mode,
         transport,
         LAUNCHES_PER_TENANT,
-        SessionDriver::Auto,
         false,
         true,
     )
@@ -208,18 +203,16 @@ fn measure(
 fn measure_with(
     tenants: usize,
     gpus: usize,
-    dispatch: DispatchMode,
     ack: LaunchAck,
     mode: &'static str,
     transport: Transport,
     launches: usize,
-    driver: SessionDriver,
     control: bool,
     telemetry: bool,
 ) -> Row {
     // The stock 64 MiB test GPU pools at most 16 MiB by default (half of
     // free memory, floored to a power of two — the context's scratch
-    // allocation costs a whole doubling); the 64–256-tenant driver sweep
+    // allocation costs a whole doubling); the 64–256-tenant scale sweep
     // holds a 2 MiB partition per tenant simultaneously, so it sizes the
     // device and pool explicitly (DRAM is paged lazily, so a bigger
     // simulated device is free). Tenant counts ≤ 16 keep the stock
@@ -243,9 +236,7 @@ fn measure_with(
     // shed — the point is hook *cost*, not hook *effect*.
     let admission = control.then(|| std::sync::Arc::new(Admission::new(1_000_000.0, 1_000_000)));
     let config = ManagerConfig {
-        dispatch,
         launch_ack: ack,
-        session_driver: driver,
         pool_bytes,
         lease_default: control
             .then(|| LeaseSpec::parse("mem=16M,streams=4,ttl=30m").expect("bench lease")),
@@ -350,9 +341,7 @@ fn qos_scenario(qos: &'static str, qos_on: bool, prio_active: bool) -> QosArm {
         .collect();
     let fb = stress_fatbin();
     let config = ManagerConfig {
-        dispatch: DispatchMode::Concurrent,
         launch_ack: LaunchAck::Deferred,
-        session_driver: SessionDriver::EventPool { workers: 0 },
         pool_bytes: Some(64 << 20),
         qos_inflight_budget: if qos_on { QOS_BUDGET } else { u64::MAX },
         ..ManagerConfig::default()
@@ -560,20 +549,11 @@ fn main() {
         return;
     }
     let mut rows = Vec::new();
-    // Sweep 1: dispatch modes over the in-process channel transport.
+    // Sweep 1: launch acks over the in-process channel transport.
     for tenants in TENANT_COUNTS {
         rows.push(measure(
             tenants,
             1,
-            DispatchMode::Serial,
-            LaunchAck::Eager,
-            "serial",
-            Transport::Channel,
-        ));
-        rows.push(measure(
-            tenants,
-            1,
-            DispatchMode::Concurrent,
             LaunchAck::Eager,
             "concurrent",
             Transport::Channel,
@@ -581,7 +561,6 @@ fn main() {
         rows.push(measure(
             tenants,
             1,
-            DispatchMode::Concurrent,
             LaunchAck::Deferred,
             "concurrent+deferred",
             Transport::Channel,
@@ -599,7 +578,6 @@ fn main() {
                     measure(
                         tenants,
                         1,
-                        DispatchMode::Concurrent,
                         LaunchAck::Deferred,
                         "concurrent+deferred",
                         transport,
@@ -622,7 +600,6 @@ fn main() {
             let row = measure(
                 GPU_SWEEP_TENANTS,
                 gpus,
-                DispatchMode::Concurrent,
                 LaunchAck::Deferred,
                 "concurrent+deferred",
                 Transport::Channel,
@@ -636,34 +613,26 @@ fn main() {
         }
     }
     rows.extend(gpu_rows.into_iter().map(|r| r.expect("three rounds")));
-    // Sweep 4: session-driver scaling — 64/128/256 tenants over uds,
-    // deferred launches, event-pool executor vs thread-per-session.
-    // Best-of-three: the event-vs-threads gate below compares two timing
-    // measurements directly.
+    // Sweep 4: tenant scale — 64/128/256 tenants over uds on the event
+    // pool, deferred launches. Best-of-three: the cliff gate below
+    // compares two timing measurements directly.
     for tenants in SCALE_TENANT_COUNTS {
-        for (driver, mode) in [
-            (SessionDriver::EventPool { workers: 0 }, "deferred+event"),
-            (SessionDriver::ThreadPerSession, "deferred+threads"),
-        ] {
-            let row = (0..3)
-                .map(|_| {
-                    measure_with(
-                        tenants,
-                        1,
-                        DispatchMode::Concurrent,
-                        LaunchAck::Deferred,
-                        mode,
-                        Transport::Uds,
-                        SCALE_LAUNCHES,
-                        driver,
-                        false,
-                        true,
-                    )
-                })
-                .min_by(|a, b| a.elapsed_ms.total_cmp(&b.elapsed_ms))
-                .expect("three runs");
-            rows.push(row);
-        }
+        let row = (0..3)
+            .map(|_| {
+                measure_with(
+                    tenants,
+                    1,
+                    LaunchAck::Deferred,
+                    "deferred+event",
+                    Transport::Uds,
+                    SCALE_LAUNCHES,
+                    false,
+                    true,
+                )
+            })
+            .min_by(|a, b| a.elapsed_ms.total_cmp(&b.elapsed_ms))
+            .expect("three runs");
+        rows.push(row);
     }
     // Sweep 5: control-plane hook cost — the 64-tenant event-pool point
     // with leases, admission metering, and usage accounting engaged.
@@ -677,7 +646,6 @@ fn main() {
         measure_with(
             SCALE_GATE_TENANTS,
             1,
-            DispatchMode::Concurrent,
             LaunchAck::Deferred,
             if control {
                 "deferred+event+leased"
@@ -686,7 +654,6 @@ fn main() {
             },
             Transport::Uds,
             SCALE_LAUNCHES,
-            SessionDriver::EventPool { workers: 0 },
             control,
             true,
         )
@@ -712,7 +679,6 @@ fn main() {
         measure_with(
             SCALE_GATE_TENANTS,
             1,
-            DispatchMode::Concurrent,
             LaunchAck::Deferred,
             if telemetry {
                 "deferred+event+telemetry"
@@ -721,7 +687,6 @@ fn main() {
             },
             Transport::Uds,
             SCALE_LAUNCHES,
-            SessionDriver::EventPool { workers: 0 },
             false,
             telemetry,
         )
@@ -828,18 +793,11 @@ fn main() {
     std::fs::write(&out, &json).expect("write BENCH_dispatch.json");
     println!("\nwrote {}", out.display());
 
-    // Sanity witnesses (hard failures, so CI catches dispatch
-    // regressions): the serial gate must fully serialize, and the
-    // concurrent data plane must demonstrably overlap with 4+ tenants.
+    // Sanity witness (a hard failure, so CI catches dispatch
+    // regressions): the data plane must demonstrably overlap with 4+
+    // tenants.
     for r in &rows {
-        if r.mode == "serial" {
-            assert_eq!(
-                r.max_concurrent_data_ops, 1,
-                "serial baseline overlapped at {} tenants",
-                r.tenants
-            );
-        }
-        if r.mode != "serial" && r.tenants >= 4 && r.transport == "channel" {
+        if r.tenants >= 4 && r.transport == "channel" {
             assert!(
                 r.max_concurrent_data_ops >= 2,
                 "concurrent dispatch never overlapped at {} tenants",
@@ -927,53 +885,33 @@ fn main() {
          measurably behind 1-GPU ({one:.0}/s) at {GPU_SWEEP_TENANTS} tenants"
     );
 
-    // Session-driver witness: at 64 tenants over uds, the event-pool
-    // executor must keep pace with the thread-per-session baseline —
-    // multiplexing hundreds of sessions onto ~cores pollers is only
-    // worth shipping if it does not tax the very regime it exists for.
+    // The 256-tenant cliff: the event pool once served 256 tenants at
+    // 2.6k launches/s against 18.2k at 64 — per-frame wakeup, re-arm,
+    // and device-lock costs compounding where the executor should shine
+    // brightest. Batched drains (one device-lock acquisition and one
+    // re-arm per burst) are what fixed it; this gate keeps the cliff
+    // from coming back.
     let rate_at = |tenants: usize, mode: &str| -> f64 {
         rows.iter()
             .filter(|r| r.tenants == tenants && r.mode == mode)
             .map(|r| r.launches_per_sec)
             .next()
-            .expect("driver sweep row")
+            .expect("scale sweep row")
     };
-    let driver_rate = |mode: &str| -> f64 { rate_at(SCALE_GATE_TENANTS, mode) };
-    let (event, threads) = (
-        driver_rate("deferred+event"),
-        driver_rate("deferred+threads"),
-    );
-    println!(
-        "session-driver scaling at {SCALE_GATE_TENANTS} tenants: \
-         event-pool {event:.0}/s vs thread-per-session {threads:.0}/s ({:.2}x)",
-        event / threads
-    );
-    gate!(
-        event >= GATE_NOISE_FLOOR * threads,
-        "event-pool executor fell behind thread-per-session at \
-         {SCALE_GATE_TENANTS} tenants: {event:.0}/s < {threads:.0}/s"
-    );
-
-    // The 256-tenant cliff: with tenants at 4× the 64-tenant gate, the
-    // event pool historically fell ~14% *behind* thread-per-session —
-    // per-frame wakeup, re-arm, and device-lock costs compounding where
-    // the executor should shine brightest. Batched drains (one
-    // device-lock acquisition and one re-arm per burst) are what fixed
-    // it; this gate keeps the cliff from coming back.
     let heavy = SCALE_TENANT_COUNTS[SCALE_TENANT_COUNTS.len() - 1];
-    let (event_h, threads_h) = (
+    let (base, heavy_rate) = (
+        rate_at(SCALE_GATE_TENANTS, "deferred+event"),
         rate_at(heavy, "deferred+event"),
-        rate_at(heavy, "deferred+threads"),
     );
     println!(
-        "session-driver scaling at {heavy} tenants: \
-         event-pool {event_h:.0}/s vs thread-per-session {threads_h:.0}/s ({:.2}x)",
-        event_h / threads_h
+        "event-pool scaling: {heavy} tenants {heavy_rate:.0}/s vs \
+         {SCALE_GATE_TENANTS} tenants {base:.0}/s ({:.2}x)",
+        heavy_rate / base
     );
     gate!(
-        event_h >= GATE_NOISE_FLOOR * threads_h,
-        "event-pool executor fell behind thread-per-session at \
-         {heavy} tenants: {event_h:.0}/s < {threads_h:.0}/s"
+        heavy_rate >= CLIFF_FLOOR * base,
+        "event pool fell off a cliff at {heavy} tenants: {heavy_rate:.0}/s < \
+         {CLIFF_FLOOR} x {base:.0}/s at {SCALE_GATE_TENANTS} tenants"
     );
 
     // Control-plane witness: at 64 tenants, the fully engaged control
@@ -984,7 +922,7 @@ fn main() {
     // control thread and per-batch counters are a handful of relaxed
     // atomics — if this gate trips, a hook leaked into the per-frame
     // hot path.
-    let leased_rate = driver_rate("deferred+event+leased");
+    let leased_rate = rate_at(SCALE_GATE_TENANTS, "deferred+event+leased");
     println!(
         "control-plane hooks at {SCALE_GATE_TENANTS} tenants: \
          leased {leased_rate:.0}/s vs unleased {hooks_baseline_rate:.0}/s ({:.2}x)",

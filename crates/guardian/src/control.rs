@@ -85,7 +85,7 @@ impl QosClass {
         }
     }
 
-    /// Wire form: 1 = latency, 0 = besteffort (the proto-v4 default).
+    /// Wire form: 1 = latency, 0 = besteffort.
     pub fn to_wire(self) -> u8 {
         match self {
             QosClass::Latency => 1,
@@ -94,7 +94,7 @@ impl QosClass {
     }
 
     /// Inverse of [`QosClass::to_wire`]; unknown values decode as
-    /// best-effort so an old peer can never grant priority by accident.
+    /// best-effort so a hostile peer can never grant priority by accident.
     pub fn from_wire(v: u8) -> Self {
         if v == 1 {
             QosClass::Latency

@@ -5,8 +5,8 @@
 //! thread, which stops scaling once tenants outnumber cores: hundreds of
 //! mostly-idle session threads cost stacks, scheduler churn, and wakeup
 //! latency. Here sessions stop being threads and become state machines
-//! ([`SessionCtx`]) attached to **cells**; N workers (one per core by
-//! default) sleep in `epoll_wait` and pump whichever cells have traffic.
+//! ([`SessionCtx`]) attached to **cells**; N workers (one per core)
+//! sleep in `epoll_wait` and pump whichever cells have traffic.
 //!
 //! Each cell owns its connection, its session state, and the fd set it
 //! has registered (a Unix socket; for shared-memory rings the doorbell
@@ -26,14 +26,14 @@
 //! ([`Connection::send_batch`]) — the server-side half of the frame
 //! batching that the client library applies to its deferred launches.
 //!
-//! A connection that reports no readiness fds (`event_fds` comes back
-//! empty — no transport in the tree does once adopted: a uds session
-//! polls its socket, and a shm session its handshake socket, then its
-//! doorbell) is **demoted** to a dedicated blocking thread, the
-//! pre-executor behaviour. Its cell stays in the map until the thread
-//! exits so shutdown still accounts for it.
+//! Every adopted connection polls at least one fd: a uds session its
+//! socket, a shm session its handshake socket, then its doorbell. The
+//! one connection that reports none — a shm server whose handshake was
+//! refused, and whose `recv` already says `Disconnected` — is torn down
+//! like any other closed cell. The fd-less in-process channel never
+//! reaches the pool; the acceptor gives it a thread.
 
-use crate::session::{self, SessionCtx, Step};
+use crate::session::{SessionCtx, Step};
 use crate::telemetry::ExecGauges;
 use crate::transport::sys::{self, Epoll, OwnedFd};
 use crate::transport::Connection;
@@ -84,8 +84,8 @@ struct CellState {
 
 struct Cell {
     id: u64,
-    /// `None` once the state moved out — to a demotion thread, or into
-    /// teardown. Stale epoll events then find nothing to do.
+    /// `None` once the state moved into teardown. Stale epoll events
+    /// then find nothing to do.
     state: Mutex<Option<CellState>>,
     /// Set by every event before trying the state lock; cleared by the
     /// draining worker before each pump. A set flag after a drain means
@@ -127,8 +127,6 @@ struct PoolInner {
     /// Notified when the last cell is removed; `shutdown` waits on it.
     idle: Condvar,
     next_id: AtomicU64,
-    /// Threads owning demoted sessions; joined at shutdown.
-    demoted: Mutex<Vec<JoinHandle<()>>>,
     /// Park/wake/re-arm counters, shared with the control plane's
     /// `/metrics` rendering.
     gauges: Arc<ExecGauges>,
@@ -142,15 +140,11 @@ pub(crate) struct EventPool {
 }
 
 impl EventPool {
-    /// Start `workers` pump threads (`0` = one per available core).
-    pub(crate) fn new(workers: usize, gauges: Arc<ExecGauges>) -> Self {
-        let n = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        } else {
-            workers
-        };
+    /// Start one pump thread per available core.
+    pub(crate) fn new(gauges: Arc<ExecGauges>) -> Self {
+        let n = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4);
         let epoll = Epoll::new().expect("create executor epoll");
         let shutdown_bell = sys::eventfd_new().expect("create executor shutdown eventfd");
         epoll
@@ -163,7 +157,6 @@ impl EventPool {
             cells: Mutex::new(HashMap::new()),
             idle: Condvar::new(),
             next_id: AtomicU64::new(1),
-            demoted: Mutex::new(Vec::new()),
             gauges,
         });
         let workers = (0..n)
@@ -195,9 +188,9 @@ impl EventPool {
         });
         self.inner.cells.lock().unwrap().insert(id, cell.clone());
         if fds.is_empty() {
-            // Nothing pollable at all: straight to a dedicated thread.
+            // Nothing pollable: the connection is already refused.
             let st = cell.state.lock().unwrap().take().expect("fresh cell");
-            demote(&self.inner, &cell, st);
+            remove_cell(&self.inner, &cell, st);
             return;
         }
         // Register only after the map insertion so a worker woken by an
@@ -206,8 +199,8 @@ impl EventPool {
     }
 
     /// Wait for every session to finish — clients dropping their
-    /// connections is what ends sessions, exactly the contract the
-    /// thread-per-session acceptor had by joining each session thread —
+    /// connections is what ends sessions, the same contract the
+    /// acceptor keeps for channel sessions by joining their threads —
     /// then stop and join the workers.
     pub(crate) fn shutdown(self) {
         {
@@ -220,10 +213,6 @@ impl EventPool {
         sys::eventfd_signal(self.inner.shutdown_bell.raw());
         for w in self.workers {
             let _ = w.join();
-        }
-        let demoted = std::mem::take(&mut *self.inner.demoted.lock().unwrap());
-        for t in demoted {
-            let _ = t.join();
         }
     }
 }
@@ -315,7 +304,7 @@ fn service_cell(inner: &Arc<PoolInner>, cell: &Arc<Cell>) -> Option<Arc<Cell>> {
         };
         cell.dirty.store(false, Ordering::SeqCst);
         let Some(st) = guard.as_mut() else {
-            // Demoted or mid-teardown: nothing will drain here again.
+            // Mid-teardown: nothing will drain here again.
             latency_window_close(inner, cell);
             return None;
         };
@@ -326,19 +315,13 @@ fn service_cell(inner: &Arc<PoolInner>, cell: &Arc<Cell>) -> Option<Arc<Cell>> {
         cell.is_latency
             .store(st.ctx.qos_is_latency(), Ordering::SeqCst);
         latency_window_close(inner, cell);
-        if outcome.closed {
+        // Re-query the fd set: a shm session's doorbell only exists
+        // after its deferred handshake, and a refused one has none.
+        let fds = st.conn.event_fds();
+        if outcome.closed || fds.is_empty() {
             let st = guard.take().expect("state present");
             drop(guard);
             remove_cell(inner, cell, st);
-            return None;
-        }
-        // Re-query the fd set: a shm session's doorbell only exists
-        // after its deferred handshake.
-        let fds = st.conn.event_fds();
-        if fds.is_empty() {
-            let st = guard.take().expect("state present");
-            drop(guard);
-            demote(inner, cell, st);
             return None;
         }
         rearm_cell(inner, cell, &fds);
@@ -509,27 +492,4 @@ fn remove_cell(inner: &PoolInner, cell: &Cell, mut st: CellState) {
     if cells.is_empty() {
         inner.idle.notify_all();
     }
-}
-
-/// Move a session onto its own blocking thread (the pre-executor
-/// behaviour) when its connection cannot signal readiness through fds.
-fn demote(inner: &Arc<PoolInner>, cell: &Cell, st: CellState) {
-    for fd in cell.registered.lock().unwrap().drain(..) {
-        inner.epoll.del(fd);
-    }
-    let pool = inner.clone();
-    let id = cell.id;
-    let join = std::thread::Builder::new()
-        .name("grdSession".into())
-        .spawn(move || {
-            let CellState { conn, ctx } = st;
-            session::run_session(conn, ctx);
-            let mut cells = pool.cells.lock().unwrap();
-            cells.remove(&id);
-            if cells.is_empty() {
-                pool.idle.notify_all();
-            }
-        })
-        .expect("spawn grdSession thread");
-    inner.demoted.lock().unwrap().push(join);
 }

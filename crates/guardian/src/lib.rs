@@ -13,7 +13,9 @@
 //! * [`proto`] — the wire protocol: typed request/response messages that
 //!   serialize to self-contained byte frames (no channels or closures
 //!   inside messages), so the tenant boundary could genuinely be a socket
-//!   or shared-memory ring.
+//!   or shared-memory ring. There is one wire version,
+//!   [`proto::PROTO_VERSION`]; a frame of any other version is refused
+//!   as malformed.
 //! * [`transport`] — how frames travel: `Connection`/`Listener`/`Dialer`
 //!   traits with three implementations — in-process channels, Unix domain
 //!   sockets ([`transport::uds`]), and shared-memory rings
@@ -29,9 +31,12 @@
 //!   malloc/free, live partition **migration** between GPUs, and a
 //!   one-step rebalancer. A one-device set is exactly the single-GPU
 //!   manager.
-//! * `session` (internal) — the **data plane**: one session thread per
-//!   tenant executing transfers, launches, syncs, and events concurrently
-//!   across tenants against read-mostly shared state; checks every host
+//! * `session` (internal) — the **data plane**: one session per tenant
+//!   executing transfers, launches, syncs, and events concurrently
+//!   across tenants against read-mostly shared state. A socket or shm
+//!   session is a cell in the epoll executor pool (`exec`, internal,
+//!   one worker per core); an in-process channel session, having no fd
+//!   to poll, runs on its own thread. A session checks every host
 //!   transfer against the partition bounds, swaps launches for sandboxed
 //!   kernels with the caller's bounds appended, and issues on the
 //!   tenant's stream of its **bound GPU** (ops hold the binding read
@@ -101,9 +106,8 @@ pub use backends::{deploy, Capabilities, Deployment, MpsClient, Tenancy};
 pub use control::{Admission, ControlPlane, LeaseSpec, QosClass};
 pub use grdlib::GrdLib;
 pub use manager::{
-    spawn_manager, spawn_manager_multi, spawn_manager_over, ClientId, DispatchMode,
-    InterceptionStats, LaunchAck, LaunchStats, LogLevel, ManagerConfig, ManagerHandle,
-    SessionDriver,
+    spawn_manager, spawn_manager_multi, spawn_manager_over, ClientId, InterceptionStats, LaunchAck,
+    LaunchStats, LogLevel, ManagerConfig, ManagerHandle,
 };
 pub use placement::{Affinity, PlacementHint, PlacementPolicy};
 pub use ptx_patcher::Protection;

@@ -20,7 +20,7 @@
 //! Out-of-bounds detection terminates — only — the offending tenant,
 //! regardless of which session observes the fault.
 
-use crate::alloc::{PartitionAllocator, RegionAllocator};
+use crate::alloc::{PartitionAllocator, RegionAllocator, MIN_PARTITION};
 use crate::control::{Admission, ControlPlane, LeaseSpec, QosClass, TenantCounters};
 use crate::placement::{choose_device, DeviceLoad, PlacementError, PlacementHint, PlacementPolicy};
 use crate::proto::{AdminRequest, AdminResponse};
@@ -184,39 +184,6 @@ impl LaunchStatsAtomic {
     }
 }
 
-/// How data-plane operations are scheduled across tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// One data-plane op at a time, globally — the old single-threaded
-    /// dispatch core. Kept as the measurable baseline.
-    Serial,
-    /// Sessions of different tenants execute data-plane ops concurrently.
-    #[default]
-    Concurrent,
-}
-
-/// How data-plane sessions are driven on the server side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SessionDriver {
-    /// Pick per dispatch mode: [`DispatchMode::Serial`] keeps one OS
-    /// thread per session (the lockstep-deterministic baseline),
-    /// [`DispatchMode::Concurrent`] uses the event pool.
-    #[default]
-    Auto,
-    /// One OS thread per connection — the original data plane. Simple
-    /// and fair at small tenant counts; stops scaling once tenants far
-    /// outnumber cores.
-    ThreadPerSession,
-    /// A small epoll-driven executor pool multiplexing every
-    /// event-capable connection (Unix sockets, doorbell shm rings);
-    /// other transports still get dedicated threads. `workers == 0`
-    /// means one worker per available core.
-    EventPool {
-        /// Pump threads to start (`0` = one per core).
-        workers: usize,
-    },
-}
-
 /// When a kernel-launch RPC is acknowledged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaunchAck {
@@ -251,16 +218,11 @@ pub struct ManagerConfig {
     /// (§4.2.3: standalone applications incur no overhead). Off by default
     /// so overhead experiments measure protection costs.
     pub native_when_standalone: bool,
-    /// Data-plane scheduling across tenants (default: concurrent).
-    pub dispatch: DispatchMode,
     /// Launch acknowledgement policy (default: eager).
     pub launch_ack: LaunchAck,
     /// How un-hinted tenants are routed across the device set (default:
     /// least-loaded pool bytes).
     pub placement: PlacementPolicy,
-    /// How sessions are driven: threads, the epoll executor pool, or
-    /// picked automatically from the dispatch mode (default).
-    pub session_driver: SessionDriver,
     /// Lease terms for uids without an explicit override (`None` =
     /// unlimited: uncapped memory, no expiry — the pre-control-plane
     /// behaviour). `guardiand --lease-default` feeds this.
@@ -322,10 +284,8 @@ impl Default for ManagerConfig {
             pool_bytes: None,
             pool_bytes_per_gpu: None,
             native_when_standalone: false,
-            dispatch: DispatchMode::default(),
             launch_ack: LaunchAck::default(),
             placement: PlacementPolicy::default(),
-            session_driver: SessionDriver::default(),
             lease_default: None,
             node_id: None,
             admission: None,
@@ -361,9 +321,8 @@ pub(crate) enum CtrlOp {
         /// socket transports; the process's own uid in-process) — the
         /// identity leases and quotas are keyed by.
         uid: u32,
-        /// QoS class the tenant *requested* (wire encoding; pre-v5
-        /// clients decode as 0 = best-effort). The grant is clamped to
-        /// the uid's lease ceiling.
+        /// QoS class the tenant *requested* (wire encoding). The grant
+        /// is clamped to the uid's lease ceiling.
         qos_request: u8,
     },
     Disconnect {
@@ -925,9 +884,8 @@ impl Control {
         // error an honest over-asker would see from the pool).
         let mut lease = self.plane.lease_for(uid);
         // QoS grant: the class the tenant asked for, clamped to the
-        // lease's ceiling. Tenants that did not ask (or pre-v5 clients,
-        // whose frames decode as best-effort) stay best-effort even
-        // under a latency-ceiling lease.
+        // lease's ceiling. Tenants that did not ask stay best-effort
+        // even under a latency-ceiling lease.
         let granted = match QosClass::from_wire(qos_request) {
             QosClass::Latency if lease.qos == QosClass::Latency => QosClass::Latency,
             _ => QosClass::BestEffort,
@@ -1182,7 +1140,7 @@ impl ManagerHandle {
     }
 
     /// High-water mark of data-plane operations executing simultaneously
-    /// across tenants (stays 1 under [`DispatchMode::Serial`]).
+    /// across tenants.
     pub fn max_concurrent_data_ops(&self) -> u32 {
         self.stats_rpc()
             .map(|s| s.max_concurrent_data_ops)
@@ -1443,8 +1401,9 @@ pub fn spawn_manager_over(
 ///
 /// # Errors
 ///
-/// As [`spawn_manager`]; additionally fails on an empty device set or a
-/// `pool_bytes_per_gpu` whose length does not match it.
+/// As [`spawn_manager`]; additionally fails on an empty device set, a
+/// `pool_bytes_per_gpu` whose length does not match it, or a configured
+/// pool size that is not a power of two of at least [`MIN_PARTITION`].
 pub fn spawn_manager_multi(
     devices: Vec<SharedDevice>,
     config: ManagerConfig,
@@ -1462,6 +1421,11 @@ pub fn spawn_manager_multi(
                 devices.len()
             )));
         }
+    }
+    match (&config.pool_bytes_per_gpu, config.pool_bytes) {
+        (Some(per), _) => per.iter().try_for_each(|&b| check_pool_bytes(b))?,
+        (None, Some(b)) => check_pool_bytes(b)?,
+        (None, None) => {}
     }
     let mut gpus = Vec::with_capacity(devices.len());
     let mut pools = Vec::with_capacity(devices.len());
@@ -1516,11 +1480,9 @@ pub fn spawn_manager_multi(
         gpus,
         protection: config.protection,
         native_when_standalone: config.native_when_standalone,
-        dispatch: config.dispatch,
         launch_ack: config.launch_ack,
         clients: RwLock::new(HashMap::new()),
         stats: LaunchStatsAtomic::default(),
-        serial_gate: Mutex::new(()),
         inflight: AtomicU32::new(0),
         max_inflight: AtomicU32::new(0),
         exec_gauges: plane.exec_gauges(),
@@ -1553,19 +1515,7 @@ pub fn spawn_manager_multi(
         .name("grdManager".into())
         .spawn(move || control.run(ctrl_rx))
         .expect("spawn grdManager thread");
-    // Resolve the automatic driver here so the acceptor gets a concrete
-    // choice: serial dispatch keeps threads (a blocked lockstep enqueue
-    // must never stall an executor worker that other sessions share,
-    // and per-session threads keep its makespans bit-for-bit
-    // reproducible); concurrent dispatch gets the executor pool.
-    let driver = match config.session_driver {
-        SessionDriver::Auto => match config.dispatch {
-            DispatchMode::Serial => SessionDriver::ThreadPerSession,
-            DispatchMode::Concurrent => SessionDriver::EventPool { workers: 0 },
-        },
-        d => d,
-    };
-    let acceptor_join = session::spawn_acceptor(listener, shared, ctrl_tx.clone(), driver);
+    let acceptor_join = session::spawn_acceptor(listener, shared, ctrl_tx.clone());
     Ok(ManagerHandle {
         inner: Arc::new(ManagerInner {
             plane,
@@ -1579,6 +1529,19 @@ pub fn spawn_manager_multi(
     })
 }
 
+/// A partition pool is one buddy tree: a power of two no smaller than
+/// one partition. Checked before any device memory is reserved, so a bad
+/// size is an error naming it rather than a panic in the allocator.
+fn check_pool_bytes(bytes: u64) -> CudaResult<()> {
+    if bytes.is_power_of_two() && bytes >= MIN_PARTITION {
+        Ok(())
+    } else {
+        Err(CudaError::Rejected(format!(
+            "pool size {bytes} bytes must be a power of two of at least {MIN_PARTITION}"
+        )))
+    }
+}
+
 fn fxhash(bytes: &[u8]) -> u64 {
     // FNV-1a; used only to dedupe repeat fatbin registrations.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -1587,4 +1550,48 @@ fn fxhash(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cuda_rt::share_device;
+    use gpu_sim::spec::test_gpu;
+    use gpu_sim::Device;
+
+    fn spawn_with(devices: usize, config: ManagerConfig) -> CudaResult<ManagerHandle> {
+        let set = (0..devices)
+            .map(|_| share_device(Device::new(test_gpu())))
+            .collect();
+        spawn_manager_multi(set, config, &[], BoundTransport::channel())
+    }
+
+    #[test]
+    fn pool_sizes_that_are_not_a_buddy_tree_are_rejected_by_name() {
+        let uniform = |bytes| ManagerConfig {
+            pool_bytes: Some(bytes),
+            ..ManagerConfig::default()
+        };
+        let per_gpu = ManagerConfig {
+            pool_bytes_per_gpu: Some(vec![8 << 20, 3_000_000]),
+            ..ManagerConfig::default()
+        };
+        let half = MIN_PARTITION / 2;
+        let cases = [
+            (1, uniform(0), 0),
+            (1, uniform(half), half),
+            (1, uniform(3_000_000), 3_000_000),
+            (2, per_gpu, 3_000_000),
+        ];
+        for (devices, config, bad) in cases {
+            match spawn_with(devices, config) {
+                Err(CudaError::Rejected(msg)) => {
+                    assert!(msg.contains(&format!("pool size {bad} bytes")), "{msg}")
+                }
+                other => panic!("pool size {bad}: {:?}", other.map(|_| ())),
+            }
+        }
+        // The smallest legal pool still spawns.
+        assert!(spawn_with(1, uniform(MIN_PARTITION)).is_ok());
+    }
 }

@@ -29,8 +29,8 @@ use std::fmt;
 /// Backed by a refcounted [`FrameView`]: [`Request::decode_view`] makes
 /// payloads *borrow* the receive buffer (zero-copy — a launch's argument
 /// bytes are never duplicated between socket and device queue), while
-/// plain [`Request::decode`] and the `From<Vec<u8>>` construction path
-/// own their bytes through the same representation. Equality is by byte
+/// the `From<Vec<u8>>` construction path owns its bytes through the same
+/// representation. Equality is by byte
 /// content, so `Request` round-trips compare naturally in tests.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Payload(FrameView);
@@ -131,28 +131,10 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// Wire-format version this build emits. Version 2 added multi-GPU
-/// routing: an optional [`PlacementHint`] on `Connect`, a device index in
-/// [`ConnectInfo`], and the `DeviceInfo`/`Migrate` messages. Version 3
-/// added the node control plane: lease terms in [`ConnectInfo`] and the
-/// admin-plane message family ([`AdminRequest`]/[`AdminResponse`])
-/// spoken on `guardiand`'s admin socket. Version 4 added the telemetry
-/// plane's flight-recorder dump ([`AdminRequest::Trace`] /
-/// [`AdminResponse::Trace`]); every pre-v4 frame shape is unchanged.
-/// Version 5 added QoS classes: a requested class on `Connect`, the
-/// granted class in [`ConnectInfo`], a qos ceiling on
-/// [`AdminRequest::LeaseSet`], and class + inflight columns in
-/// [`TenantInfo`]; v4 frames decode with best-effort defaults.
+/// The one wire-format version this build speaks. Every frame carries
+/// it in its first byte; a frame of any other version — older or newer —
+/// is refused with [`ProtoError::BadVersion`].
 pub const PROTO_VERSION: u8 = 5;
-
-/// Oldest wire-format version this build still **decodes**. This is
-/// decode-side compatibility only: a v1 frame (single-GPU era —
-/// hintless `Connect`, device-less `Connected`) parses with the v1
-/// defaults, so recorded traffic and mixed-build test fixtures stay
-/// readable. It does *not* make a live v1 peer a valid tenant — this
-/// build always encodes (and therefore replies) at [`PROTO_VERSION`],
-/// which a v1 decoder rejects as `BadVersion`.
-pub const MIN_PROTO_VERSION: u8 = 1;
 
 /// A client-to-manager message (one per CUDA call crossing the boundary).
 #[derive(Debug, Clone, PartialEq)]
@@ -162,13 +144,13 @@ pub enum Request {
     Connect {
         /// Bytes of device memory the tenant requires.
         mem_requirement: u64,
-        /// Multi-GPU placement request (v2). `None` — and every v1
-        /// frame — routes by the manager's policy.
+        /// Multi-GPU placement request. `None` routes by the manager's
+        /// policy.
         hint: Option<PlacementHint>,
-        /// Requested scheduling class (v5), wire-encoded per
+        /// Requested scheduling class, wire-encoded per
         /// [`crate::control::QosClass::to_wire`]: 0 = best-effort (the
-        /// default, and what every pre-v5 frame decodes as), 1 =
-        /// latency — granted only if the tenant's lease permits it.
+        /// default), 1 = latency — granted only if the tenant's lease
+        /// permits it.
         qos: u8,
     },
     /// Close the tenancy, releasing the partition. One-way: the client
@@ -223,7 +205,7 @@ pub enum Request {
         /// Bytes to write.
         data: Payload,
     },
-    /// Host-to-device copy, **one-way** (v2): no frame comes back. Used
+    /// Host-to-device copy, **one-way**: no frame comes back. Used
     /// by deferred-launch clients for small payloads so copies batch
     /// with the launches around them; errors stick to the tenant and
     /// surface at the next `Sync`, like a deferred `Launch`'s.
@@ -285,9 +267,9 @@ pub enum Request {
     /// Interception/dispatch statistics (benchmarking; no tenancy needed).
     Stats,
     /// Enumerate the manager's device set: per-GPU pool capacity, load,
-    /// and tenant count (v2; no tenancy needed).
+    /// and tenant count (no tenancy needed).
     DeviceInfo,
-    /// Migrate this tenant's partition to another GPU (v2). The manager
+    /// Migrate this tenant's partition to another GPU. The manager
     /// drains the source, copies live allocations offset-stable into a
     /// fresh partition on the destination, rebinds the session, and
     /// replies with a new [`ConnectInfo`] — the tenant translates its
@@ -296,7 +278,7 @@ pub enum Request {
         /// Destination device index.
         device: u32,
     },
-    /// Re-read this tenant's current binding (v2): device, partition
+    /// Re-read this tenant's current binding: device, partition
     /// base/size. A tenant migrated *by the manager* (rebalancing) has a
     /// stale pointer frame until it asks; the reply is the same
     /// [`ConnectInfo`] shape `Connect`/`Migrate` return.
@@ -318,17 +300,16 @@ pub struct ConnectInfo {
     /// client must not wait for a `Launch` response; launch errors are
     /// sticky and surface at the next `Sync`.
     pub deferred_launch: bool,
-    /// Index of the GPU the tenant was placed on (v2; 0 when decoding a
-    /// v1 frame — the single-GPU era had exactly one device).
+    /// Index of the GPU the tenant was placed on.
     pub device: u32,
-    /// Memory cap of the lease this tenancy was admitted under (v3;
-    /// `u64::MAX` — and every pre-v3 frame — means uncapped).
+    /// Memory cap of the lease this tenancy was admitted under
+    /// (`u64::MAX` = uncapped).
     pub lease_mem: u64,
-    /// Wall-clock TTL of the lease in milliseconds (v3; 0 — and every
-    /// pre-v3 frame — means the lease never expires).
+    /// Wall-clock TTL of the lease in milliseconds (0 = the lease never
+    /// expires).
     pub lease_ttl_ms: u64,
-    /// Granted scheduling class (v5), wire-encoded: 0 = best-effort —
-    /// and every pre-v5 frame — 1 = latency.
+    /// Granted scheduling class, wire-encoded: 0 = best-effort,
+    /// 1 = latency.
     pub qos: u8,
 }
 
@@ -357,10 +338,10 @@ pub struct TenantInfo {
     pub transfers: u64,
     /// Bytes moved by those transfers.
     pub transfer_bytes: u64,
-    /// Granted scheduling class (v5), wire-encoded: 0 = best-effort,
+    /// Granted scheduling class, wire-encoded: 0 = best-effort,
     /// 1 = latency.
     pub qos: u8,
-    /// Launches admitted but not yet completed (v5) — compared against
+    /// Launches admitted but not yet completed — compared against
     /// the executor's best-effort inflight budget.
     pub inflight: u64,
 }
@@ -411,7 +392,7 @@ pub struct StatsSnapshot {
     /// Per-path launch interception costs (Table 5).
     pub launch: LaunchStats,
     /// High-water mark of data-plane operations executing simultaneously
-    /// (1 under serial dispatch; >1 proves cross-tenant overlap).
+    /// (>1 proves cross-tenant overlap).
     pub max_concurrent_data_ops: u32,
 }
 
@@ -434,13 +415,13 @@ pub enum Response {
     Cycles(u64),
     /// Statistics snapshot (`Stats`).
     Stats(StatsSnapshot),
-    /// The manager's device set (`DeviceInfo`, v2).
+    /// The manager's device set (`DeviceInfo`).
     Devices(Vec<DeviceInfo>),
     /// The call failed.
     Error(CudaError),
 }
 
-/// An operator-to-manager message on the **admin plane** (v3): the
+/// An operator-to-manager message on the **admin plane**: the
 /// separate uds socket `guardiand --admin-socket` binds, spoken by
 /// `guardianctl`. Admin frames never travel on tenant connections —
 /// the session layer has no decoder for them — so a tenant cannot
@@ -461,8 +442,8 @@ pub enum AdminRequest {
         streams: u32,
         /// Wall-clock TTL in milliseconds (0 = no expiry).
         ttl_ms: u64,
-        /// Highest scheduling class the lease grants (v5), wire-encoded:
-        /// 0 = best-effort — and every pre-v5 frame — 1 = latency.
+        /// Highest scheduling class the lease grants, wire-encoded:
+        /// 0 = best-effort, 1 = latency.
         /// Lowering a live lease to best-effort demotes its tenants in
         /// place.
         qos: u8,
@@ -481,7 +462,7 @@ pub enum AdminRequest {
     },
     /// Prometheus-text exposition of every node metric.
     Metrics,
-    /// Dump the flight recorders (v4): every live session's ring of
+    /// Dump the flight recorders: every live session's ring of
     /// recent trace events; `None` reports every tenant.
     Trace {
         /// Restrict the dump to sessions owned by one uid.
@@ -489,7 +470,7 @@ pub enum AdminRequest {
     },
 }
 
-/// A manager-to-operator message on the admin plane (v3). Every
+/// A manager-to-operator message on the admin plane. Every
 /// variant carries the node id so responses stay attributable when a
 /// future federation layer fans `guardianctl` out across a fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -527,7 +508,7 @@ pub enum AdminResponse {
         /// The exposition body.
         text: String,
     },
-    /// A flight-recorder dump ([`AdminRequest::Trace`], v4).
+    /// A flight-recorder dump ([`AdminRequest::Trace`]).
     Trace {
         /// Responding node.
         node: String,
@@ -610,7 +591,7 @@ const RESP_STATS: u8 = 8;
 const RESP_ERROR: u8 = 9;
 const RESP_DEVICES: u8 = 10;
 
-// ---- admin-plane opcodes (v3; separate message family, own socket) ---------
+// ---- admin-plane opcodes (separate message family, own socket) -------------
 
 const ADMIN_REQ_DEVICES: u8 = 1;
 const ADMIN_REQ_TENANTS: u8 = 2;
@@ -830,23 +811,16 @@ impl<'a> Reader<'a> {
 
     /// A blob as a [`Payload`]: a zero-copy sub-view when `src` is the
     /// frame's backing view, an owned copy otherwise.
-    fn payload(&mut self, src: Option<&FrameView>) -> Result<Payload, ProtoError> {
-        let range = self.blob_range()?;
-        Ok(Payload(match src {
-            Some(view) => view.slice(range),
-            None => FrameView::from(self.buf[range].to_vec()),
-        }))
+    fn payload(&mut self, src: &FrameView) -> Result<Payload, ProtoError> {
+        Ok(Payload(src.slice(self.blob_range()?)))
     }
 
     /// A blob as a [`Symbol`]: UTF-8 validated in place, zero-copy when
     /// `src` is the frame's backing view.
-    fn symbol(&mut self, src: Option<&FrameView>) -> Result<Symbol, ProtoError> {
+    fn symbol(&mut self, src: &FrameView) -> Result<Symbol, ProtoError> {
         let range = self.blob_range()?;
         std::str::from_utf8(&self.buf[range.clone()]).map_err(|_| ProtoError::BadUtf8)?;
-        Ok(Symbol(match src {
-            Some(view) => view.slice(range),
-            None => FrameView::from(self.buf[range].to_vec()),
-        }))
+        Ok(Symbol(src.slice(range)))
     }
 
     fn string(&mut self) -> Result<String, ProtoError> {
@@ -897,7 +871,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn tenant_info(&mut self, version: u8) -> Result<TenantInfo, ProtoError> {
+    fn tenant_info(&mut self) -> Result<TenantInfo, ProtoError> {
         Ok(TenantInfo {
             client: self.u32()?,
             uid: self.u32()?,
@@ -910,8 +884,8 @@ impl<'a> Reader<'a> {
             launches: self.u64()?,
             transfers: self.u64()?,
             transfer_bytes: self.u64()?,
-            qos: if version >= 5 { self.u8()? } else { 0 },
-            inflight: if version >= 5 { self.u64()? } else { 0 },
+            qos: self.u8()?,
+            inflight: self.u64()?,
         })
     }
 
@@ -974,14 +948,14 @@ fn frame_header(opcode: u8) -> Vec<u8> {
     buf
 }
 
-fn open_frame(frame: &[u8]) -> Result<(u8, u8, Reader<'_>), ProtoError> {
+fn open_frame(frame: &[u8]) -> Result<(u8, Reader<'_>), ProtoError> {
     let mut r = Reader::new(frame);
     let version = r.u8()?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+    if version != PROTO_VERSION {
         return Err(ProtoError::BadVersion(version));
     }
     let opcode = r.u8()?;
-    Ok((version, opcode, r))
+    Ok((opcode, r))
 }
 
 /// Encode a [`Request::Launch`] frame directly from borrowed fields.
@@ -1141,41 +1115,25 @@ impl Request {
         }
     }
 
-    /// Decode a byte frame.
+    /// Decode a received [`FrameView`] **zero-copy**: the `bytes`/`data`/
+    /// `args`/`kernel` fields of the decoded request are refcounted
+    /// sub-views of `frame` — no payload bytes are duplicated.
     ///
     /// # Errors
     ///
     /// [`ProtoError`] on truncation, version/opcode mismatch, bad UTF-8,
     /// or trailing bytes. Never panics on malformed input.
-    pub fn decode(frame: &[u8]) -> Result<Self, ProtoError> {
-        Self::decode_with(frame, None)
-    }
-
-    /// Decode a received [`FrameView`] **zero-copy**: the `bytes`/`data`/
-    /// `args`/`kernel` fields of the decoded request are refcounted
-    /// sub-views of `frame` — no payload bytes are duplicated. Produces
-    /// exactly the value [`Request::decode`] would for the same bytes.
-    ///
-    /// # Errors
-    ///
-    /// As [`Request::decode`].
     pub fn decode_view(frame: &FrameView) -> Result<Self, ProtoError> {
-        Self::decode_with(frame, Some(frame))
-    }
-
-    fn decode_with(frame: &[u8], src: Option<&FrameView>) -> Result<Self, ProtoError> {
-        let (version, opcode, mut r) = open_frame(frame)?;
+        let (opcode, mut r) = open_frame(frame)?;
         let req = match opcode {
             REQ_CONNECT => Request::Connect {
                 mem_requirement: r.u64()?,
-                // v1 peers predate placement hints.
-                hint: if version >= 2 { r.hint()? } else { None },
-                // Pre-v5 peers request best-effort.
-                qos: if version >= 5 { r.u8()? } else { 0 },
+                hint: r.hint()?,
+                qos: r.u8()?,
             },
             REQ_DISCONNECT => Request::Disconnect,
             REQ_REGISTER_FATBIN => Request::RegisterFatbin {
-                bytes: r.payload(src)?,
+                bytes: r.payload(frame)?,
             },
             REQ_REGISTER_PTX => Request::RegisterPtx {
                 name: r.string()?,
@@ -1191,11 +1149,11 @@ impl Request {
             },
             REQ_MEMCPY_H2D => Request::MemcpyH2D {
                 dst: r.u64()?,
-                data: r.payload(src)?,
+                data: r.payload(frame)?,
             },
             REQ_MEMCPY_H2D_ASYNC => Request::MemcpyH2DAsync {
                 dst: r.u64()?,
-                data: r.payload(src)?,
+                data: r.payload(frame)?,
             },
             REQ_MEMCPY_D2H => Request::MemcpyD2H {
                 src: r.u64()?,
@@ -1207,9 +1165,9 @@ impl Request {
                 len: r.u64()?,
             },
             REQ_LAUNCH => Request::Launch {
-                kernel: r.symbol(src)?,
+                kernel: r.symbol(frame)?,
                 cfg: r.cfg()?,
-                args: r.payload(src)?,
+                args: r.payload(frame)?,
                 driver_level: r.u8()? != 0,
             },
             REQ_SYNC => Request::Sync,
@@ -1241,7 +1199,7 @@ impl Response {
     ///
     /// As [`Response::decode`].
     pub fn decode_owned(mut frame: Vec<u8>) -> Result<Self, ProtoError> {
-        let (_, opcode, mut r) = open_frame(&frame)?;
+        let (opcode, mut r) = open_frame(&frame)?;
         if opcode != RESP_DATA {
             return Self::decode(&frame);
         }
@@ -1323,7 +1281,7 @@ impl Response {
     /// [`ProtoError`] on truncation, version/opcode mismatch, bad UTF-8,
     /// or trailing bytes. Never panics on malformed input.
     pub fn decode(frame: &[u8]) -> Result<Self, ProtoError> {
-        let (version, opcode, mut r) = open_frame(frame)?;
+        let (opcode, mut r) = open_frame(frame)?;
         let resp = match opcode {
             RESP_UNIT => Response::Unit,
             RESP_CONNECTED => Response::Connected(ConnectInfo {
@@ -1332,14 +1290,10 @@ impl Response {
                 partition_base: r.u64()?,
                 partition_size: r.u64()?,
                 deferred_launch: r.u8()? != 0,
-                // v1 managers had exactly one device.
-                device: if version >= 2 { r.u32()? } else { 0 },
-                // Pre-v3 managers had no control plane: tenancies were
-                // uncapped and never expired.
-                lease_mem: if version >= 3 { r.u64()? } else { u64::MAX },
-                lease_ttl_ms: if version >= 3 { r.u64()? } else { 0 },
-                // Pre-v5 managers had no scheduling classes.
-                qos: if version >= 5 { r.u8()? } else { 0 },
+                device: r.u32()?,
+                lease_mem: r.u64()?,
+                lease_ttl_ms: r.u64()?,
+                qos: r.u8()?,
             }),
             RESP_PTR => Response::Ptr(r.u64()?),
             RESP_DATA => Response::Data(r.blob()?),
@@ -1431,7 +1385,7 @@ impl AdminRequest {
     /// or trailing bytes. Never panics on malformed input — the admin
     /// socket is same-uid by default, but it still faces raw bytes.
     pub fn decode(frame: &[u8]) -> Result<Self, ProtoError> {
-        let (version, opcode, mut r) = open_frame(frame)?;
+        let (opcode, mut r) = open_frame(frame)?;
         let req = match opcode {
             ADMIN_REQ_DEVICES => AdminRequest::Devices,
             ADMIN_REQ_TENANTS => AdminRequest::Tenants,
@@ -1440,8 +1394,7 @@ impl AdminRequest {
                 mem_bytes: r.u64()?,
                 streams: r.u32()?,
                 ttl_ms: r.u64()?,
-                // A pre-v5 lease-set grants best-effort only.
-                qos: if version >= 5 { r.u8()? } else { 0 },
+                qos: r.u8()?,
             },
             ADMIN_REQ_LEASE_REVOKE => AdminRequest::LeaseRevoke { client: r.u32()? },
             ADMIN_REQ_QUOTA => AdminRequest::Quota {
@@ -1525,7 +1478,7 @@ impl AdminResponse {
     /// [`ProtoError`] on truncation, version/opcode mismatch, bad UTF-8,
     /// or trailing bytes. Never panics on malformed input.
     pub fn decode(frame: &[u8]) -> Result<Self, ProtoError> {
-        let (version, opcode, mut r) = open_frame(frame)?;
+        let (opcode, mut r) = open_frame(frame)?;
         let resp = match opcode {
             ADMIN_RESP_DEVICES => {
                 let node = r.string()?;
@@ -1543,7 +1496,7 @@ impl AdminResponse {
                 // RESP_DEVICES: a hostile count must not reserve GiBs.
                 let mut tenants = Vec::with_capacity((n as usize).min(64));
                 for _ in 0..n {
-                    tenants.push(r.tenant_info(version)?);
+                    tenants.push(r.tenant_info()?);
                 }
                 AdminResponse::Tenants { node, tenants }
             }
@@ -1584,6 +1537,10 @@ impl AdminResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn view(frame: &[u8]) -> FrameView {
+        FrameView::from(frame.to_vec())
+    }
 
     #[test]
     fn request_round_trip_edge_values() {
@@ -1660,7 +1617,7 @@ mod tests {
         ];
         for req in cases {
             let frame = req.encode();
-            assert_eq!(Request::decode(&frame).unwrap(), req, "{req:?}");
+            assert_eq!(Request::decode_view(&view(&frame)).unwrap(), req, "{req:?}");
         }
     }
 
@@ -1805,236 +1762,39 @@ mod tests {
         }
     }
 
-    /// Version-1 frames — the single-GPU wire format — must keep
-    /// decoding: a hintless `Connect` ends after `mem_requirement`, and
-    /// a `Connected` without the device field means device 0. (Decode
-    /// side only; see [`MIN_PROTO_VERSION`] — replies always carry
-    /// [`PROTO_VERSION`].)
+    /// This build speaks one wire version. A frame of any other version
+    /// byte — the retired v1–v4 as much as a future one — is refused by
+    /// every decoder of every message family, before its body is read.
     #[test]
-    fn v1_frames_still_decode() {
-        let mut f = vec![1u8, REQ_CONNECT];
-        f.extend_from_slice(&(4u64 << 20).to_le_bytes());
-        assert_eq!(
-            Request::decode(&f).unwrap(),
-            Request::Connect {
-                mem_requirement: 4 << 20,
-                hint: None,
-                qos: 0,
+    fn frames_of_any_other_version_are_refused() {
+        type Decode = fn(&[u8]) -> Result<(), ProtoError>;
+        let ok = AdminResponse::Ok { node: "n".into() };
+        let cases: [(&str, Vec<u8>, Decode); 5] = [
+            ("Request", Request::Sync.encode(), |f| {
+                Request::decode_view(&view(f)).map(drop)
+            }),
+            ("Response", Response::Unit.encode(), |f| {
+                Response::decode(f).map(drop)
+            }),
+            ("Response (owned)", Response::Unit.encode(), |f| {
+                Response::decode_owned(f.to_vec()).map(drop)
+            }),
+            ("AdminRequest", AdminRequest::Metrics.encode(), |f| {
+                AdminRequest::decode(f).map(drop)
+            }),
+            ("AdminResponse", ok.encode(), |f| {
+                AdminResponse::decode(f).map(drop)
+            }),
+        ];
+        for v in (0..PROTO_VERSION).chain([PROTO_VERSION + 1, u8::MAX]) {
+            for (family, frame, decode) in &cases {
+                let mut f = frame.clone();
+                f[0] = v;
+                assert_eq!(decode(&f), Err(ProtoError::BadVersion(v)), "{family} v{v}");
+                f[0] = PROTO_VERSION;
+                assert_eq!(decode(&f), Ok(()), "{family}");
             }
-        );
-        let mut f = vec![1u8, RESP_CONNECTED];
-        f.extend_from_slice(&7u32.to_le_bytes());
-        f.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
-        f.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        f.extend_from_slice(&(1u64 << 22).to_le_bytes());
-        f.push(1);
-        match Response::decode(&f).unwrap() {
-            Response::Connected(info) => {
-                assert_eq!(info.client, 7);
-                assert_eq!(info.device, 0, "v1 means the one-and-only device");
-                assert!(info.deferred_launch);
-                assert_eq!(info.lease_mem, u64::MAX, "v1 tenancies are uncapped");
-                assert_eq!(info.lease_ttl_ms, 0, "v1 tenancies never expire");
-            }
-            other => panic!("decoded {other:?}"),
         }
-        // Plain-bodied messages are bit-identical across versions.
-        let mut sync_v1 = Request::Sync.encode();
-        sync_v1[0] = 1;
-        assert_eq!(Request::decode(&sync_v1).unwrap(), Request::Sync);
-        // The v2 additions never existed in v1... but decoding them under
-        // a v1 version byte is harmless (opcode-gated, not version-gated);
-        // what must fail is a *future* version.
-        assert_eq!(
-            Request::decode(&[PROTO_VERSION + 1, REQ_SYNC]),
-            Err(ProtoError::BadVersion(PROTO_VERSION + 1))
-        );
-    }
-
-    /// Version-2 frames — the multi-GPU, pre-control-plane wire format —
-    /// must keep decoding now that v3 appends lease terms: a v2
-    /// `Connect` still carries its placement hint, and a v2 `Connected`
-    /// ending at the device field means an uncapped, non-expiring
-    /// tenancy.
-    #[test]
-    fn v2_frames_still_decode() {
-        // v2 Connect: mem_requirement + encoded hint, nothing after.
-        let mut f = vec![2u8, REQ_CONNECT];
-        f.extend_from_slice(&(4u64 << 20).to_le_bytes());
-        f.extend_from_slice(&[1, 1]); // has_hint, has_device
-        f.extend_from_slice(&3u32.to_le_bytes());
-        f.push(AFFINITY_STRICT);
-        assert_eq!(
-            Request::decode(&f).unwrap(),
-            Request::Connect {
-                mem_requirement: 4 << 20,
-                hint: Some(PlacementHint::pin(3)),
-                qos: 0,
-            }
-        );
-        // v2 Connected: ends after the device index — no lease fields.
-        let mut f = vec![2u8, RESP_CONNECTED];
-        f.extend_from_slice(&7u32.to_le_bytes());
-        f.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
-        f.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        f.extend_from_slice(&(1u64 << 22).to_le_bytes());
-        f.push(1);
-        f.extend_from_slice(&2u32.to_le_bytes());
-        match Response::decode(&f).unwrap() {
-            Response::Connected(info) => {
-                assert_eq!(info.client, 7);
-                assert_eq!(info.device, 2);
-                assert_eq!(info.lease_mem, u64::MAX, "v2 tenancies are uncapped");
-                assert_eq!(info.lease_ttl_ms, 0, "v2 tenancies never expire");
-            }
-            other => panic!("decoded {other:?}"),
-        }
-        // Plain-bodied messages are bit-identical across versions.
-        let mut sync_v2 = Request::Sync.encode();
-        sync_v2[0] = 2;
-        assert_eq!(Request::decode(&sync_v2).unwrap(), Request::Sync);
-        // A v2 Devices answer (unchanged shape in v3) still decodes.
-        let mut devs = Response::Devices(vec![DeviceInfo {
-            index: 0,
-            name: "A4000".into(),
-            clock_ghz: 1.56,
-            pool_bytes: 8 << 30,
-            used_bytes: 1 << 30,
-            tenants: 2,
-        }])
-        .encode();
-        devs[0] = 2;
-        assert!(matches!(
-            Response::decode(&devs).unwrap(),
-            Response::Devices(d) if d.len() == 1
-        ));
-    }
-
-    /// Version-3 frames — the control-plane wire format, before v4 added
-    /// the `Trace` admin family — must keep decoding: every v3 frame
-    /// shape is unchanged in v4, only new opcodes were appended.
-    #[test]
-    fn v3_frames_still_decode() {
-        // v3 admin request: Quota with a uid filter, byte-for-byte the
-        // shape guardianctl 0.3 would emit.
-        let mut f = vec![3u8, ADMIN_REQ_QUOTA, 1];
-        f.extend_from_slice(&1000u32.to_le_bytes());
-        assert_eq!(
-            AdminRequest::decode(&f).unwrap(),
-            AdminRequest::Quota { uid: Some(1000) }
-        );
-        // v3 admin response: an Ok under a v3 version byte.
-        let mut ok = AdminResponse::Ok {
-            node: "node-a".into(),
-        }
-        .encode();
-        ok[0] = 3;
-        assert_eq!(
-            AdminResponse::decode(&ok).unwrap(),
-            AdminResponse::Ok {
-                node: "node-a".into()
-            }
-        );
-        // v3 tenant frames: a lease-era Connected (all eight fields,
-        // ending at the lease TTL — no v5 qos byte) still decodes.
-        let mut conn = vec![3u8, RESP_CONNECTED];
-        conn.extend_from_slice(&7u32.to_le_bytes());
-        conn.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
-        conn.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        conn.extend_from_slice(&(1u64 << 22).to_le_bytes());
-        conn.push(1);
-        conn.extend_from_slice(&2u32.to_le_bytes());
-        conn.extend_from_slice(&(1u64 << 30).to_le_bytes());
-        conn.extend_from_slice(&60_000u64.to_le_bytes());
-        match Response::decode(&conn).unwrap() {
-            Response::Connected(info) => {
-                assert_eq!(info.lease_mem, 1 << 30);
-                assert_eq!(info.lease_ttl_ms, 60_000);
-            }
-            other => panic!("decoded {other:?}"),
-        }
-        // The v4 additions did not exist in v3, and a v3 peer would
-        // reject them — but *this* build must reject only future
-        // versions, not v3.
-        let mut sync_v3 = Request::Sync.encode();
-        sync_v3[0] = 3;
-        assert_eq!(Request::decode(&sync_v3).unwrap(), Request::Sync);
-    }
-
-    /// Version-4 frames — the telemetry-era wire format, before v5 added
-    /// QoS classes — must keep decoding with best-effort defaults: a v4
-    /// `Connect` ends after its hint (no requested class), a v4
-    /// `Connected` after the lease TTL, a v4 `LeaseSet` after the TTL,
-    /// and a v4 tenants row after the transfer bytes.
-    #[test]
-    fn v4_frames_still_decode() {
-        // v4 Connect: mem_requirement + hint byte, no qos byte.
-        let mut f = vec![4u8, REQ_CONNECT];
-        f.extend_from_slice(&(4u64 << 20).to_le_bytes());
-        f.push(0); // no hint
-        assert_eq!(
-            Request::decode(&f).unwrap(),
-            Request::Connect {
-                mem_requirement: 4 << 20,
-                hint: None,
-                qos: 0,
-            }
-        );
-        // v4 Connected: ends at the lease TTL; decodes as best-effort.
-        let mut conn = vec![4u8, RESP_CONNECTED];
-        conn.extend_from_slice(&7u32.to_le_bytes());
-        conn.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
-        conn.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        conn.extend_from_slice(&(1u64 << 22).to_le_bytes());
-        conn.push(1);
-        conn.extend_from_slice(&2u32.to_le_bytes());
-        conn.extend_from_slice(&(1u64 << 30).to_le_bytes());
-        conn.extend_from_slice(&60_000u64.to_le_bytes());
-        match Response::decode(&conn).unwrap() {
-            Response::Connected(info) => {
-                assert_eq!(info.lease_mem, 1 << 30);
-                assert_eq!(info.qos, 0, "v4 tenancies are best-effort");
-            }
-            other => panic!("decoded {other:?}"),
-        }
-        // v4 LeaseSet: ends at the TTL; grants best-effort only.
-        let mut ls = vec![4u8, ADMIN_REQ_LEASE_SET];
-        ls.extend_from_slice(&1000u32.to_le_bytes());
-        ls.extend_from_slice(&(16u64 << 20).to_le_bytes());
-        ls.extend_from_slice(&4u32.to_le_bytes());
-        ls.extend_from_slice(&30_000u64.to_le_bytes());
-        assert_eq!(
-            AdminRequest::decode(&ls).unwrap(),
-            AdminRequest::LeaseSet {
-                uid: 1000,
-                mem_bytes: 16 << 20,
-                streams: 4,
-                ttl_ms: 30_000,
-                qos: 0,
-            }
-        );
-        // v4 Tenants answer: each row ends at transfer_bytes.
-        let mut t = vec![4u8, ADMIN_RESP_TENANTS];
-        put_str(&mut t, "node-a");
-        t.extend_from_slice(&1u32.to_le_bytes());
-        t.extend_from_slice(&3u32.to_le_bytes()); // client
-        t.extend_from_slice(&1000u32.to_le_bytes()); // uid
-        t.extend_from_slice(&1u32.to_le_bytes()); // device
-        for v in [1u64 << 22, u64::MAX, 0, 1234, 4096, 5, 9, 1 << 40] {
-            t.extend_from_slice(&v.to_le_bytes());
-        }
-        match AdminResponse::decode(&t).unwrap() {
-            AdminResponse::Tenants { tenants, .. } => {
-                assert_eq!(tenants.len(), 1);
-                assert_eq!(tenants[0].qos, 0, "v4 rows are best-effort");
-                assert_eq!(tenants[0].inflight, 0);
-            }
-            other => panic!("decoded {other:?}"),
-        }
-        // Plain-bodied messages are bit-identical across versions.
-        let mut sync_v4 = Request::Sync.encode();
-        sync_v4[0] = 4;
-        assert_eq!(Request::decode(&sync_v4).unwrap(), Request::Sync);
     }
 
     #[test]
@@ -2147,44 +1907,54 @@ mod tests {
 
     #[test]
     fn malformed_frames_error_without_panic() {
-        assert_eq!(Request::decode(&[]), Err(ProtoError::Truncated));
+        assert_eq!(Request::decode_view(&view(&[])), Err(ProtoError::Truncated));
         assert_eq!(
-            Request::decode(&[9, REQ_SYNC]),
+            Request::decode_view(&view(&[9, REQ_SYNC])),
             Err(ProtoError::BadVersion(9))
         );
         // A hint with an unknown affinity discriminant is rejected.
         let mut f = frame_header(REQ_CONNECT);
         f.extend_from_slice(&0u64.to_le_bytes());
         f.extend_from_slice(&[1, 0, 99]); // has_hint, no device, bad affinity
-        assert_eq!(Request::decode(&f), Err(ProtoError::BadOpcode(99)));
         assert_eq!(
-            Request::decode(&[PROTO_VERSION, 250]),
+            Request::decode_view(&view(&f)),
+            Err(ProtoError::BadOpcode(99))
+        );
+        assert_eq!(
+            Request::decode_view(&view(&[PROTO_VERSION, 250])),
             Err(ProtoError::BadOpcode(250))
         );
         // Truncated string length prefix.
         assert_eq!(
-            Request::decode(&[PROTO_VERSION, REQ_LAUNCH, 0xFF, 0xFF]),
+            Request::decode_view(&view(&[PROTO_VERSION, REQ_LAUNCH, 0xFF, 0xFF])),
             Err(ProtoError::Truncated)
         );
         // Length prefix larger than the frame.
         let mut f = vec![PROTO_VERSION, REQ_REGISTER_FATBIN];
         f.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Request::decode(&f), Err(ProtoError::Truncated));
+        assert_eq!(Request::decode_view(&view(&f)), Err(ProtoError::Truncated));
         // Trailing garbage.
         let mut f = Request::Sync.encode();
         f.push(0);
-        assert_eq!(Request::decode(&f), Err(ProtoError::TrailingBytes(1)));
+        assert_eq!(
+            Request::decode_view(&view(&f)),
+            Err(ProtoError::TrailingBytes(1))
+        );
         // Bad UTF-8 in a string field.
         let mut f = frame_header(REQ_REGISTER_PTX);
         put_blob(&mut f, &[0xFF, 0xFE]);
         put_blob(&mut f, b"");
-        assert_eq!(Request::decode(&f), Err(ProtoError::BadUtf8));
+        assert_eq!(Request::decode_view(&view(&f)), Err(ProtoError::BadUtf8));
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+
+    fn view(frame: &[u8]) -> FrameView {
+        FrameView::from(frame.to_vec())
+    }
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
     use proptest::strategy::BoxedStrategy;
@@ -2411,7 +2181,7 @@ mod proptests {
         #[test]
         fn request_encode_decode_round_trips(req in arb_request()) {
             let frame = req.encode();
-            let back = Request::decode(&frame).expect("decode");
+            let back = Request::decode_view(&view(&frame)).expect("decode");
             prop_assert_eq!(&back, &req);
             // And re-encoding is byte-stable (canonical encoding).
             prop_assert_eq!(back.encode(), frame);
@@ -2433,7 +2203,7 @@ mod proptests {
         /// survive any garbage a hostile tenant sends.
         #[test]
         fn decode_total_on_garbage(frame in pvec(any::<u8>(), 0..64)) {
-            let _ = Request::decode(&frame);
+            let _ = Request::decode_view(&view(&frame));
             let _ = Response::decode(&frame);
             let _ = Response::decode_owned(frame.clone());
             let _ = AdminRequest::decode(&frame);

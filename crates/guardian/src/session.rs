@@ -1,10 +1,12 @@
 //! Per-tenant data-plane sessions: the concurrent half of the dispatch
 //! core.
 //!
-//! Every accepted transport connection gets its own session thread. The
-//! session decodes frames and executes **data-plane** operations (memset,
-//! memcpy, launch, sync, events, and malloc/free from the tenant's own
-//! partition heap) directly against fine-grained shared state, so
+//! Every accepted transport connection gets its own session — a cell in
+//! the epoll executor pool ([`crate::exec`]), or a thread when the
+//! connection has no fd to poll. The session decodes frames and executes
+//! **data-plane** operations (memset, memcpy, launch, sync, events, and
+//! malloc/free from the tenant's own partition heap) directly against
+//! fine-grained shared state, so
 //! independent tenants no longer serialize through one manager queue;
 //! **control-plane** operations (connect/disconnect, fatbin/PTX
 //! registration, migration) are forwarded to the serialized control
@@ -19,9 +21,7 @@
 
 use crate::alloc::{Partition, RegionAllocator, SUBALLOC_ALIGN};
 use crate::control::{QosClass, TenantCounters};
-use crate::manager::{
-    ctrl_call, CtrlMsg, CtrlOp, CtrlOut, DispatchMode, LaunchAck, LaunchStatsAtomic, SessionDriver,
-};
+use crate::manager::{ctrl_call, CtrlMsg, CtrlOp, CtrlOut, LaunchAck, LaunchStatsAtomic};
 use crate::proto::{self, ConnectInfo, Payload, Request, Response, StatsSnapshot, Symbol};
 use crate::telemetry::{self, ExecGauges, OpClass, TenantTelemetry, TraceEvent};
 use crate::transport::frame::FrameView;
@@ -147,12 +147,9 @@ pub(crate) struct Shared {
     pub gpus: Vec<GpuShared>,
     pub protection: Protection,
     pub native_when_standalone: bool,
-    pub dispatch: DispatchMode,
     pub launch_ack: LaunchAck,
     pub clients: RwLock<HashMap<ClientId, Arc<ClientShared>>>,
     pub stats: LaunchStatsAtomic,
-    /// Serializes data-plane ops under [`DispatchMode::Serial`].
-    pub serial_gate: Mutex<()>,
     /// Data-plane ops currently executing, and the high-water mark — the
     /// observable witness that tenants' dispatch genuinely overlaps.
     pub inflight: AtomicU32,
@@ -267,9 +264,9 @@ struct LaunchSpan {
 }
 
 /// A session as a transport-agnostic state machine: everything one
-/// tenant's server side *is*, minus the connection it is fed from. The
-/// thread-per-session loop ([`run_session`]) and the epoll executor
-/// ([`crate::exec`]) both drive one of these.
+/// tenant's server side *is*, minus the connection it is fed from. A
+/// channel session's blocking loop ([`run_session`]) and the epoll
+/// executor ([`crate::exec`]) both drive one of these.
 pub(crate) struct SessionCtx {
     shared: Arc<Shared>,
     ctrl: Sender<CtrlMsg>,
@@ -288,8 +285,7 @@ pub(crate) struct SessionCtx {
     /// reused across flushes).
     staged: Vec<ParamBuf>,
     /// Whether this manager's configuration admits launch buffering:
-    /// deferred acks (no per-launch reply), concurrent dispatch (the
-    /// serial gate must see one op at a time), and no standalone-native
+    /// deferred acks (no per-launch reply) and no standalone-native
     /// switching (its kernel choice depends on the live client count).
     buffering: bool,
     /// Per-pending-launch stage stamps (only pushed when the tenant has
@@ -308,7 +304,6 @@ pub(crate) struct SessionCtx {
 impl SessionCtx {
     pub(crate) fn new(shared: Arc<Shared>, ctrl: Sender<CtrlMsg>, uid: u32) -> Self {
         let buffering = shared.launch_ack == LaunchAck::Deferred
-            && shared.dispatch == DispatchMode::Concurrent
             && !(shared.native_when_standalone && shared.protection != Protection::None);
         SessionCtx {
             shared,
@@ -771,16 +766,16 @@ fn build_params(
 }
 
 /// Spawn the acceptor thread: accepts connections for the listener's
-/// lifetime and hands each one to the configured [`SessionDriver`] —
-/// a dedicated thread, or a cell in the shared epoll executor pool
-/// (event-capable transports only; the in-process channel transport
-/// always gets a thread). Exits only after every session has ended
-/// (sessions end when their client half drops).
+/// lifetime and hands each one to a session driver. A connection that
+/// can enter event mode (Unix sockets, shm rings) becomes a cell in the
+/// shared epoll executor pool; any other — the fd-less in-process
+/// channel — gets [`run_session`] on a dedicated thread. Exits only
+/// after every session has ended (sessions end when their client half
+/// drops).
 pub(crate) fn spawn_acceptor(
     listener: Box<dyn Listener>,
     shared: Arc<Shared>,
     ctrl: Sender<CtrlMsg>,
-    driver: SessionDriver,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("grdAcceptor".into())
@@ -788,10 +783,6 @@ pub(crate) fn spawn_acceptor(
             // The pool is built lazily on the first adopted connection,
             // so channel-transport managers (most tests) never pay for
             // idle epoll workers.
-            let pool_workers = match driver {
-                SessionDriver::EventPool { workers } => Some(workers),
-                _ => None,
-            };
             let mut pool: Option<crate::exec::EventPool> = None;
             let mut sessions: Vec<JoinHandle<()>> = Vec::new();
             while let Ok(conn) = listener.accept() {
@@ -806,14 +797,12 @@ pub(crate) fn spawn_acceptor(
                     .peer_uid()
                     .unwrap_or_else(crate::transport::peercred::current_uid);
                 let ctx = SessionCtx::new(shared.clone(), ctrl.clone(), uid);
-                if let Some(workers) = pool_workers {
-                    if conn.enter_event_mode() {
-                        pool.get_or_insert_with(|| {
-                            crate::exec::EventPool::new(workers, shared.exec_gauges.clone())
-                        })
-                        .adopt(conn, ctx);
-                        continue;
-                    }
+                if conn.enter_event_mode() {
+                    pool.get_or_insert_with(|| {
+                        crate::exec::EventPool::new(shared.exec_gauges.clone())
+                    })
+                    .adopt(conn, ctx);
+                    continue;
                 }
                 let session = std::thread::Builder::new()
                     .name("grdSession".into())
@@ -840,7 +829,7 @@ pub(crate) fn run_session(conn: Box<dyn Connection>, mut ctx: SessionCtx) {
         let frame = FrameView::from(frame);
         let step = ctx.handle_frame(&frame, &*conn);
         // The blocking transport has no "more input queued" signal, so
-        // a thread-per-session server flushes after every frame — the
+        // a threaded session flushes after every frame — the
         // batching win comes from the event-driven executor's drains.
         ctx.flush_pending();
         match step {
@@ -1215,15 +1204,9 @@ fn result_reply(r: CudaResult<()>) -> Response {
     }
 }
 
-/// Run a data-plane op under the configured dispatch mode, tracking the
-/// concurrency high-water mark. Under [`DispatchMode::Serial`] the global
-/// gate reproduces the old single-threaded dispatch core (the baseline
-/// the `dispatch_throughput` bench compares against).
+/// Run a data-plane op, tracking the concurrency high-water mark — the
+/// witness that tenants' data planes genuinely overlap.
 fn with_dispatch<R>(shared: &Shared, f: impl FnOnce() -> R) -> R {
-    let _gate = match shared.dispatch {
-        DispatchMode::Serial => Some(shared.serial_gate.lock()),
-        DispatchMode::Concurrent => None,
-    };
     let now = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
     shared.max_inflight.fetch_max(now, Ordering::SeqCst);
     let r = f();
@@ -1872,6 +1855,70 @@ mod tests {
         let resp = Response::decode(&conn.recv().unwrap()).unwrap();
         assert!(matches!(resp, Response::Unit), "{resp:?}");
         drop(conn);
+        mgr.shutdown();
+    }
+
+    /// The manager speaks one wire version. A `Connect` frame of any
+    /// other version — a v4 client's, a zero byte, the next version —
+    /// gets one `Rejected` naming the version, then the session closes;
+    /// the manager goes on serving its neighbours. Over uds, so the
+    /// sessions run on the event pool.
+    #[test]
+    fn other_version_frames_are_refused_and_the_manager_keeps_serving() {
+        use crate::proto::PROTO_VERSION;
+        let mut fb = FatBin::new();
+        fb.push_ptx("app", crate::fixtures::FILL);
+        let fb = fb.to_bytes().to_vec();
+        let path = crate::fixtures::temp_socket_path("sess-version");
+        let mgr = crate::manager::spawn_manager_over(
+            share_device(Device::new(test_gpu())),
+            ManagerConfig {
+                pool_bytes: Some(8 << 20),
+                ..ManagerConfig::default()
+            },
+            &[&fb],
+            crate::transport::BoundTransport::uds(&path).unwrap(),
+        )
+        .unwrap();
+        let connect = Request::Connect {
+            mem_requirement: 4 << 20,
+            hint: None,
+            qos: 0,
+        }
+        .encode();
+        // A v4 Connect ended at its hint byte: no requested class.
+        let v4 = [&[4u8], &connect[1..connect.len() - 1]].concat();
+        let zero = [&[0u8], &connect[1..]].concat();
+        let next = [&[PROTO_VERSION + 1], &connect[1..]].concat();
+        for frame in [v4, zero, next] {
+            let conn = mgr.dial().unwrap();
+            conn.send(frame.clone()).unwrap();
+            let resp = Response::decode(&conn.recv().unwrap()).unwrap();
+            let want = format!("malformed frame: unsupported protocol version {}", frame[0]);
+            assert_eq!(resp, Response::Error(CudaError::Rejected(want)));
+            assert!(
+                conn.recv().is_err(),
+                "session stayed open after v{}",
+                frame[0]
+            );
+        }
+        // A neighbour connects and launches normally.
+        let mut lib = GrdLib::connect(&mgr, 4 << 20).unwrap();
+        let buf = lib.cuda_malloc(4 * 64).unwrap();
+        let args = ArgPack::new().ptr(buf).u32(64).finish();
+        lib.cuda_launch_kernel(
+            "fill",
+            LaunchConfig::linear(2, 32),
+            &args,
+            Default::default(),
+        )
+        .unwrap();
+        lib.cuda_device_synchronize().unwrap();
+        let out = lib.cuda_memcpy_d2h(buf, 4 * 64).unwrap();
+        for (i, v) in out.chunks_exact(4).enumerate() {
+            assert_eq!(u32::from_le_bytes(v.try_into().unwrap()), i as u32);
+        }
+        drop(lib);
         mgr.shutdown();
     }
 }

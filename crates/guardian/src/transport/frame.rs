@@ -1048,9 +1048,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// A run of proto requests survives encode → arbitrary stream
-        /// splits → reassemble → decode, message for message — and the
-        /// zero-copy view decoder agrees bit-for-bit with the owned
-        /// decoder on every frame.
+        /// splits → reassemble → zero-copy decode, message for message.
         #[test]
         fn requests_round_trip_any_split(
             reqs in pvec(arb_request(), 1..8),
@@ -1063,7 +1061,6 @@ mod proptests {
             let frames = reassemble(&stream, &cuts);
             prop_assert_eq!(frames.len(), reqs.len());
             for (frame, req) in frames.iter().zip(&reqs) {
-                prop_assert_eq!(&Request::decode(frame).expect("decode"), req);
                 prop_assert_eq!(
                     &Request::decode_view(frame).expect("decode_view"),
                     req
@@ -1107,55 +1104,17 @@ mod proptests {
             }
         }
 
-        /// One connection mixing proto v1 and v2 frames — some sent
-        /// plain, some coalesced into batch frames — reassembles and
-        /// decodes message-for-message across arbitrary stream splits,
-        /// and the zero-copy view decoder stays bit-for-bit equivalent
-        /// to the owned decoder on this mixed-version traffic. This is
-        /// exactly what a legacy client talking to a batching manager
-        /// (or vice versa) produces.
+        /// One connection mixing plain frames and frames coalesced into
+        /// batch frames reassembles across arbitrary stream splits, and
+        /// every frame decodes zero-copy to the request that was encoded
+        /// — what a batching client and a batching manager exchange.
         #[test]
-        fn mixed_v1_v2_and_batched_frames_round_trip_any_split(
-            reqs in pvec((arb_request(), any::<bool>()), 1..10),
+        fn plain_and_batched_frames_round_trip_any_split(
+            reqs in pvec(arb_request(), 1..10),
             groups in pvec(1usize..4, 1..10),
             cuts in pvec(any::<u16>(), 0..24),
         ) {
-            // Encode each request, downgrading a random subset to proto
-            // v1 (legal for these shapes: plain bodies are bit-identical
-            // across versions, and a hintless v1 Connect simply ends
-            // after mem_requirement — drop the v5 qos byte and the
-            // has-hint byte).
-            let payloads: Vec<Vec<u8>> = reqs
-                .iter()
-                .map(|(req, v1)| {
-                    let mut p = req.encode();
-                    if *v1 {
-                        p[0] = 1;
-                        if matches!(req, Request::Connect { hint: None, .. }) {
-                            p.pop();
-                            p.pop();
-                        }
-                    }
-                    p
-                })
-                .collect();
-            // What each frame should decode back to: a v1 Connect lost
-            // its qos request, so it decodes as best-effort (0).
-            let expected: Vec<Request> = reqs
-                .iter()
-                .map(|(req, v1)| match req {
-                    Request::Connect {
-                        mem_requirement,
-                        hint,
-                        ..
-                    } if *v1 => Request::Connect {
-                        mem_requirement: *mem_requirement,
-                        hint: *hint,
-                        qos: 0,
-                    },
-                    other => other.clone(),
-                })
-                .collect();
+            let payloads: Vec<Vec<u8>> = reqs.iter().map(Request::encode).collect();
             // Group consecutive payloads: groups of one go out as plain
             // frames, larger groups as batch frames.
             let mut stream = Vec::new();
@@ -1178,12 +1137,10 @@ mod proptests {
             for (frame, payload) in frames.iter().zip(&payloads) {
                 prop_assert_eq!(&frame[..], payload.as_slice());
             }
-            for (frame, req) in frames.iter().zip(&expected) {
-                let owned = Request::decode(frame).expect("decode");
-                prop_assert_eq!(&owned, req);
+            for (frame, req) in frames.iter().zip(&reqs) {
                 prop_assert_eq!(
                     &Request::decode_view(frame).expect("decode_view"),
-                    &owned
+                    req
                 );
             }
         }

@@ -1,6 +1,6 @@
 //! `guardianctl`: operator CLI for a live `guardiand`.
 //!
-//! Speaks the v3 admin message family over the daemon's
+//! Speaks the admin message family over the daemon's
 //! `--admin-socket` uds endpoint (same-uid only). One request, one
 //! response, exit:
 //!

@@ -25,7 +25,7 @@
 
 use cuda_rt::{ArgPack, CudaApi, CudaError, CudaResult};
 use gpu_sim::LaunchConfig;
-use guardian::{GrdLib, PlacementHint, Protection, QosClass, SessionDriver};
+use guardian::{GrdLib, PlacementHint, Protection, QosClass};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -203,10 +203,6 @@ pub struct DaemonOpts {
     /// Peer uids admitted at the sockets (`SO_PEERCRED`). Empty = only
     /// the uid the daemon runs as.
     pub allow_uids: Vec<u32>,
-    /// Data-plane driver: `Auto` (default — event pool under concurrent
-    /// dispatch, thread-per-session under serial), or an explicit
-    /// `--driver threads` / `--driver event[:N]`.
-    pub driver: SessionDriver,
     /// Lease every connect is admitted under unless a per-uid override
     /// exists (`--lease-default mem=16M,streams=4,ttl=30s`). `None` =
     /// uncapped, never-expiring leases.
@@ -233,28 +229,11 @@ pub struct DaemonOpts {
     pub slice_cycles: u64,
 }
 
-/// Parse a `--driver` value: `threads`, `event`, or `event:N` where `N`
-/// is the worker count (`event` alone sizes the pool to the CPU count).
-fn parse_driver(s: &str) -> Result<SessionDriver, String> {
-    match s {
-        "threads" => Ok(SessionDriver::ThreadPerSession),
-        "event" => Ok(SessionDriver::EventPool { workers: 0 }),
-        other => match other.strip_prefix("event:") {
-            Some(n) => {
-                let workers = n.parse().map_err(|e| format!("--driver event:N: {e}"))?;
-                Ok(SessionDriver::EventPool { workers })
-            }
-            None => Err(format!("unknown driver `{other}` (want threads|event[:N])")),
-        },
-    }
-}
-
 impl DaemonOpts {
     /// Parse `guardiand` arguments:
     /// `[--uds PATH] [--shm PATH] [--gpus N] [--pool-bytes N[,N...]]
     /// [--protection fence|modulo|check|none] [--deferred]
-    /// [--allow-uid UID[,UID...]] [--driver threads|event[:N]]
-    /// [--lease-default SPEC] [--admin-socket PATH]
+    /// [--allow-uid UID[,UID...]] [--lease-default SPEC] [--admin-socket PATH]
     /// [--max-connect-rate N] [--node-id NAME] [--admin-http ADDR]
     /// [--log-level off|info|debug] [--qos-budget N] [--slice-cycles N]`.
     ///
@@ -271,7 +250,6 @@ impl DaemonOpts {
             protection: Protection::FenceBitwise,
             deferred: false,
             allow_uids: Vec::new(),
-            driver: SessionDriver::Auto,
             lease_default: None,
             admin_socket: None,
             max_connect_rate: None,
@@ -325,7 +303,6 @@ impl DaemonOpts {
                     };
                 }
                 "--deferred" => opts.deferred = true,
-                "--driver" => opts.driver = parse_driver(&value("--driver")?)?,
                 "--lease-default" => {
                     opts.lease_default = Some(
                         guardian::LeaseSpec::parse(&value("--lease-default")?)
@@ -699,35 +676,17 @@ mod tests {
         assert_eq!(opts.gpus, 1);
         assert_eq!(opts.pool_config(), (Some(8 << 20), None));
         assert!(opts.deferred);
-        assert_eq!(opts.driver, SessionDriver::Auto);
         // No endpoint at all is a usage error.
         assert!(DaemonOpts::parse(&[]).is_err());
-    }
-
-    #[test]
-    fn daemon_driver_arg_parses() {
-        let parse = |d: &str| {
-            DaemonOpts::parse(&[
-                "--uds".into(),
-                "/tmp/g.sock".into(),
-                "--driver".into(),
-                d.into(),
-            ])
-        };
+        // The data plane has one driver; there is nothing to choose.
+        let driver: Vec<String> = ["--uds", "/tmp/g.sock", "--driver", "threads"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(
-            parse("threads").unwrap().driver,
-            SessionDriver::ThreadPerSession
+            DaemonOpts::parse(&driver).unwrap_err(),
+            "unknown flag `--driver`"
         );
-        assert_eq!(
-            parse("event").unwrap().driver,
-            SessionDriver::EventPool { workers: 0 }
-        );
-        assert_eq!(
-            parse("event:8").unwrap().driver,
-            SessionDriver::EventPool { workers: 8 }
-        );
-        assert!(parse("event:").is_err());
-        assert!(parse("fibers").is_err());
     }
 
     #[test]

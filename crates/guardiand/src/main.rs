@@ -33,7 +33,7 @@ fn main() {
                 "usage: guardiand [--uds PATH] [--shm PATH] [--gpus N] \
                  [--pool-bytes N[,N...]] [--protection fence|modulo|check|none] \
                  [--deferred] [--allow-uid UID[,UID...]] \
-                 [--driver threads|event[:N]] [--lease-default SPEC] \
+                 [--lease-default SPEC] \
                  [--admin-socket PATH] [--max-connect-rate N] \
                  [--node-id NAME] [--admin-http ADDR] \
                  [--qos-budget N] [--slice-cycles N]"
@@ -88,7 +88,6 @@ fn main() {
         } else {
             LaunchAck::Eager
         },
-        session_driver: opts.driver,
         lease_default: opts.lease_default,
         node_id: opts.node_id.clone(),
         admission,

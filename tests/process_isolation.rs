@@ -607,6 +607,33 @@ fn garbage_handshake_does_not_wedge_the_daemon() {
     assert_eq!(code, 0, "tenant failed after garbage clients: {out:?}");
 }
 
+/// A partition pool that is not a power of two is a configuration
+/// error: `guardiand` names the size on stderr and exits 1 instead of
+/// panicking in the allocator (which would exit 101).
+#[test]
+fn bad_pool_size_exits_with_a_message() {
+    let mut daemon = Daemon::spawn("uds", &["--pool-bytes", "3000000"]);
+    let deadline = Instant::now() + STEP_TIMEOUT;
+    let status = loop {
+        if let Some(status) = daemon.child.try_wait().expect("wait guardiand") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "guardiand kept running");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(
+        daemon.child.stderr.as_mut().expect("piped stderr"),
+        &mut stderr,
+    )
+    .expect("read stderr");
+    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("pool size 3000000 bytes must be a power of two"),
+        "stderr: {stderr}"
+    );
+}
+
 // ---- graceful exit frees the partition ----------------------------------------
 
 /// A tenant process that exits cleanly (Drop sends `Disconnect`) frees

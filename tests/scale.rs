@@ -1,8 +1,8 @@
 //! Event-driven data-plane scaling: 64 tenants over a real Unix socket,
 //! multiplexed onto the epoll executor pool — the regime the event
 //! driver exists for (hundreds of mostly-idle sessions on ~cores
-//! pollers) — plus the serial baseline's determinism contract on the
-//! same wire.
+//! pollers) — plus the determinism contract of wire makespans on the
+//! same configuration.
 //!
 //! CI runs this suite in `--release` under a kill-timeout, like the
 //! cross-process isolation suite: a stuck epoll loop or a lost doorbell
@@ -13,8 +13,7 @@ use cuda_rt::{share_device, ArgPack, CudaApi};
 use gpu_sim::spec::test_gpu;
 use gpu_sim::{Device, LaunchConfig};
 use guardian::{
-    spawn_manager_multi, BoundTransport, DispatchMode, GrdLib, LaunchAck, ManagerConfig,
-    ManagerHandle, SessionDriver,
+    spawn_manager_multi, BoundTransport, GrdLib, LaunchAck, ManagerConfig, ManagerHandle,
 };
 
 const TENANTS: usize = 64;
@@ -26,12 +25,7 @@ const LAUNCHES: usize = 40;
 /// a power of two) loses a whole doubling to the context's scratch
 /// allocation. The DRAM is paged lazily, so the larger simulated device
 /// costs nothing.
-fn uds_manager(
-    dispatch: DispatchMode,
-    ack: LaunchAck,
-    driver: SessionDriver,
-    tag: &str,
-) -> ManagerHandle {
+fn uds_manager(ack: LaunchAck, tag: &str) -> ManagerHandle {
     let pool = ((TENANTS as u64) * (2 << 20)).next_power_of_two();
     let mut spec = test_gpu();
     spec.global_mem_bytes = spec.global_mem_bytes.max(pool * 2);
@@ -43,9 +37,7 @@ fn uds_manager(
     spawn_manager_multi(
         vec![share_device(Device::new(spec))],
         ManagerConfig {
-            dispatch,
             launch_ack: ack,
-            session_driver: driver,
             pool_bytes: Some(pool),
             ..ManagerConfig::default()
         },
@@ -105,40 +97,21 @@ fn run_tenants(mgr: &ManagerHandle) {
 /// and all 64 read-backs verify.
 #[test]
 fn sixty_four_tenants_complete_on_the_event_pool() {
-    let mgr = uds_manager(
-        DispatchMode::Concurrent,
-        LaunchAck::Deferred,
-        SessionDriver::EventPool { workers: 0 },
-        "event",
-    );
+    let mgr = uds_manager(LaunchAck::Deferred, "event");
     run_tenants(&mgr);
     mgr.shutdown();
 }
 
-/// The same 64-tenant workload on the thread-per-session baseline: the
-/// two drivers must be observationally interchangeable.
+/// Wire determinism on the shipped configuration (concurrent dispatch,
+/// the event pool, uds): a fixed multi-tenant workload, interleaved
+/// deterministically, lands the simulated device on a bit-for-bit
+/// identical cycle counter across independent manager instances —
+/// under both eager acks and the deferred+batched path (frame
+/// coalescing must not change what executes, only how frames travel).
 #[test]
-fn sixty_four_tenants_complete_on_thread_per_session() {
-    let mgr = uds_manager(
-        DispatchMode::Concurrent,
-        LaunchAck::Deferred,
-        SessionDriver::ThreadPerSession,
-        "threads",
-    );
-    run_tenants(&mgr);
-    mgr.shutdown();
-}
-
-/// Serial-mode determinism on the wire: a fixed multi-tenant workload,
-/// interleaved deterministically, lands the simulated device on a
-/// bit-for-bit identical cycle counter across independent manager
-/// instances — under both eager acks and the deferred+batched path
-/// (frame coalescing must not change what executes, only how frames
-/// travel).
-#[test]
-fn serial_mode_makespans_are_bit_for_bit_reproducible() {
+fn wire_makespans_are_bit_for_bit_reproducible() {
     fn makespan(ack: LaunchAck, tag: &str) -> u64 {
-        let mgr = uds_manager(DispatchMode::Serial, ack, SessionDriver::Auto, tag);
+        let mgr = uds_manager(ack, tag);
         let mut libs: Vec<GrdLib> = (0..4)
             .map(|_| GrdLib::connect(&mgr, 2 << 20).expect("connect"))
             .collect();
@@ -147,8 +120,10 @@ fn serial_mode_makespans_are_bit_for_bit_reproducible() {
             .map(|lib| lib.cuda_malloc(4 * 64).expect("malloc"))
             .collect();
         // One driver thread round-robins the tenants so the op order the
-        // manager sees is fixed by construction; Serial dispatch then
-        // owes us an identical device schedule.
+        // manager sees is fixed by construction: every op that reaches
+        // the device before a tenant's sync rides that tenant's own
+        // round trip (an eager launch, or the deferred batch its sync
+        // flushes), so the device schedule is identical run to run.
         for round in 0..10 {
             for (lib, &buf) in libs.iter_mut().zip(&bufs) {
                 let args = ArgPack::new().ptr(buf).u32(64).finish();
@@ -174,14 +149,14 @@ fn serial_mode_makespans_are_bit_for_bit_reproducible() {
     }
     for ack in [LaunchAck::Eager, LaunchAck::Deferred] {
         let tag = match ack {
-            LaunchAck::Eager => "serial-eager",
-            LaunchAck::Deferred => "serial-deferred",
+            LaunchAck::Eager => "wire-eager",
+            LaunchAck::Deferred => "wire-deferred",
         };
         let first = makespan(ack, tag);
         let second = makespan(ack, tag);
         assert_eq!(
             first, second,
-            "serial {tag} runs diverged: {first} vs {second} cycles"
+            "{tag} runs diverged: {first} vs {second} cycles"
         );
     }
 }

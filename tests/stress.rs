@@ -12,9 +12,7 @@ use bench::stress_fatbin;
 use cuda_rt::{share_device, ArgPack, CudaApi, CudaError};
 use gpu_sim::spec::test_gpu;
 use gpu_sim::{Device, LaunchConfig};
-use guardian::{
-    spawn_manager, DispatchMode, GrdLib, LaunchAck, ManagerConfig, ManagerHandle, Protection,
-};
+use guardian::{spawn_manager, GrdLib, LaunchAck, ManagerConfig, ManagerHandle, Protection};
 use std::alloc::{GlobalAlloc, Layout, System};
 
 /// A pass-through allocator that reports every allocation into
@@ -41,14 +39,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn manager(dispatch: DispatchMode, protection: Protection, ack: LaunchAck) -> ManagerHandle {
+fn manager(protection: Protection, ack: LaunchAck) -> ManagerHandle {
     let device = share_device(Device::new(test_gpu()));
     let fb = stress_fatbin();
     spawn_manager(
         device,
         ManagerConfig {
             protection,
-            dispatch,
             launch_ack: ack,
             ..ManagerConfig::default()
         },
@@ -114,11 +111,7 @@ fn tenant_loop(mut lib: GrdLib, seed: u32, iters: usize) {
 /// exceeds 1 — impossible under the old single-queue dispatch).
 #[test]
 fn four_tenants_interleaved_ops_overlap_and_stay_isolated() {
-    let mgr = manager(
-        DispatchMode::Concurrent,
-        Protection::FenceBitwise,
-        LaunchAck::Eager,
-    );
+    let mgr = manager(Protection::FenceBitwise, LaunchAck::Eager);
     let mut handles = Vec::new();
     for t in 0..4u32 {
         let lib = GrdLib::connect(&mgr, 2 << 20).expect("connect");
@@ -136,40 +129,11 @@ fn four_tenants_interleaved_ops_overlap_and_stay_isolated() {
     mgr.shutdown();
 }
 
-/// The serial baseline (the old dispatch core, kept for lockstep
-/// determinism) must never overlap: the witness stays at exactly 1.
-#[test]
-fn serial_baseline_never_overlaps() {
-    let mgr = manager(
-        DispatchMode::Serial,
-        Protection::FenceBitwise,
-        LaunchAck::Eager,
-    );
-    let mut handles = Vec::new();
-    for t in 0..4u32 {
-        let lib = GrdLib::connect(&mgr, 2 << 20).expect("connect");
-        handles.push(std::thread::spawn(move || tenant_loop(lib, t, 50)));
-    }
-    for h in handles {
-        h.join().expect("tenant thread");
-    }
-    assert_eq!(
-        mgr.max_concurrent_data_ops(),
-        1,
-        "serial dispatch leaked concurrency"
-    );
-    mgr.shutdown();
-}
-
 /// Under full 4-tenant stress, an out-of-bounds attacker is terminated
 /// while the other three tenants run to completion unharmed.
 #[test]
 fn oob_kills_only_the_offender_under_stress() {
-    let mgr = manager(
-        DispatchMode::Concurrent,
-        Protection::Check,
-        LaunchAck::Eager,
-    );
+    let mgr = manager(Protection::Check, LaunchAck::Eager);
     // Three well-behaved tenants under way...
     let mut handles = Vec::new();
     for t in 0..3u32 {
@@ -213,11 +177,7 @@ fn oob_kills_only_the_offender_under_stress() {
 /// error model) instead of at the call site.
 #[test]
 fn deferred_ack_surfaces_launch_errors_at_sync() {
-    let mgr = manager(
-        DispatchMode::Concurrent,
-        Protection::FenceBitwise,
-        LaunchAck::Deferred,
-    );
+    let mgr = manager(Protection::FenceBitwise, LaunchAck::Deferred);
     let mut lib = GrdLib::connect(&mgr, 2 << 20).expect("connect");
     // A launch of a nonexistent kernel "succeeds" at the call site...
     let r = lib.cuda_launch_kernel(
@@ -252,11 +212,7 @@ fn deferred_ack_surfaces_launch_errors_at_sync() {
 /// test of the same path.
 #[test]
 fn steady_state_launch_path_is_allocation_free() {
-    let mgr = manager(
-        DispatchMode::Concurrent,
-        Protection::FenceBitwise,
-        LaunchAck::Deferred,
-    );
+    let mgr = manager(Protection::FenceBitwise, LaunchAck::Deferred);
     let mut lib = GrdLib::connect(&mgr, 2 << 20).expect("connect");
     let buf = lib.cuda_malloc(4 * 64).expect("malloc");
     let args = ArgPack::new().ptr(buf).u32(64).finish();
@@ -298,7 +254,6 @@ fn qos_bookkeeping_is_allocation_free() {
     let mgr = spawn_manager(
         device,
         ManagerConfig {
-            dispatch: DispatchMode::Concurrent,
             launch_ack: LaunchAck::Deferred,
             qos_inflight_budget: 8,
             ..ManagerConfig::default()
@@ -368,11 +323,7 @@ fn telemetry_recording_is_allocation_free() {
 /// with correct results at the synchronization points.
 #[test]
 fn deferred_ack_stress_completes() {
-    let mgr = manager(
-        DispatchMode::Concurrent,
-        Protection::FenceBitwise,
-        LaunchAck::Deferred,
-    );
+    let mgr = manager(Protection::FenceBitwise, LaunchAck::Deferred);
     let mut handles = Vec::new();
     for t in 0..4u32 {
         let lib = GrdLib::connect(&mgr, 2 << 20).expect("connect");
