@@ -4,8 +4,9 @@ use std::fmt;
 
 /// Address-space windows of the simulated device.
 ///
-/// Device pointers returned by the allocator live at [`DEVICE_BASE`] so they
-/// look like real GPU virtual addresses (the paper's examples use
+/// Device pointers returned by the allocator live at
+/// [`DEVICE_BASE`](window::DEVICE_BASE) so they look like real GPU
+/// virtual addresses (the paper's examples use
 /// `0x7fa2d0000000`-style VAs); shared and local windows are disjoint so the
 /// interpreter can resolve generic addresses.
 pub mod window {

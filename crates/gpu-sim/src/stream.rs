@@ -172,36 +172,91 @@ impl std::fmt::Debug for HostBytes {
     }
 }
 
-/// A host-visible buffer a device-to-host copy appends into at execution
-/// time.
+/// Where a device-to-host copy lands at execution time: a buffer of the
+/// sink's own that grows by the copied bytes ([`HostSink::new`]), or a
+/// caller-owned region written from its start ([`HostSink::region`]) —
+/// the mirror of [`HostBytes`], so a producer that already holds the
+/// destination in shared memory receives the bytes there, with no copy
+/// in between.
 #[derive(Debug, Clone, Default)]
 pub struct HostSink {
-    data: Arc<Mutex<Vec<u8>>>,
+    data: Arc<Mutex<SinkBuf>>,
+}
+
+enum SinkBuf {
+    Grown(Vec<u8>),
+    Region {
+        region: Box<dyn AsMut<[u8]> + Send>,
+        filled: usize,
+    },
+}
+
+impl Default for SinkBuf {
+    fn default() -> Self {
+        SinkBuf::Grown(Vec::new())
+    }
+}
+
+impl std::fmt::Debug for SinkBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SinkBuf::Grown(v) => write!(f, "Grown({} bytes)", v.len()),
+            SinkBuf::Region { filled, .. } => write!(f, "Region({filled} bytes filled)"),
+        }
+    }
 }
 
 impl HostSink {
-    /// Create an empty sink.
+    /// Create an empty sink with a buffer of its own.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A sink whose copied bytes land after `prefix` in one buffer, so a
-    /// caller that frames the bytes (a reply header) never moves them.
-    pub fn with_prefix(prefix: Vec<u8>) -> Self {
+    /// A sink that writes into `region`, from its start. A copy that
+    /// would run past the region's end faults and writes nothing.
+    pub fn region(region: impl AsMut<[u8]> + Send + 'static) -> Self {
         HostSink {
-            data: Arc::new(Mutex::new(prefix)),
+            data: Arc::new(Mutex::new(SinkBuf::Region {
+                region: Box::new(region),
+                filled: 0,
+            })),
         }
     }
 
-    /// Take the buffer: the prefix, then the received bytes (nothing is
-    /// appended until the copy has executed).
+    /// Take the received bytes out of a sink made by [`HostSink::new`]
+    /// (nothing is appended until the copy has executed). A region sink
+    /// has nothing to give: its bytes are in the caller's region.
     pub fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut self.data.lock())
+        match &mut *self.data.lock() {
+            SinkBuf::Grown(v) => std::mem::take(v),
+            SinkBuf::Region { .. } => Vec::new(),
+        }
+    }
+
+    /// Bytes received so far.
+    pub fn filled(&self) -> u64 {
+        match &*self.data.lock() {
+            SinkBuf::Grown(v) => v.len() as u64,
+            SinkBuf::Region { filled, .. } => *filled as u64,
+        }
     }
 
     /// Append `len` bytes of device memory at `src` (nothing on error).
     pub(crate) fn append_from(&self, dram: &Dram, src: u64, len: u64) -> Result<(), Fault> {
-        dram.read_append(src, len, &mut self.data.lock())
+        match &mut *self.data.lock() {
+            SinkBuf::Grown(v) => dram.read_append(src, len, v),
+            SinkBuf::Region { region, filled } => {
+                let region: &mut [u8] = (**region).as_mut();
+                let end = usize::try_from(len)
+                    .ok()
+                    .and_then(|n| filled.checked_add(n))
+                    .filter(|&end| end <= region.len())
+                    .ok_or(Fault::TransferOutOfBounds { addr: src, len })?;
+                dram.read(src, &mut region[*filled..end])?;
+                *filled = end;
+                Ok(())
+            }
+        }
     }
 }
 
@@ -333,14 +388,33 @@ mod tests {
         let s = HostSink::new();
         assert!(s.take().is_empty());
         s.append_from(&dram, addr, 3).unwrap();
+        assert_eq!(s.filled(), 3);
         assert_eq!(s.take(), vec![1, 2, 3]);
         assert!(s.take().is_empty());
-        // A prefixed sink keeps its prefix in front of the copy, and a
-        // faulting copy appends nothing.
-        let s = HostSink::with_prefix(vec![9]);
+        // A region sink writes into the caller's region from its start,
+        // and a faulting copy — off the end of DRAM, or past the region
+        // — writes nothing.
+        struct Region(Vec<u8>, std::sync::mpsc::Sender<Vec<u8>>);
+        impl AsMut<[u8]> for Region {
+            fn as_mut(&mut self) -> &mut [u8] {
+                &mut self.0
+            }
+        }
+        impl Drop for Region {
+            fn drop(&mut self) {
+                let _ = self.1.send(std::mem::take(&mut self.0));
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let s = HostSink::region(Region(vec![0; 4], tx));
         assert!(s.append_from(&dram, addr, crate::mem::PAGE_SIZE).is_err());
-        s.append_from(&dram, addr, 2).unwrap();
-        assert_eq!(s.take(), vec![9, 1, 2]);
+        s.append_from(&dram, addr, 3).unwrap();
+        assert!(s.append_from(&dram, addr, 2).is_err(), "past the region");
+        s.append_from(&dram, addr, 1).unwrap();
+        assert_eq!(s.filled(), 4);
+        assert!(s.take().is_empty());
+        drop(s);
+        assert_eq!(rx.recv().unwrap(), [1, 2, 3, 1]);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! sleep in `epoll_wait` and pump whichever cells have traffic.
 //!
 //! Each cell owns its connection, its session state, and the fd set it
-//! has registered (a Unix socket; for shared-memory rings the doorbell
-//! eventfd plus the lifeline socket). Epoll events carry the cell id.
+//! has registered (a Unix socket; for shared-memory rings the socket
+//! that carries liveness and wake bytes). Epoll events carry the cell
+//! id.
 //! Workers race on a per-cell `dirty` flag + `try_lock` so a cell is
 //! drained by at most one worker while wakeups landing mid-drain are
 //! never lost:
@@ -26,18 +27,18 @@
 //! ([`Connection::send_batch`]) — the server-side half of the frame
 //! batching that the client library applies to its deferred launches.
 //!
-//! Every adopted connection polls at least one fd: a uds session its
-//! socket, a shm session its handshake socket, then its doorbell. The
-//! one connection that reports none — a shm server whose handshake was
+//! Every adopted connection polls one fd: its socket. The one
+//! connection that reports none — a shm server whose handshake was
 //! refused, and whose `recv` already says `Disconnected` — is torn down
 //! like any other closed cell. The fd-less in-process channel never
 //! reaches the pool; the acceptor gives it a thread.
 
 use crate::session::{SessionCtx, Step};
 use crate::telemetry::ExecGauges;
-use crate::transport::sys::{self, Epoll, OwnedFd};
+use crate::transport::sys::{self, Epoll};
 use crate::transport::Connection;
 use std::collections::HashMap;
+use std::os::fd::{AsRawFd, OwnedFd};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -100,7 +101,7 @@ struct Cell {
     fired: AtomicU32,
     /// fds currently registered with the epoll instance for this cell.
     /// Re-queried from the connection after every drain: a shm session
-    /// gains its doorbell fd when the deferred handshake completes.
+    /// whose deferred handshake was refused loses its fd.
     registered: Mutex<Vec<i32>>,
     /// Cached QoS class of the attached session, refreshed after every
     /// drain (lease overrides demote live). Lets the event-arrival
@@ -148,7 +149,7 @@ impl EventPool {
         let epoll = Epoll::new().expect("create executor epoll");
         let shutdown_bell = sys::eventfd_new().expect("create executor shutdown eventfd");
         epoll
-            .add(shutdown_bell.raw(), sys::EPOLLIN, SHUTDOWN_ID)
+            .add(shutdown_bell.as_raw_fd(), sys::EPOLLIN, SHUTDOWN_ID)
             .expect("register executor shutdown eventfd");
         let inner = Arc::new(PoolInner {
             epoll,
@@ -210,7 +211,7 @@ impl EventPool {
             }
         }
         self.inner.stop.store(true, Ordering::SeqCst);
-        sys::eventfd_signal(self.inner.shutdown_bell.raw());
+        sys::eventfd_signal(self.inner.shutdown_bell.as_raw_fd());
         for w in self.workers {
             let _ = w.join();
         }
@@ -315,8 +316,8 @@ fn service_cell(inner: &Arc<PoolInner>, cell: &Arc<Cell>) -> Option<Arc<Cell>> {
         cell.is_latency
             .store(st.ctx.qos_is_latency(), Ordering::SeqCst);
         latency_window_close(inner, cell);
-        // Re-query the fd set: a shm session's doorbell only exists
-        // after its deferred handshake, and a refused one has none.
+        // Re-query the fd set: a shm session whose deferred handshake
+        // was refused has none.
         let fds = st.conn.event_fds();
         if outcome.closed || fds.is_empty() {
             let st = guard.take().expect("state present");

@@ -16,18 +16,23 @@
 //! enqueue time (deterministic ordering; the default) or sent one-way
 //! with errors surfacing at the next synchronization, depending on the
 //! manager's [`LaunchAck`](crate::manager::LaunchAck) policy — the
-//! handshake tells the stub which contract is in force. Copies larger
-//! than one of the connection's frames are split into frames that fit.
+//! handshake tells the stub which contract is in force. A copy's bytes
+//! move through the connection's transfer [`Window`], not through
+//! frames: the stub copies an H2D payload in and a D2H result out, and
+//! a copy larger than the window goes as several.
 
 use crate::control::QosClass;
 use crate::manager::{ClientId, ManagerHandle};
 use crate::placement::PlacementHint;
 use crate::proto::{self, DeviceInfo, Request, Response};
-use crate::transport::{shm::ShmDialer, uds::UdsDialer, Connection, Dialer, TransportError};
+use crate::transport::{
+    shm::ShmDialer, uds::UdsDialer, Connection, Dialer, TransportError, Window,
+};
 use cuda_rt::{CudaApi, CudaError, CudaResult, DevicePtr, EventHandle, ModuleHandle, Stream};
 use gpu_sim::LaunchConfig;
 use parking_lot::Mutex;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One-way frames buffered before a forced flush. Round-trip calls
 /// always flush regardless, so this only bounds memory (and transport
@@ -61,9 +66,9 @@ pub struct GrdLib {
     partition_size: u64,
     /// Index of the GPU the manager placed this tenant on.
     device: u32,
-    /// Largest frame the connection carries; bulk copies are split to
-    /// fit it.
-    max_frame: u64,
+    /// The connection's transfer window: every `MemcpyH2D`/`MemcpyD2H`
+    /// payload passes through it.
+    window: Arc<Window>,
     /// Manager runs launches in deferred-ack (true async) mode.
     deferred_launch: bool,
     /// QoS class the manager granted (requested class clamped to the
@@ -242,8 +247,8 @@ impl GrdLib {
 
     /// [`GrdLib::dial_shm`] with an explicit per-direction ring capacity
     /// in bytes (power of two, 4 KiB – 1 GiB). The largest frame is
-    /// `ring_capacity - 4` bytes: copies are split to fit it, and a
-    /// fatbin must.
+    /// `ring_capacity - 4` bytes: a fatbin must fit it (copies travel
+    /// through the window, not the ring).
     ///
     /// # Errors
     ///
@@ -301,7 +306,9 @@ impl GrdLib {
         hint: Option<PlacementHint>,
         qos: QosClass,
     ) -> CudaResult<Self> {
-        let max_frame = conn.max_frame();
+        let window = conn
+            .window()
+            .ok_or_else(|| CudaError::Rejected("connection has no transfer window".into()))?;
         let mut lib = GrdLib {
             conn,
             id: ClientId(0),
@@ -309,7 +316,7 @@ impl GrdLib {
             partition_base: 0,
             partition_size: 0,
             device: 0,
-            max_frame,
+            window,
             deferred_launch: false,
             qos: QosClass::BestEffort.to_wire(),
             pending: Mutex::new(Vec::new()),
@@ -456,25 +463,10 @@ impl GrdLib {
         self.reply()
     }
 
-    /// Round trip for a frame sent as `head` + `tail` — a header and the
-    /// caller's bulk payload, written without joining them. Buffered
-    /// one-way frames go first, in their own batch.
-    fn call_split(&self, head: &[u8], tail: &[u8]) -> CudaResult<Response> {
-        let pending = std::mem::take(&mut *self.pending.lock());
-        if !pending.is_empty() {
-            self.conn.send_batch(pending).map_err(transport_to_cuda)?;
-        }
-        self.conn
-            .send_split(head, tail)
-            .map_err(transport_to_cuda)?;
-        self.reply()
-    }
-
-    /// Await and decode the reply to a round trip (a data reply's
-    /// payload is moved out of the received frame, not copied).
+    /// Await and decode the reply to a round trip.
     fn reply(&self) -> CudaResult<Response> {
         let frame = self.conn.recv().map_err(transport_to_cuda)?;
-        match Response::decode_owned(frame).map_err(|_| CudaError::Disconnected)? {
+        match Response::decode(&frame).map_err(|_| CudaError::Disconnected)? {
             Response::Error(e) => Err(e),
             resp => Ok(resp),
         }
@@ -504,29 +496,32 @@ impl GrdLib {
         }
     }
 
-    /// One H2D frame's worth of copy (see [`CudaApi::cuda_memcpy_h2d`]).
+    /// One window's worth of H2D copy (see [`CudaApi::cuda_memcpy_h2d`]).
     fn memcpy_h2d(&self, dst: DevicePtr, data: &[u8]) -> CudaResult<()> {
         if self.deferred_launch && data.len() <= H2D_ASYNC_MAX {
-            // Small staging copies between deferred launches go one-way so
-            // the whole enqueue run coalesces into a single transport send;
-            // bounds errors become sticky and surface at the next sync,
-            // matching the async launch error model.
+            // Small staging copies between deferred launches go one-way
+            // and inline so the whole enqueue run coalesces into a single
+            // transport send; bounds errors become sticky and surface at
+            // the next sync, matching the async launch error model.
             self.push_one_way(proto::encode_memcpy_h2d_async(dst, data))
         } else {
-            let head = proto::memcpy_h2d_header(dst, data.len());
-            match self.call_split(&head, data)? {
-                Response::Unit => Ok(()),
-                _ => Err(CudaError::Disconnected),
-            }
+            // The window is free: every earlier copy through it was a
+            // round trip that has completed.
+            self.window.write(data);
+            self.call_unit(&Request::MemcpyH2D {
+                dst,
+                len: data.len() as u64,
+            })
         }
     }
 
-    /// One D2H frame's worth of copy (see [`CudaApi::cuda_memcpy_d2h`]).
-    fn memcpy_d2h(&self, src: DevicePtr, len: u64) -> CudaResult<Vec<u8>> {
-        match self.call(&Request::MemcpyD2H { src, len })? {
-            Response::Data(d) => Ok(d),
-            _ => Err(CudaError::Disconnected),
-        }
+    /// One window's worth of D2H copy, appended to `out` (see
+    /// [`CudaApi::cuda_memcpy_d2h`]).
+    fn memcpy_d2h(&self, src: DevicePtr, len: u64, out: &mut Vec<u8>) -> CudaResult<()> {
+        self.call_unit(&Request::MemcpyD2H { src, len })?;
+        // `len` fits the window: the callers split larger copies.
+        self.window.read_append(len as usize, out);
+        Ok(())
     }
 
     fn call_ptr(&self, req: &Request) -> CudaResult<DevicePtr> {
@@ -576,9 +571,9 @@ impl CudaApi for GrdLib {
     }
 
     fn cuda_memcpy_h2d(&mut self, dst: DevicePtr, data: &[u8]) -> CudaResult<()> {
-        // A copy larger than one frame goes as several; the manager
+        // A copy larger than the window goes as several; the manager
         // bounds-checks each on its own.
-        let chunk = (self.max_frame as usize).saturating_sub(proto::MEMCPY_H2D_HEADER);
+        let chunk = self.window.size();
         if data.len() <= chunk {
             return self.memcpy_h2d(dst, data);
         }
@@ -589,18 +584,18 @@ impl CudaApi for GrdLib {
     }
 
     fn cuda_memcpy_d2h(&mut self, src: DevicePtr, len: u64) -> CudaResult<Vec<u8>> {
-        let chunk = self
-            .max_frame
-            .saturating_sub(proto::DATA_REPLY_HEADER as u64);
+        let chunk = self.window.size() as u64;
+        let mut out = Vec::new();
         if len <= chunk {
-            return self.memcpy_d2h(src, len);
+            self.memcpy_d2h(src, len, &mut out)?;
+            return Ok(out);
         }
         // No copy can exceed the partition, whatever `len` claims.
-        let mut out = Vec::with_capacity(len.min(self.partition_size) as usize);
+        out.reserve(len.min(self.partition_size) as usize);
         let mut done = 0;
         while done < len {
             let n = chunk.min(len - done);
-            out.extend_from_slice(&self.memcpy_d2h(src.wrapping_add(done), n)?);
+            self.memcpy_d2h(src.wrapping_add(done), n, &mut out)?;
             done += n;
         }
         Ok(out)
@@ -907,5 +902,90 @@ mod tests {
         assert_ne!(a.partition().0, b.partition().0);
         drop((a, b));
         mgr.shutdown();
+    }
+
+    /// One step of a copy sequence: `((d2h, large), size, offset, seed)`.
+    /// Small sizes straddle the inline/window split under deferred acks
+    /// (0 B to 3 × `H2D_ASYNC_MAX`), large ones are 1–5 MiB; the offset
+    /// is reduced into the buffer.
+    type Step = ((bool, bool), usize, u64, u8);
+
+    /// Apply `steps` to an 8 MiB buffer through `api`, returning every
+    /// D2H result in order.
+    fn run_copies(api: &mut dyn CudaApi, steps: &[Step]) -> Vec<Vec<u8>> {
+        const BUF: u64 = 8 << 20;
+        let buf = api.cuda_malloc(BUF).unwrap();
+        let mut reads = Vec::new();
+        for &((d2h, large), size, offset, seed) in steps {
+            let len = if large {
+                (1 << 20) + size % (4 << 20)
+            } else {
+                size % (3 * super::H2D_ASYNC_MAX + 1)
+            };
+            let at = buf + offset % (BUF - len as u64 + 1);
+            if d2h {
+                reads.push(api.cuda_memcpy_d2h(at, len as u64).unwrap());
+            } else {
+                let data: Vec<u8> = (0..len)
+                    .map(|i| (i as u8).wrapping_mul(seed | 1) ^ (i >> 12) as u8)
+                    .collect();
+                api.cuda_memcpy_h2d(at, &data).unwrap();
+            }
+        }
+        api.cuda_device_synchronize().unwrap();
+        reads.push(api.cuda_memcpy_d2h(buf, BUF).unwrap());
+        reads
+    }
+
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Random H2D/D2H sequences through the window — over uds and
+        /// shm under deferred acks, and the in-process channel under
+        /// eager ones — read back byte-identical to the native arm.
+        #[test]
+        fn window_copies_match_native_on_every_transport(
+            steps in pvec(
+                ((any::<bool>(), any::<bool>()), any::<usize>(), any::<u64>(), any::<u8>()),
+                1..8,
+            )
+        ) {
+            use crate::manager::LaunchAck;
+            let mut native = cuda_rt::NativeRuntime::new(share_device(Device::new(test_gpu()))).unwrap();
+            let want = run_copies(&mut native, &steps);
+            for wire in ["uds", "shm", "channel"] {
+                let path = temp_sock(&format!("prop-{wire}"));
+                let transport = match wire {
+                    "uds" => BoundTransport::uds(&path).unwrap(),
+                    "shm" => BoundTransport::shm(&path).unwrap(),
+                    _ => BoundTransport::channel(),
+                };
+                let launch_ack = if wire == "channel" { LaunchAck::Eager } else { LaunchAck::Deferred };
+                let mgr = spawn_manager_over(
+                    share_device(Device::new(test_gpu())),
+                    ManagerConfig {
+                        pool_bytes: Some(8 << 20),
+                        launch_ack,
+                        ..ManagerConfig::default()
+                    },
+                    &[],
+                    transport,
+                )
+                .unwrap();
+                let mut lib = match wire {
+                    "uds" => GrdLib::dial_uds(&path, 8 << 20),
+                    "shm" => GrdLib::dial_shm(&path, 8 << 20),
+                    _ => GrdLib::connect(&mgr, 8 << 20),
+                }
+                .unwrap();
+                let got = run_copies(&mut lib, &steps);
+                prop_assert!(got == want, "{wire} diverged from native");
+                drop(lib);
+                mgr.shutdown();
+            }
+        }
     }
 }

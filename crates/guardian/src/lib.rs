@@ -131,7 +131,7 @@ pub mod fixtures {
         std::env::temp_dir().join(format!("grd-{}-{tag}-{n}.sock", std::process::id()))
     }
 
-    /// A well-behaved kernel writing tid into out[tid] (`fill`).
+    /// A well-behaved kernel writing `tid` into `out[tid]` (`fill`).
     pub const FILL: &str = r#"
 .version 7.7
 .target sm_86

@@ -9,7 +9,7 @@
 //!   partition table and kernel registry. It assigns each tenant a
 //!   contiguous power-of-two **partition** (§4.2.1), and sandboxes +
 //!   pre-loads every registered fatbin/PTX image (§4.2.3, §4.4);
-//! * the **data plane** ([`crate::session`]): one session thread per
+//! * the **data plane** (the private `session` module): one session per
 //!   connected tenant, serving allocations from the tenant's partition
 //!   and executing transfers, launches, syncs, and events
 //!   concurrently across tenants against fine-grained shared state —
@@ -1056,8 +1056,8 @@ impl Control {
 /// connected [`GrdLib`](crate::GrdLib) (and raw connection) has dropped,
 /// because joining the session threads is what guarantees no thread
 /// leaks. Drop clients before the handle — on the same thread,
-/// `drop(manager)` with a live client is a deadlock. [`Tenancy`]
-/// (crate::Tenancy)'s field order encodes the safe sequence.
+/// `drop(manager)` with a live client is a deadlock.
+/// [`Tenancy`](crate::Tenancy)'s field order encodes the safe sequence.
 #[derive(Clone)]
 pub struct ManagerHandle {
     inner: Arc<ManagerInner>,

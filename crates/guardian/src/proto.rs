@@ -134,7 +134,7 @@ impl fmt::Display for Symbol {
 /// The one wire-format version this build speaks. Every frame carries
 /// it in its first byte; a frame of any other version — older or newer —
 /// is refused with [`ProtoError::BadVersion`].
-pub const PROTO_VERSION: u8 = 5;
+pub const PROTO_VERSION: u8 = 6;
 
 /// A client-to-manager message (one per CUDA call crossing the boundary).
 #[derive(Debug, Clone, PartialEq)]
@@ -198,12 +198,14 @@ pub enum Request {
         /// Length in bytes.
         len: u64,
     },
-    /// Host-to-device copy (payload travels in the frame).
+    /// Host-to-device copy of the first `len` bytes of the connection's
+    /// transfer [`Window`](crate::transport::Window): the frame carries
+    /// only the descriptor, the bytes wait in the window.
     MemcpyH2D {
         /// Destination device address.
         dst: DevicePtr,
-        /// Bytes to write.
-        data: Payload,
+        /// Bytes to copy from the window's start.
+        len: u64,
     },
     /// Host-to-device copy, **one-way**: no frame comes back. Used
     /// by deferred-launch clients for small payloads so copies batch
@@ -215,7 +217,9 @@ pub enum Request {
         /// Bytes to write.
         data: Payload,
     },
-    /// Device-to-host copy; the payload travels back in the response.
+    /// Device-to-host copy into the first `len` bytes of the
+    /// connection's transfer [`Window`](crate::transport::Window); the
+    /// reply is [`Response::Unit`] once the bytes are there.
     MemcpyD2H {
         /// Source device address.
         src: DevicePtr,
@@ -405,8 +409,6 @@ pub enum Response {
     Connected(ConnectInfo),
     /// A device pointer (`Malloc`).
     Ptr(DevicePtr),
-    /// A byte payload (`MemcpyD2H`).
-    Data(Vec<u8>),
     /// A new event id (`EventCreate`).
     EventId(u32),
     /// Elapsed milliseconds (`EventElapsed`).
@@ -583,7 +585,7 @@ const REQ_FREE_ASYNC: u8 = 22;
 const RESP_UNIT: u8 = 1;
 const RESP_CONNECTED: u8 = 2;
 const RESP_PTR: u8 = 3;
-const RESP_DATA: u8 = 4;
+// 4 was the v5 data reply; D2H bytes now land in the transfer window.
 const RESP_EVENT_ID: u8 = 5;
 const RESP_ELAPSED_MS: u8 = 6;
 const RESP_CYCLES: u8 = 7;
@@ -972,40 +974,6 @@ pub fn encode_launch(kernel: &str, cfg: &LaunchConfig, args: &[u8], driver_level
     buf
 }
 
-/// Bytes in front of a [`Request::MemcpyH2D`] payload: version, opcode,
-/// destination, payload length.
-pub const MEMCPY_H2D_HEADER: usize = 18;
-
-/// Bytes in front of a [`Response::Data`] payload: version, opcode,
-/// payload length.
-pub const DATA_REPLY_HEADER: usize = 10;
-
-/// The header of a [`Request::MemcpyH2D`] frame whose `len`-byte payload
-/// follows it on the wire: a sender can write it and the caller's slice
-/// in one gather write ([`Connection::send_split`]) instead of copying
-/// the payload into a frame first.
-///
-/// [`Connection::send_split`]: crate::transport::Connection::send_split
-pub fn memcpy_h2d_header(dst: DevicePtr, len: usize) -> [u8; MEMCPY_H2D_HEADER] {
-    let mut head = [0u8; MEMCPY_H2D_HEADER];
-    head[0] = PROTO_VERSION;
-    head[1] = REQ_MEMCPY_H2D;
-    head[2..10].copy_from_slice(&dst.to_le_bytes());
-    head[10..].copy_from_slice(&(len as u64).to_le_bytes());
-    head
-}
-
-/// A [`Response::Data`] frame's header, in a buffer with room for the
-/// `len`-byte payload behind it: a server appends the payload in place
-/// and sends the buffer as the reply.
-pub fn data_reply_header(len: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(DATA_REPLY_HEADER + len as usize);
-    buf.put_u8(PROTO_VERSION);
-    buf.put_u8(RESP_DATA);
-    buf.put_u64_le(len);
-    buf
-}
-
 /// Encode a [`Request::MemcpyH2DAsync`] frame directly from a borrowed
 /// payload (hot-path helper; see [`encode_launch`]).
 pub fn encode_memcpy_h2d_async(dst: DevicePtr, data: &[u8]) -> Vec<u8> {
@@ -1064,10 +1032,10 @@ impl Request {
                 buf.put_u64_le(*len);
                 buf
             }
-            Request::MemcpyH2D { dst, data } => {
-                let mut buf = Vec::with_capacity(MEMCPY_H2D_HEADER + data.len());
-                buf.extend_from_slice(&memcpy_h2d_header(*dst, data.len()));
-                buf.extend_from_slice(data);
+            Request::MemcpyH2D { dst, len } => {
+                let mut buf = frame_header(REQ_MEMCPY_H2D);
+                buf.put_u64_le(*dst);
+                buf.put_u64_le(*len);
                 buf
             }
             Request::MemcpyH2DAsync { dst, data } => encode_memcpy_h2d_async(*dst, data),
@@ -1149,7 +1117,7 @@ impl Request {
             },
             REQ_MEMCPY_H2D => Request::MemcpyH2D {
                 dst: r.u64()?,
-                data: r.payload(frame)?,
+                len: r.u64()?,
             },
             REQ_MEMCPY_H2D_ASYNC => Request::MemcpyH2DAsync {
                 dst: r.u64()?,
@@ -1190,25 +1158,6 @@ impl Request {
 }
 
 impl Response {
-    /// Decode a byte frame taken by value: a [`Response::Data`] payload
-    /// is moved to the front of `frame` and returned in it (one pass over
-    /// the bytes, no allocation) instead of copied out. Every other
-    /// response decodes exactly as [`Response::decode`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Response::decode`].
-    pub fn decode_owned(mut frame: Vec<u8>) -> Result<Self, ProtoError> {
-        let (opcode, mut r) = open_frame(&frame)?;
-        if opcode != RESP_DATA {
-            return Self::decode(&frame);
-        }
-        r.blob_range()?;
-        r.finish()?;
-        frame.drain(..DATA_REPLY_HEADER);
-        Ok(Response::Data(frame))
-    }
-
     /// Serialize to a byte frame.
     pub fn encode(&self) -> Vec<u8> {
         match self {
@@ -1229,11 +1178,6 @@ impl Response {
             Response::Ptr(p) => {
                 let mut buf = frame_header(RESP_PTR);
                 buf.put_u64_le(*p);
-                buf
-            }
-            Response::Data(d) => {
-                let mut buf = data_reply_header(d.len() as u64);
-                buf.extend_from_slice(d);
                 buf
             }
             Response::EventId(id) => {
@@ -1296,7 +1240,6 @@ impl Response {
                 qos: r.u8()?,
             }),
             RESP_PTR => Response::Ptr(r.u64()?),
-            RESP_DATA => Response::Data(r.blob()?),
             RESP_EVENT_ID => Response::EventId(r.u32()?),
             RESP_ELAPSED_MS => Response::ElapsedMs(r.f32()?),
             RESP_CYCLES => Response::Cycles(r.u64()?),
@@ -1584,7 +1527,7 @@ mod tests {
             },
             Request::MemcpyH2D {
                 dst: 7,
-                data: vec![1, 2, 3].into(),
+                len: u64::MAX,
             },
             Request::MemcpyH2DAsync {
                 dst: u64::MAX,
@@ -1656,8 +1599,6 @@ mod tests {
                 },
             ]),
             Response::Ptr(u64::MAX),
-            Response::Data(vec![]),
-            Response::Data(vec![9; 100]),
             Response::EventId(0),
             Response::ElapsedMs(3.25),
             Response::Cycles(123_456),
@@ -1686,7 +1627,6 @@ mod tests {
         for resp in cases {
             let frame = resp.encode();
             assert_eq!(Response::decode(&frame).unwrap(), resp, "{resp:?}");
-            assert_eq!(Response::decode_owned(frame).unwrap(), resp, "{resp:?}");
         }
     }
 
@@ -1713,21 +1653,6 @@ mod tests {
             data: vec![1, 2, 3].into(),
         };
         assert_eq!(owned.encode(), encode_memcpy_h2d_async(0xABCD, &[1, 2, 3]));
-        // The split-send header is the frame's prefix, and a data reply
-        // built in place is the encoded response.
-        let frame = Request::MemcpyH2D {
-            dst: 0xABCD,
-            data: vec![1, 2, 3].into(),
-        }
-        .encode();
-        assert_eq!(
-            [&memcpy_h2d_header(0xABCD, 3)[..], &[1, 2, 3]].concat(),
-            frame
-        );
-        let mut reply = data_reply_header(3);
-        reply.extend_from_slice(&[4, 5, 6]);
-        assert_eq!(reply, Response::Data(vec![4, 5, 6]).encode());
-        assert_eq!(reply.len(), DATA_REPLY_HEADER + 3);
     }
 
     #[test]
@@ -1762,22 +1687,21 @@ mod tests {
         }
     }
 
-    /// This build speaks one wire version. A frame of any other version
-    /// byte — the retired v1–v4 as much as a future one — is refused by
-    /// every decoder of every message family, before its body is read.
+    /// This build speaks one wire version, v6. A frame of any other
+    /// version byte — v5, whose copies carried their bytes inline, the
+    /// retired v1–v4, or a future one — is refused by every decoder of
+    /// every message family, before its body is read.
     #[test]
     fn frames_of_any_other_version_are_refused() {
+        assert_eq!(PROTO_VERSION, 6);
         type Decode = fn(&[u8]) -> Result<(), ProtoError>;
         let ok = AdminResponse::Ok { node: "n".into() };
-        let cases: [(&str, Vec<u8>, Decode); 5] = [
+        let cases: [(&str, Vec<u8>, Decode); 4] = [
             ("Request", Request::Sync.encode(), |f| {
                 Request::decode_view(&view(f)).map(drop)
             }),
             ("Response", Response::Unit.encode(), |f| {
                 Response::decode(f).map(drop)
-            }),
-            ("Response (owned)", Response::Unit.encode(), |f| {
-                Response::decode_owned(f.to_vec()).map(drop)
             }),
             ("AdminRequest", AdminRequest::Metrics.encode(), |f| {
                 AdminRequest::decode(f).map(drop)
@@ -2043,11 +1967,8 @@ mod proptests {
             (any::<u64>(), any::<u8>(), any::<u64>())
                 .prop_map(|(dst, byte, len)| Request::Memset { dst, byte, len })
                 .boxed(),
-            (any::<u64>(), arb_blob())
-                .prop_map(|(dst, data): (u64, Vec<u8>)| Request::MemcpyH2D {
-                    dst,
-                    data: data.into()
-                })
+            (any::<u64>(), any::<u64>())
+                .prop_map(|(dst, len)| Request::MemcpyH2D { dst, len })
                 .boxed(),
             (any::<u64>(), arb_blob())
                 .prop_map(|(dst, data): (u64, Vec<u8>)| Request::MemcpyH2DAsync {
@@ -2155,7 +2076,6 @@ mod proptests {
             .prop_map(Response::Devices)
             .boxed(),
             any::<u64>().prop_map(Response::Ptr).boxed(),
-            arb_blob().prop_map(Response::Data).boxed(),
             any::<u32>().prop_map(Response::EventId).boxed(),
             any::<u32>()
                 .prop_map(|bits| Response::ElapsedMs(f32::from_bits(bits)))
@@ -2194,9 +2114,7 @@ mod proptests {
         fn response_encode_decode_round_trips(resp in arb_response()) {
             let frame = resp.encode();
             let back = Response::decode(&frame).expect("decode");
-            prop_assert_eq!(back.encode(), frame.clone());
-            let owned = Response::decode_owned(frame.clone()).expect("decode_owned");
-            prop_assert_eq!(owned.encode(), frame);
+            prop_assert_eq!(back.encode(), frame);
         }
 
         /// Decoding arbitrary bytes never panics — the manager must
@@ -2205,7 +2123,6 @@ mod proptests {
         fn decode_total_on_garbage(frame in pvec(any::<u8>(), 0..64)) {
             let _ = Request::decode_view(&view(&frame));
             let _ = Response::decode(&frame);
-            let _ = Response::decode_owned(frame.clone());
             let _ = AdminRequest::decode(&frame);
             let _ = AdminResponse::decode(&frame);
         }

@@ -22,9 +22,10 @@
 use crate::alloc::{Partition, RegionAllocator, SUBALLOC_ALIGN};
 use crate::control::{QosClass, TenantCounters};
 use crate::manager::{ctrl_call, CtrlMsg, CtrlOp, CtrlOut, LaunchAck, LaunchStatsAtomic};
-use crate::proto::{self, ConnectInfo, Payload, Request, Response, StatsSnapshot, Symbol};
+use crate::proto::{ConnectInfo, Payload, Request, Response, StatsSnapshot, Symbol};
 use crate::telemetry::{self, ExecGauges, OpClass, TenantTelemetry, TraceEvent};
 use crate::transport::frame::FrameView;
+use crate::transport::window::WindowSpan;
 use crate::transport::{Connection, Listener};
 use crate::ClientId;
 use crossbeam::channel::Sender;
@@ -867,28 +868,16 @@ fn dispatch(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option
     if !ctx.pending.is_empty() && !matches!(req, Request::Launch { .. }) {
         ctx.flush_pending();
     }
-    let Request::MemcpyD2H { src, len } = req else {
-        return respond(req, ctx).map(|resp| resp.encode());
-    };
-    // The one reply built in place: the device appends the bytes behind
-    // the reply header, and that buffer is the frame sent back.
-    let Some(c) = ctx.client.clone() else {
-        return Some(Response::Error(CudaError::InvalidValue).encode());
-    };
-    let shared = &ctx.shared;
-    let r = with_dispatch(shared, || {
-        memcpy_d2h(shared, &c, src, len, conn.max_frame())
-    });
-    note_op(&c, OpClass::Memcpy, ctx.t_decode);
-    Some(r.unwrap_or_else(|e| Response::Error(e).encode()))
+    respond(req, ctx, conn).map(|resp| resp.encode())
 }
 
-/// Execute one request other than `MemcpyD2H`. `None` means the request
-/// is one-way: `Disconnect` and the async copies and frees always,
-/// `Launch` under deferred acks. Takes the request by value so bulk
-/// payloads (H2D data, fatbins, PTX text) move to their destination
-/// instead of being cloned on the hot path.
-fn respond(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
+/// Execute one request. `None` means the request is one-way:
+/// `Disconnect` and the async copies and frees always, `Launch` under
+/// deferred acks. Takes the request by value so bulk payloads (inline
+/// H2D data, fatbins, PTX text) move to their destination instead of
+/// being cloned on the hot path. `conn`'s window carries the bytes of
+/// `MemcpyH2D` and `MemcpyD2H`.
+fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<Response> {
     let shared = ctx.shared.clone();
     let ctrl = ctx.ctrl.clone();
     let uid = ctx.uid;
@@ -1027,9 +1016,11 @@ fn respond(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             Some(result_reply(r))
         }
-        Request::MemcpyH2D { dst, data } => {
+        Request::MemcpyH2D { dst, len } => {
             let c = require!(client);
-            let r = with_dispatch(shared, || memcpy_h2d(shared, &c, dst, data));
+            let r = window_span(conn, len).and_then(|data| {
+                with_dispatch(shared, || memcpy_h2d(shared, &c, dst, HostBytes::new(data)))
+            });
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             Some(result_reply(r))
         }
@@ -1040,13 +1031,21 @@ fn respond(req: Request, ctx: &mut SessionCtx) -> Option<Response> {
             // tenant and surface at its next Sync, like a deferred
             // launch's.
             let c = client.as_ref().cloned()?;
+            let data = HostBytes::new(data);
             if let Err(e) = with_dispatch(shared, || memcpy_h2d(shared, &c, dst, data)) {
                 stick(&c, e);
             }
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             None
         }
-        Request::MemcpyD2H { .. } => unreachable!("dispatch replies to D2H copies in place"),
+        Request::MemcpyD2H { src, len } => {
+            let c = require!(client);
+            let r = window_span(conn, len).and_then(|region| {
+                with_dispatch(shared, || memcpy_d2h(shared, &c, src, len, region))
+            });
+            note_op(&c, OpClass::Memcpy, ctx.t_decode);
+            Some(result_reply(r))
+        }
         Request::MemcpyD2D { dst, src, len } => {
             let c = require!(client);
             let r = with_dispatch(shared, || memcpy_d2d(shared, &c, dst, src, len));
@@ -1297,43 +1296,43 @@ fn free(c: &ClientShared, ptr: u64) -> CudaResult<()> {
     r.map_err(|_| CudaError::InvalidValue)
 }
 
-/// Hand the received payload to the device as it is: the command holds
-/// a reference to the frame's buffer, so the one copy is into DRAM.
-fn memcpy_h2d(shared: &Shared, c: &ClientShared, dst: u64, data: Payload) -> CudaResult<()> {
+/// The first `len` bytes of `conn`'s transfer window, or `Rejected`
+/// when the copy is longer than the window: a descriptor never reaches
+/// past the window, whatever the tenant sends.
+fn window_span(conn: &dyn Connection, len: u64) -> CudaResult<WindowSpan> {
+    let window = conn
+        .window()
+        .ok_or_else(|| CudaError::Rejected("connection has no transfer window".into()))?;
+    window.span(len).ok_or_else(|| {
+        CudaError::Rejected(format!(
+            "copy of {len} bytes exceeds the {}-byte transfer window",
+            window.size()
+        ))
+    })
+}
+
+/// Hand the copy's bytes to the device as they are — the connection's
+/// window, or an inline payload's receive buffer — so the one copy on
+/// this side is into DRAM.
+fn memcpy_h2d(shared: &Shared, c: &ClientShared, dst: u64, data: HostBytes) -> CudaResult<()> {
     let b = c.binding.read();
     transfer_checked(c, b.partition, &[(dst, data.len() as u64)])?;
     c.counters.note_transfer(data.len() as u64);
-    enqueue_and_sync(
-        shared,
-        &b,
-        Command::MemcpyH2D {
-            dst,
-            data: HostBytes::new(data),
-        },
-    )
+    enqueue_and_sync(shared, &b, Command::MemcpyH2D { dst, data })
 }
 
-/// Copy `len` device bytes into a ready-to-send `Data` reply frame. A
-/// reply that would not fit the connection's `max_frame` is refused
-/// before anything is allocated; the tenant's library splits its copies
-/// to stay within it.
+/// Copy `len` device bytes straight into the connection's window.
 fn memcpy_d2h(
     shared: &Shared,
     c: &ClientShared,
     src: u64,
     len: u64,
-    max_frame: u64,
-) -> CudaResult<Vec<u8>> {
+    region: WindowSpan,
+) -> CudaResult<()> {
     let b = c.binding.read();
     transfer_checked(c, b.partition, &[(src, len)])?;
-    let frame_len = len.saturating_add(proto::DATA_REPLY_HEADER as u64);
-    if frame_len > max_frame {
-        return Err(CudaError::Rejected(format!(
-            "D2H reply of {frame_len} bytes exceeds this connection's frame limit {max_frame}"
-        )));
-    }
     c.counters.note_transfer(len);
-    let sink = HostSink::with_prefix(proto::data_reply_header(len));
+    let sink = HostSink::region(region);
     enqueue_and_sync(
         shared,
         &b,
@@ -1343,14 +1342,13 @@ fn memcpy_d2h(
             sink: sink.clone(),
         },
     )?;
-    let reply = sink.take();
-    if reply.len() as u64 != frame_len {
+    if sink.filled() != len {
         // The copy never ran: the shared context was poisoned (or this
         // tenant killed) after the enqueue.
         Shared::check_alive(c)?;
         return Err(CudaError::ContextPoisoned);
     }
-    Ok(reply)
+    Ok(())
 }
 
 fn memcpy_d2d(shared: &Shared, c: &ClientShared, dst: u64, src: u64, len: u64) -> CudaResult<()> {
@@ -1705,11 +1703,12 @@ mod tests {
         mgr.shutdown();
     }
 
-    /// A raw `MemcpyD2H` whose reply could not fit the connection's frame
-    /// limit (a default 1 MiB shm ring here) is refused with `Rejected`
-    /// before anything is allocated, and the session goes on serving —
-    /// the reply used to be unsendable, which closed the session and
-    /// reclaimed the tenant's partition.
+    /// A raw copy descriptor longer than the connection's transfer
+    /// window (64 MiB, the largest frame) is refused with `Rejected`
+    /// before anything is copied, in either direction, and the session
+    /// goes on serving: a whole-partition round trip through the window
+    /// follows on the same connection (an shm one, whose 1 MiB ring no
+    /// longer bounds a copy).
     #[test]
     fn d2h_reply_larger_than_a_frame_is_rejected_and_session_survives() {
         use crate::transport::Dialer;
@@ -1725,6 +1724,7 @@ mod tests {
         )
         .unwrap();
         let conn = crate::transport::shm::ShmDialer::new(&path).dial().unwrap();
+        let window = conn.window().unwrap();
         let call = |req: Request| {
             conn.send(req.encode()).unwrap();
             Response::decode(&conn.recv().unwrap()).unwrap()
@@ -1736,34 +1736,121 @@ mod tests {
         }) else {
             panic!("connect failed");
         };
-        let base = info.partition_base;
-        let fits = conn.max_frame() - crate::proto::DATA_REPLY_HEADER as u64;
-        let resp = call(Request::MemcpyD2H {
-            src: base,
-            len: fits + 1,
-        });
-        assert!(
-            matches!(&resp, Response::Error(CudaError::Rejected(m)) if m.contains("frame limit")),
-            "{resp:?}"
+        let (base, size) = (info.partition_base, info.partition_size);
+        let past = window.size() as u64 + 1;
+        for req in [
+            Request::MemcpyD2H {
+                src: base,
+                len: past,
+            },
+            Request::MemcpyH2D {
+                dst: base,
+                len: past,
+            },
+        ] {
+            let resp = call(req);
+            assert!(
+                matches!(&resp, Response::Error(CudaError::Rejected(m)) if m.contains("transfer window")),
+                "{resp:?}"
+            );
+        }
+        // Same session, next calls: still served, through the window.
+        let data: Vec<u8> = (0..size).map(|i| (i * 7 + i / 4096) as u8).collect();
+        window.write(&data);
+        assert_eq!(
+            call(Request::MemcpyH2D {
+                dst: base,
+                len: size
+            }),
+            Response::Unit
         );
-        // Same session, next call: still served.
-        let resp = call(Request::MemcpyD2H {
-            src: base,
-            len: fits,
-        });
-        assert!(
-            matches!(&resp, Response::Data(d) if d.len() as u64 == fits),
-            "{resp:?}"
+        window.write(&vec![0; size as usize]);
+        assert_eq!(
+            call(Request::MemcpyD2H {
+                src: base,
+                len: size
+            }),
+            Response::Unit
         );
+        let mut back = Vec::new();
+        window.read_append(size as usize, &mut back);
+        assert!(back == data, "window round trip changed the bytes");
         assert!(matches!(call(Request::Sync), Response::Unit));
         drop(conn);
         mgr.shutdown();
     }
 
+    /// A tenant that rewrites its window from a second thread while its
+    /// own H2D copies read it changes only bytes bound for its own
+    /// partition: a neighbour's bytes stay as they were, and the
+    /// session keeps serving. Over uds, so the two sides of the race
+    /// use separate mappings of the window, as two processes would.
+    #[test]
+    fn window_rewritten_mid_copy_leaves_the_neighbour_untouched() {
+        use crate::transport::Dialer;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let path = crate::fixtures::temp_socket_path("sess-race");
+        let mgr = crate::manager::spawn_manager_over(
+            share_device(Device::new(test_gpu())),
+            ManagerConfig {
+                pool_bytes: Some(16 << 20),
+                ..ManagerConfig::default()
+            },
+            &[],
+            crate::transport::BoundTransport::uds(&path).unwrap(),
+        )
+        .unwrap();
+        let mut neighbour = GrdLib::dial_uds(&path, 4 << 20).unwrap();
+        let nbuf = neighbour.cuda_malloc(4 << 20).unwrap();
+        let pattern: Vec<u8> = (0..4u32 << 20).map(|i| (i % 251) as u8).collect();
+        neighbour.cuda_memcpy_h2d(nbuf, &pattern).unwrap();
+
+        let conn = crate::transport::uds::UdsDialer::new(&path).dial().unwrap();
+        let window = conn.window().unwrap();
+        let call = |req: Request| {
+            conn.send(req.encode()).unwrap();
+            Response::decode(&conn.recv().unwrap()).unwrap()
+        };
+        let Response::Connected(info) = call(Request::Connect {
+            mem_requirement: 4 << 20,
+            hint: None,
+            qos: 0,
+        }) else {
+            panic!("connect failed");
+        };
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let fills = [vec![0xAA; 4 << 20], vec![0x55; 4 << 20]];
+                for k in 0.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    window.write(&fills[k % 2]);
+                }
+            });
+            for _ in 0..20 {
+                let resp = call(Request::MemcpyH2D {
+                    dst: info.partition_base,
+                    len: info.partition_size,
+                });
+                assert_eq!(resp, Response::Unit);
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert!(
+            neighbour.cuda_memcpy_d2h(nbuf, 4 << 20).unwrap() == pattern,
+            "a window race reached the neighbour's partition"
+        );
+        drop((conn, neighbour));
+        mgr.shutdown();
+    }
+
     /// Hostile length fields — `dst`/`len` chosen so `dst + len` wraps
-    /// past `u64::MAX` — must come back `Rejected`, not panic the session
-    /// or wrap into another tenant's partition. Raw frames, because the
-    /// in-tree stub never emits these.
+    /// past `u64::MAX`, a copy one byte past the partition, a window
+    /// descriptor longer than the window — must come back `Rejected`,
+    /// not panic the session or wrap into another tenant's partition.
+    /// Raw frames, because the in-tree stub never emits these.
     #[test]
     fn hostile_transfer_lengths_are_rejected_not_wrapped() {
         let mgr = mgr(8 << 20, LaunchAck::Eager);
@@ -1780,7 +1867,7 @@ mod tests {
         let Response::Connected(info) = Response::decode(&conn.recv().unwrap()).unwrap() else {
             panic!("connect failed");
         };
-        let base = info.partition_base;
+        let (base, size) = (info.partition_base, info.partition_size);
         let rejected = |resp: Response| {
             assert!(
                 matches!(resp, Response::Error(CudaError::Rejected(_))),
@@ -1816,7 +1903,29 @@ mod tests {
             },
             Request::MemcpyH2D {
                 dst: u64::MAX,
-                data: vec![0u8; 16].into(),
+                len: 16,
+            },
+            Request::MemcpyD2H {
+                src: u64::MAX - 3,
+                len: 16,
+            },
+            // One past the partition, either direction.
+            Request::MemcpyH2D {
+                dst: base + size,
+                len: 1,
+            },
+            Request::MemcpyD2H {
+                src: base + size - 1,
+                len: 2,
+            },
+            // Window descriptors no window holds.
+            Request::MemcpyH2D {
+                dst: base,
+                len: u64::MAX,
+            },
+            Request::MemcpyD2H {
+                src: base,
+                len: (crate::transport::frame::MAX_FRAME as u64) + 1,
             },
         ] {
             conn.send(req.encode()).unwrap();
@@ -1842,6 +1951,11 @@ mod tests {
             matches!(resp, Response::Error(CudaError::OutOfMemory)),
             "{resp:?}"
         );
+        // An empty D2H is still a well-formed copy.
+        conn.send(Request::MemcpyD2H { src: base, len: 0 }.encode())
+            .unwrap();
+        let resp = Response::decode(&conn.recv().unwrap()).unwrap();
+        assert!(matches!(resp, Response::Unit), "{resp:?}");
         // The session survived all of it: a well-formed op still works.
         conn.send(
             Request::Memset {

@@ -1,15 +1,18 @@
 //! In-process channel transport: two `crossbeam` byte-frame channels per
 //! connection. The cheapest carrier — no copies beyond the frame itself,
 //! no syscalls — used by tests, benches, and single-process deployments.
+//! The two halves of a connection share one mapping of its window.
 
-use super::{Connection, Dialer, Listener, TransportError};
+use super::{Connection, Dialer, Listener, TransportError, Window};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// In-process connection half: a pair of byte-frame channels.
 pub struct ChannelConnection {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
+    window: Arc<Window>,
 }
 
 impl Connection for ChannelConnection {
@@ -17,6 +20,10 @@ impl Connection for ChannelConnection {
         self.tx
             .send(frame)
             .map_err(|_| TransportError::Disconnected)
+    }
+
+    fn window(&self) -> Option<Arc<Window>> {
+        Some(self.window.clone())
     }
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
@@ -50,13 +57,18 @@ impl Dialer for ChannelDialer {
     fn dial(&self) -> Result<Box<dyn Connection>, TransportError> {
         let (c2s_tx, c2s_rx) = unbounded();
         let (s2c_tx, s2c_rx) = unbounded();
+        // One process, one mapping: the descriptor is not needed past it.
+        let (window, _fd) = Window::create().map_err(|e| TransportError::from_io("dial", &e))?;
+        let window = Arc::new(window);
         let server = ChannelConnection {
             tx: s2c_tx,
             rx: c2s_rx,
+            window: window.clone(),
         };
         let client = ChannelConnection {
             tx: c2s_tx,
             rx: s2c_rx,
+            window,
         };
         self.to_listener
             .lock()

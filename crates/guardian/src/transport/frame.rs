@@ -30,7 +30,7 @@ use std::sync::{Arc, Weak};
 
 /// Version of the stream framing (independent of
 /// [`crate::proto::PROTO_VERSION`], which versions frame *contents*).
-pub const TRANSPORT_VERSION: u8 = 1;
+pub const TRANSPORT_VERSION: u8 = 2;
 
 /// High bit of the length prefix marking a *batch* frame: the payload is
 /// a concatenation of `[u32 sub-length][sub-payload]` entries, flushed by
@@ -973,7 +973,7 @@ mod proptests {
                 .prop_map(|bytes| Request::Malloc { bytes })
                 .boxed(),
             (any::<u64>(), pvec(any::<u8>(), 0..300))
-                .prop_map(|(dst, data)| Request::MemcpyH2D {
+                .prop_map(|(dst, data)| Request::MemcpyH2DAsync {
                     dst,
                     data: data.into()
                 })
@@ -1015,7 +1015,12 @@ mod proptests {
                 })
                 .boxed(),
             any::<u64>().prop_map(Response::Ptr).boxed(),
-            pvec(any::<u8>(), 0..300).prop_map(Response::Data).boxed(),
+            pvec(0x20u8..0x7F, 0..300)
+                .prop_map(|msg| {
+                    let msg = msg.into_iter().map(char::from).collect();
+                    Response::Error(cuda_rt::CudaError::Rejected(msg))
+                })
+                .boxed(),
             any::<u64>().prop_map(Response::Cycles).boxed(),
         ]
         .boxed()

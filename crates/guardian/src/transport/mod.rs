@@ -20,13 +20,22 @@
 //!   boundary. A crashed tenant's socket closes, so its session observes
 //!   [`TransportError::Disconnected`] and the manager reclaims the
 //!   partition through the normal vanished-connection path.
-//! * [`shm`] — a lock-free shared-memory byte ring per direction over an
-//!   mmap'd file, with a Unix socket carrying the handshake and peer
-//!   liveness. Built for the high-rate one-way deferred-launch path:
-//!   a send is two bounded memcpys and one atomic release store.
+//! * [`shm`] — a lock-free shared-memory byte ring per direction in a
+//!   memfd the daemon creates, with a Unix socket carrying the handshake,
+//!   peer liveness and wake bytes. Built for the high-rate one-way
+//!   deferred-launch path: a send is two bounded memcpys and one atomic
+//!   release store.
 //!
-//! Nothing above this layer sees anything but byte frames, so `grdLib`,
-//! the session layer, and the manager are identical across all three.
+//! Every connection, on every transport, also has one [`Window`]: a
+//! sealed shared-memory region the daemon creates at the handshake and
+//! hands to the client (over `SCM_RIGHTS` on the socket transports, as
+//! one shared mapping between the two in-process channel halves). Copy
+//! payloads move through it instead of through frames, so frames stay
+//! small; see [`window`](Window) for the rules.
+//!
+//! Nothing above this layer sees anything but byte frames and the
+//! window, so `grdLib`, the session layer, and the manager are identical
+//! across all three.
 
 use std::fmt;
 use std::io;
@@ -37,9 +46,11 @@ pub mod peercred;
 pub mod shm;
 pub(crate) mod sys;
 pub mod uds;
+pub(crate) mod window;
 
 pub use channel::{channel_transport, ChannelConnection, ChannelDialer, ChannelListener};
 pub use peercred::UidPolicy;
+pub use window::Window;
 
 /// Transport-level failures.
 ///
@@ -133,26 +144,10 @@ pub trait Connection: Send {
     /// transport's limit; [`TransportError::Io`] on other OS failures.
     fn send(&self, frame: Vec<u8>) -> Result<(), TransportError>;
 
-    /// Send one frame made of `head` followed by `tail` — a header and a
-    /// caller's bulk payload — without first joining them: the stream
-    /// transports gather both into one write. The default joins them
-    /// and [`send`](Connection::send)s.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::send`].
-    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
-        let mut frame = Vec::with_capacity(head.len() + tail.len());
-        frame.extend_from_slice(head);
-        frame.extend_from_slice(tail);
-        self.send(frame)
-    }
-
-    /// The largest frame this connection carries, in bytes (either
-    /// direction). Callers split bulk transfers to stay within it.
-    fn max_frame(&self) -> u64 {
-        frame::MAX_FRAME as u64
-    }
+    /// The connection's transfer [`Window`], shared with the peer. `None`
+    /// only before the handshake has run (a server half that has not
+    /// received a frame yet) or after it failed.
+    fn window(&self) -> Option<std::sync::Arc<Window>>;
 
     /// Block until the peer's next frame arrives.
     ///
@@ -212,8 +207,8 @@ pub trait Connection: Send {
     }
 
     /// File descriptors whose readability means "poll [`try_recv`]
-    /// again". Re-queried after every drain: the shm transport's
-    /// doorbell fd only exists once its deferred handshake completes.
+    /// again". Re-queried after every drain: a shm server half that
+    /// refused its handshake has none left.
     ///
     /// [`try_recv`]: Connection::try_recv
     fn event_fds(&self) -> Vec<i32> {

@@ -1,9 +1,9 @@
 //! Shared-memory ring transport: syscall-free frame exchange between
 //! processes.
 //!
-//! Each connection is an mmap'd file holding one fixed-capacity SPSC byte
-//! ring per direction. Head and tail are monotonically increasing 64-bit
-//! byte counters in dedicated cache lines; the producer publishes a frame
+//! Each connection is a memfd holding one fixed-capacity SPSC byte ring
+//! per direction. Head and tail are monotonically increasing 64-bit byte
+//! counters in dedicated cache lines; the producer publishes a frame
 //! (4-byte length + payload, wrapping at byte granularity) with a single
 //! release store of the tail, the consumer retires it with a release
 //! store of the head. A send on the hot path is therefore two bounded
@@ -11,41 +11,46 @@
 //! peer — which is what makes this the transport of choice for the
 //! high-rate one-way deferred-launch path.
 //!
-//! A Unix domain socket carries the connection handshake (the dialer
-//! creates the ring file, names it to the listener, and unlinks it once
-//! both sides have it mapped) and then serves as the **liveness channel**:
-//! neither side writes to it again, so a readable EOF means the peer is
-//! gone — including by `SIGKILL`, where the kernel closes the socket for
-//! the corpse. The receiver drains frames still in the ring before
-//! reporting [`TransportError::Disconnected`] (tail is published only
-//! after a frame is fully written, so everything up to tail is intact
-//! even after a mid-storm kill).
+//! A Unix domain socket carries the handshake. The dialer sends the
+//! preamble and the ring capacity it wants; the listener validates it,
+//! creates the ring and the connection's [`Window`] as two sealed memfds
+//! (neither can shrink or grow, and their seals are final), maps both,
+//! and answers with a ready byte carrying both descriptors
+//! (`SCM_RIGHTS`). Each side closes the descriptors once mapped. The
+//! daemon never opens a path a tenant names or maps a file a tenant
+//! made, so no tenant can truncate memory the daemon reads, and a ring
+//! serves only the connection it was made for.
 //!
-//! **Parking is eventfd-driven.** The dialer creates one eventfd
-//! *doorbell* per side and passes both to the listener with the
-//! handshake (`SCM_RIGHTS` on the hello's preamble byte). A waiter —
-//! consumer out of frames, or producer out of ring space — publishes a
-//! *parked* flag in the ring header, re-checks the counters (Dekker
-//! style, with seq-cst fences on both sides), and then sleeps in
-//! `poll(2)` on its doorbell **and** the liveness socket. The peer rings
-//! the doorbell only when the parked flag is set, so the hot path stays
-//! syscall-free, and a parked side wakes instantly on either new
-//! data/space or peer death (socket EOF) — no sleep ladder, no liveness
-//! probe cadence. A hello without the two doorbells is refused at the
-//! handshake: every endpoint can park on its bell.
+//! The socket then serves as the **liveness and wake channel**. Socket
+//! EOF means the peer is gone — including by `SIGKILL`, where the kernel
+//! closes the socket for the corpse. The receiver drains frames still in
+//! the ring before reporting [`TransportError::Disconnected`] (tail is
+//! published only after a frame is fully written, so everything up to
+//! tail is intact even after a mid-storm kill).
+//!
+//! **Parking.** A waiter — consumer out of frames, or producer out of
+//! ring space — publishes a *parked* flag in the ring header, re-checks
+//! the counters (Dekker style, with seq-cst fences on both sides), and
+//! then sleeps in `poll(2)` on its end of the socket. The peer, after
+//! publishing, wakes a parked side with one byte on its own end, sent
+//! with `MSG_DONTWAIT`; the sleeper drains wake bytes with
+//! `MSG_DONTWAIT`. The hot path stays syscall-free, a parked side wakes
+//! at once on new data, new space or peer death, and — the flags being
+//! per call — nothing a peer does to its flag, its end of the socket or
+//! its reading can make the other side block on a wake.
 
 use super::frame::{self, BufPool, FrameView, BATCH_FLAG, PREAMBLE};
 use super::peercred::UidPolicy;
-use super::{sys, Connection, Dialer, Listener, TransportError};
+use super::sys::{self, SharedMap};
+use super::{Connection, Dialer, Listener, TransportError, Window};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::ffi::c_void;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,27 +59,21 @@ use std::time::Duration;
 pub const DEFAULT_RING_CAPACITY: u32 = 1 << 20;
 
 /// Bounds on the capacity a dialer may request (validated by the
-/// listener before mapping a client-named file).
+/// listener before it creates the ring).
 const MIN_CAPACITY: u32 = 4096;
 const MAX_CAPACITY: u32 = 1 << 30;
 
-/// File magic identifying a Guardian ring file.
-const SHM_MAGIC: u64 = u64::from_le_bytes(*b"GRDSHMR\x01");
-
-// ---- fixed file layout -----------------------------------------------------
+// ---- fixed ring layout -----------------------------------------------------
 // Heads and tails live 64 bytes apart so the producer's tail line and the
 // consumer's head line never false-share.
 
-const OFF_MAGIC: usize = 0;
-const OFF_VERSION: usize = 8;
-const OFF_CAPACITY: usize = 12;
 const OFF_C2S_TAIL: usize = 64;
 const OFF_C2S_HEAD: usize = 128;
 const OFF_S2C_TAIL: usize = 192;
 const OFF_S2C_HEAD: usize = 256;
 /// Parked flags (u32, 0|1): set by a side before it sleeps in `poll` on
-/// its doorbell, checked by the peer after publishing — the peer only
-/// pays the `write(eventfd)` syscall when someone is actually asleep.
+/// its socket, checked by the peer after publishing — the peer only
+/// pays the wake syscall when someone is actually asleep.
 const OFF_CLIENT_PARKED: usize = 320;
 const OFF_SERVER_PARKED: usize = 384;
 const OFF_DATA: usize = 4096;
@@ -89,83 +88,6 @@ fn io_err(op: &'static str, e: &std::io::Error) -> TransportError {
     TransportError::from_io(op, e)
 }
 
-// ---- raw mapping -----------------------------------------------------------
-
-// The container vendors no `libc` crate, but every Rust binary links the
-// C runtime; declare the two symbols we need directly.
-extern "C" {
-    fn mmap(
-        addr: *mut c_void,
-        len: usize,
-        prot: i32,
-        flags: i32,
-        fd: i32,
-        offset: i64,
-    ) -> *mut c_void;
-    fn munmap(addr: *mut c_void, len: usize) -> i32;
-}
-
-const PROT_READ: i32 = 1;
-const PROT_WRITE: i32 = 2;
-const MAP_SHARED: i32 = 1;
-
-/// An mmap'd shared file. Page-aligned, unmapped on drop.
-struct RawMap {
-    ptr: *mut u8,
-    len: usize,
-}
-
-// The map is plain shared memory; all concurrent access goes through the
-// atomics at fixed offsets and the SPSC discipline documented above.
-unsafe impl Send for RawMap {}
-unsafe impl Sync for RawMap {}
-
-impl RawMap {
-    fn map(file: &File, len: usize) -> Result<RawMap, TransportError> {
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr as isize == -1 || ptr.is_null() {
-            return Err(TransportError::Io {
-                op: "mmap",
-                kind: std::io::ErrorKind::Other,
-                detail: format!("mmap of {len} bytes failed"),
-            });
-        }
-        Ok(RawMap {
-            ptr: ptr.cast(),
-            len,
-        })
-    }
-
-    /// The atomic u64 at byte offset `off` (offsets are 8-byte aligned by
-    /// construction; the mapping itself is page-aligned).
-    fn atomic_u64(&self, off: usize) -> &AtomicU64 {
-        debug_assert!(off.is_multiple_of(8) && off + 8 <= self.len);
-        unsafe { &*(self.ptr.add(off) as *const AtomicU64) }
-    }
-
-    fn atomic_u32(&self, off: usize) -> &AtomicU32 {
-        debug_assert!(off.is_multiple_of(4) && off + 4 <= self.len);
-        unsafe { &*(self.ptr.add(off) as *const AtomicU32) }
-    }
-}
-
-impl Drop for RawMap {
-    fn drop(&mut self) {
-        unsafe {
-            munmap(self.ptr.cast(), self.len);
-        }
-    }
-}
-
 /// One direction of the ring: where its data lives and which counters
 /// belong to it. `head`/`tail` are byte offsets into the header area.
 #[derive(Clone, Copy)]
@@ -177,15 +99,19 @@ struct RingRef {
 }
 
 /// Copy `bytes` into the ring at logical position `pos`, wrapping.
-fn ring_write(map: &RawMap, r: RingRef, pos: u64, bytes: &[u8]) {
+fn ring_write(map: &SharedMap, r: RingRef, pos: u64, bytes: &[u8]) {
     let idx = (pos & (r.cap - 1)) as usize;
     let first = bytes.len().min(r.cap as usize - idx);
+    // SAFETY: `r.data + r.cap` lies inside the mapping (the ring's
+    // length is derived from the capacity), `idx < cap`, and the caller
+    // bounds `bytes.len()` by the capacity; the producer owns these
+    // slots until it publishes the tail.
     unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), map.ptr.add(r.data + idx), first);
+        std::ptr::copy_nonoverlapping(bytes.as_ptr(), map.ptr().add(r.data + idx), first);
         if first < bytes.len() {
             std::ptr::copy_nonoverlapping(
                 bytes.as_ptr().add(first),
-                map.ptr.add(r.data),
+                map.ptr().add(r.data),
                 bytes.len() - first,
             );
         }
@@ -193,14 +119,17 @@ fn ring_write(map: &RawMap, r: RingRef, pos: u64, bytes: &[u8]) {
 }
 
 /// Copy from the ring at logical position `pos` into `out`, wrapping.
-fn ring_read(map: &RawMap, r: RingRef, pos: u64, out: &mut [u8]) {
+fn ring_read(map: &SharedMap, r: RingRef, pos: u64, out: &mut [u8]) {
     let idx = (pos & (r.cap - 1)) as usize;
     let first = out.len().min(r.cap as usize - idx);
+    // SAFETY: as in `ring_write`, with the caller bounding `out.len()`
+    // by the published bytes; the consumer owns these slots until it
+    // retires the head.
     unsafe {
-        std::ptr::copy_nonoverlapping(map.ptr.add(r.data + idx), out.as_mut_ptr(), first);
+        std::ptr::copy_nonoverlapping(map.ptr().add(r.data + idx), out.as_mut_ptr(), first);
         if first < out.len() {
             std::ptr::copy_nonoverlapping(
-                map.ptr.add(r.data),
+                map.ptr().add(r.data),
                 out.as_mut_ptr().add(first),
                 out.len() - first,
             );
@@ -211,37 +140,19 @@ fn ring_read(map: &RawMap, r: RingRef, pos: u64, out: &mut [u8]) {
 // ---- parking ---------------------------------------------------------------
 
 /// Iterations of `spin_loop`/`yield_now` before a waiter parks for real.
-/// Short: the doorbell wake costs ~a microsecond, so burning long spin
+/// Short: a socket wake costs ~a microsecond, so burning long spin
 /// phases per idle tenant is exactly what this transport no longer does.
 const SPIN_ITERS: u32 = 128;
 const YIELD_ITERS: u32 = 32;
 
-/// Safety-net timeout for a doorbell park. The Dekker protocol makes a
-/// lost wakeup impossible in theory; the bound makes a latent bug cost
+/// Safety-net timeout for a park. The Dekker protocol makes a lost
+/// wakeup impossible in theory; the bound makes a latent bug cost
 /// 100 ms instead of a hang (and re-checks liveness on the way out).
 const PARK_TIMEOUT_MS: i32 = 100;
 
-/// The eventfd pair wired up by the handshake: the peer rings `mine`
-/// when we are parked; we ring `peers` when they are.
-struct Doorbells {
-    mine: sys::OwnedFd,
-    peers: sys::OwnedFd,
-}
-
-/// Probe the liveness socket: EOF means the peer is gone (exited,
-/// crashed, or SIGKILLed — the kernel closes its end either way).
-fn peer_gone(sock: &UnixStream) -> bool {
-    let mut probe = [0u8; 8];
-    match (&*sock).read(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false, // stray bytes: peer still holds the socket
-        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
-    }
-}
-
 // ---- connection ------------------------------------------------------------
 
-/// Which half of the ring file this endpoint is.
+/// Which half of the ring this endpoint is.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Side {
     Client,
@@ -250,7 +161,7 @@ enum Side {
 
 /// One shared-memory connection endpoint.
 pub struct ShmConnection {
-    map: RawMap,
+    map: SharedMap,
     sock: UnixStream,
     send_ring: RingRef,
     recv_ring: RingRef,
@@ -264,27 +175,17 @@ pub struct ShmConnection {
     /// Recycles the receive-copy buffers frames are lifted into off the
     /// ring, so a steady-state receiver allocates nothing per frame.
     recv_pool: Arc<BufPool>,
-    /// Eventfd pair from the handshake.
-    doorbells: Doorbells,
     /// Header offset of *our* parked flag (set before we sleep).
     my_parked: usize,
     /// Header offset of the *peer's* parked flag (checked after we
     /// publish).
     peer_parked: usize,
-    /// Server side only: the listener's exclusive claim on the ring
-    /// file, released on drop.
-    _claim: Option<RingClaim>,
+    /// The connection's transfer window.
+    window: Arc<Window>,
 }
 
 impl ShmConnection {
-    fn new(
-        map: RawMap,
-        sock: UnixStream,
-        capacity: u32,
-        side: Side,
-        doorbells: Doorbells,
-        claim: Option<RingClaim>,
-    ) -> Self {
+    fn new(map: SharedMap, sock: UnixStream, capacity: u32, side: Side, window: Window) -> Self {
         let cap = capacity as u64;
         let c2s = RingRef {
             data: OFF_DATA,
@@ -310,34 +211,59 @@ impl ShmConnection {
             send_lock: Mutex::new(()),
             recv_lock: Mutex::new(VecDeque::new()),
             recv_pool: BufPool::new(),
-            doorbells,
             my_parked,
             peer_parked,
-            _claim: claim,
+            window: Arc::new(window),
         }
     }
 
-    /// After publishing (tail advance) or retiring (head advance): ring
-    /// the peer's doorbell iff it declared itself parked. The seq-cst
-    /// fence pairs with the one in [`ShmConnection::park`] — either we
-    /// see their parked flag, or they see our counter update.
+    /// A client endpoint over the daemon's `ring` and `window` memfds,
+    /// from a completed hello on `sock`.
+    fn client(
+        sock: UnixStream,
+        ring: &File,
+        window: &File,
+        capacity: u32,
+    ) -> Result<Self, TransportError> {
+        let hs = |e: std::io::Error| io_err("handshake", &e);
+        let map = SharedMap::new(ring, file_len(capacity) as usize).map_err(hs)?;
+        let window = Window::open(window).map_err(hs)?;
+        Ok(ShmConnection::new(
+            map,
+            sock,
+            capacity,
+            Side::Client,
+            window,
+        ))
+    }
+
+    /// After publishing (tail advance) or retiring (head advance): wake
+    /// the peer iff it declared itself parked. The seq-cst fence pairs
+    /// with the one in [`ShmConnection::park`] — either we see their
+    /// parked flag, or they see our counter update.
     fn wake_peer_if_parked(&self) {
         fence(Ordering::SeqCst);
         if self.map.atomic_u32(self.peer_parked).load(Ordering::SeqCst) == 1 {
-            sys::eventfd_signal(self.doorbells.peers.raw());
+            sys::wake(self.sock.as_raw_fd());
         }
     }
 
-    /// Park until the doorbell rings, the peer dies, or `ready()` turns
+    /// Park until a wake byte arrives, the peer dies, or `ready()` turns
     /// true. Returns `Err(Disconnected)` only on peer death with
     /// `ready()` still false (so a receiver drains the ring first).
     ///
     /// One endpoint can have a sender (out of space) and a receiver (out
-    /// of frames) parked at once sharing one doorbell; a wake meant for
-    /// one may be consumed by the other. The bounded park makes that a
-    /// latency blip, not a hang.
+    /// of frames) parked at once on one socket; a wake meant for one may
+    /// be consumed by the other. The bounded park makes that a latency
+    /// blip, not a hang.
     fn park(&self, ready: impl Fn() -> bool) -> Result<(), TransportError> {
-        let bell = self.doorbells.mine.raw();
+        let sock = self.sock.as_raw_fd();
+        // Stale wake bytes would end the poll at once: drain them before
+        // declaring ourselves parked, so a wake sent after the flag is
+        // never consumed before the poll sees it.
+        if sys::drain_wakes(sock) && !ready() {
+            return Err(TransportError::Disconnected);
+        }
         let parked = self.map.atomic_u32(self.my_parked);
         parked.store(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
@@ -345,17 +271,9 @@ impl ShmConnection {
             parked.store(0, Ordering::SeqCst);
             return Ok(());
         }
-        if peer_gone(&self.sock) {
-            parked.store(0, Ordering::SeqCst);
-            return Err(TransportError::Disconnected);
-        }
-        sys::poll_fds(
-            &[(bell, sys::POLLIN), (self.sock.as_raw_fd(), sys::POLLIN)],
-            PARK_TIMEOUT_MS,
-        );
-        sys::eventfd_drain(bell);
+        sys::poll_fds(&[(sock, sys::POLLIN)], PARK_TIMEOUT_MS);
         parked.store(0, Ordering::SeqCst);
-        if !ready() && peer_gone(&self.sock) {
+        if sys::drain_wakes(sock) && !ready() {
             return Err(TransportError::Disconnected);
         }
         Ok(())
@@ -385,11 +303,10 @@ impl ShmConnection {
     }
 
     /// Sole producer (send lock held): write `word` (length prefix,
-    /// possibly batch-flagged) + the concatenated `body` parts, waiting
-    /// for ring space.
-    fn raw_send(&self, word: u32, body: &[&[u8]]) -> Result<(), TransportError> {
+    /// possibly batch-flagged) + `body`, waiting for ring space.
+    fn raw_send(&self, word: u32, body: &[u8]) -> Result<(), TransportError> {
         let r = self.send_ring;
-        let need = body.iter().map(|p| p.len() as u64).sum::<u64>() + 4;
+        let need = body.len() as u64 + 4;
         debug_assert!(need <= r.cap, "caller checks capacity");
         let tail_a = self.map.atomic_u64(r.tail);
         let head_a = self.map.atomic_u64(r.head);
@@ -417,11 +334,8 @@ impl ShmConnection {
                 detail: format!("ring consumer head {head} ahead of producer tail {tail}"),
             });
         }
-        let mut at = tail;
-        for part in std::iter::once(&word.to_le_bytes()[..]).chain(body.iter().copied()) {
-            ring_write(&self.map, r, at, part);
-            at += part.len() as u64;
-        }
+        ring_write(&self.map, r, tail, &word.to_le_bytes());
+        ring_write(&self.map, r, tail + 4, body);
         // Publish: the consumer's acquire load of tail sees the frame
         // bytes fully written.
         tail_a.store(tail + need, Ordering::Release);
@@ -478,34 +392,21 @@ impl ShmConnection {
         }
         Ok(())
     }
-
-    /// Publish one plain frame made of `parts`, copied into the ring in
-    /// place.
-    fn send_parts(&self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        let len: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        if len > self.max_frame() {
-            return Err(TransportError::FrameTooLarge {
-                len,
-                max: self.max_frame(),
-            });
-        }
-        let _guard = self.send_lock.lock();
-        self.raw_send(len as u32, parts)
-    }
 }
 
 impl Connection for ShmConnection {
     fn send(&self, frame: Vec<u8>) -> Result<(), TransportError> {
-        self.send_parts(&[&frame])
-    }
-
-    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
-        self.send_parts(&[head, tail])
-    }
-
-    fn max_frame(&self) -> u64 {
         // A frame and its length word must fit the ring at once.
-        self.send_ring.cap - 4
+        let (len, max) = (frame.len() as u64, self.send_ring.cap - 4);
+        if len > max {
+            return Err(TransportError::FrameTooLarge { len, max });
+        }
+        let _guard = self.send_lock.lock();
+        self.raw_send(len as u32, &frame)
+    }
+
+    fn window(&self) -> Option<Arc<Window>> {
+        Some(self.window.clone())
     }
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
@@ -547,23 +448,25 @@ impl Connection for ShmConnection {
                         max: r.cap - 4,
                     });
                 }
-                self.raw_send(f.len() as u32, &[&f])?;
+                self.raw_send(f.len() as u32, &f)?;
             }
             return Ok(());
         }
         let _guard = self.send_lock.lock();
-        self.raw_send(body.len() as u32 | BATCH_FLAG, &[&body])
+        self.raw_send(body.len() as u32 | BATCH_FLAG, &body)
     }
 
     fn try_recv(&self) -> Result<Option<FrameView>, TransportError> {
         let r = self.recv_ring;
         let mut pending = self.recv_lock.lock();
-        // Reset park state from a previous None: drain the doorbell and
-        // clear the flag so producers go back to syscall-free publishes.
+        // Reset park state from a previous None: clear the flag so
+        // producers go back to syscall-free publishes, and consume the
+        // wake bytes that made the socket readable (EOF stays readable,
+        // so a dead peer is still seen once the ring is drained).
         self.map
             .atomic_u32(self.my_parked)
             .store(0, Ordering::SeqCst);
-        sys::eventfd_drain(self.doorbells.mine.raw());
+        let gone = sys::drain_wakes(self.sock.as_raw_fd());
         loop {
             if let Some(f) = pending.pop_front() {
                 return Ok(Some(f));
@@ -590,7 +493,7 @@ impl Connection for ShmConnection {
                     .store(0, Ordering::SeqCst);
                 continue;
             }
-            if peer_gone(&self.sock) {
+            if gone {
                 return Err(TransportError::Disconnected);
             }
             return Ok(None);
@@ -602,94 +505,51 @@ impl Connection for ShmConnection {
     }
 
     fn event_fds(&self) -> Vec<i32> {
-        vec![self.doorbells.mine.raw(), self.sock.as_raw_fd()]
+        vec![self.sock.as_raw_fd()]
     }
 }
 
 // ---- handshake -------------------------------------------------------------
 
-/// Client half of the handshake: name the ring file and its capacity,
-/// with the doorbell eventfds (`[client's bell, server's bell]`) riding
-/// `SCM_RIGHTS` on the preamble bytes. The rest of the hello travels as
-/// plain stream bytes.
-fn send_hello(
-    sock: &UnixStream,
-    path: &Path,
-    capacity: u32,
-    bells: &[std::os::unix::io::RawFd],
-) -> Result<(), TransportError> {
-    let sent = sys::send_with_fds(sock.as_raw_fd(), &PREAMBLE, bells)
-        .map_err(|e| io_err("handshake", &e))?;
-    if sent != PREAMBLE.len() {
+/// Client half of the handshake: ask for rings of `capacity` bytes per
+/// direction and collect the listener's answer — the ready byte with the
+/// ring and window memfds attached. Returns the socket (non-blocking
+/// from here on) and both descriptors, unmapped.
+fn hello(path: &Path, capacity: u32) -> Result<(UnixStream, File, File), TransportError> {
+    let hs = |e: std::io::Error| io_err("handshake", &e);
+    let sock = UnixStream::connect(path).map_err(|e| io_err("dial", &e))?;
+    sock.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).map_err(hs)?;
+    let mut msg = [0u8; 8];
+    msg[..4].copy_from_slice(&PREAMBLE);
+    msg[4..].copy_from_slice(&capacity.to_le_bytes());
+    (&sock).write_all(&msg).map_err(hs)?;
+    let mut ready = [0u8; 1];
+    let fds = sys::recv_exact_with_fds(sock.as_raw_fd(), &mut ready, 2).map_err(hs)?;
+    let Ok([ring, window]) = <[_; 2]>::try_from(fds) else {
         return Err(TransportError::Io {
             op: "handshake",
-            kind: std::io::ErrorKind::WriteZero,
-            detail: format!("short preamble sendmsg ({sent} of 4 bytes)"),
+            kind: std::io::ErrorKind::InvalidData,
+            detail: format!("listener refused the hello (ready byte {})", ready[0]),
         });
-    }
-    let bytes = path.as_os_str().as_encoded_bytes();
-    let mut msg = Vec::with_capacity(8 + bytes.len());
-    msg.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    msg.extend_from_slice(bytes);
-    msg.extend_from_slice(&capacity.to_le_bytes());
-    (&*sock)
-        .write_all(&msg)
-        .map_err(|e| io_err("handshake", &e))
+    };
+    sock.set_nonblocking(true).map_err(hs)?;
+    Ok((sock, File::from(ring), File::from(window)))
 }
 
-/// Server half: read the hello, validate, collect the doorbell fds.
-fn read_hello(sock: &UnixStream) -> Result<(PathBuf, u32, Doorbells), TransportError> {
-    // The preamble comes via recvmsg so the attached SCM_RIGHTS payload
-    // is collected. Loop in case the kernel splits the 4 bytes.
-    let mut preamble = [0u8; 4];
-    let mut got = 0usize;
-    let mut fds = Vec::new();
-    while got < 4 {
-        let (n, mut newfds) = sys::recv_with_fds(sock.as_raw_fd(), &mut preamble[got..], 2)
-            .map_err(|e| io_err("handshake", &e))?;
-        if n == 0 {
-            return Err(TransportError::Disconnected);
-        }
-        got += n;
-        fds.append(&mut newfds);
-    }
-    frame::check_preamble(&preamble)?;
-    // Exactly two fds form a doorbell pair (ours is the second). A hello
-    // without them could only be served by polling the ring: refuse it.
-    if fds.len() != 2 {
-        return Err(TransportError::Io {
-            op: "handshake",
-            kind: std::io::ErrorKind::InvalidData,
-            detail: format!("hello carries {} doorbell fds, need 2", fds.len()),
-        });
-    }
-    let server_bell = fds.pop().expect("two fds");
-    let client_bell = fds.pop().expect("two fds");
-    let doorbells = Doorbells {
-        mine: server_bell,
-        peers: client_bell,
-    };
-    let mut len_bytes = [0u8; 4];
-    (&*sock)
-        .read_exact(&mut len_bytes)
-        .map_err(|e| io_err("handshake", &e))?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len == 0 || len > 4096 {
-        return Err(TransportError::Io {
-            op: "handshake",
-            kind: std::io::ErrorKind::InvalidData,
-            detail: format!("ring path length {len} out of range"),
-        });
-    }
-    let mut path_bytes = vec![0u8; len];
-    (&*sock)
-        .read_exact(&mut path_bytes)
-        .map_err(|e| io_err("handshake", &e))?;
-    let mut cap_bytes = [0u8; 4];
-    (&*sock)
-        .read_exact(&mut cap_bytes)
-        .map_err(|e| io_err("handshake", &e))?;
-    let capacity = u32::from_le_bytes(cap_bytes);
+/// Server half: read and validate the hello, create and map the ring
+/// and the window, and answer with the ready byte carrying both. Runs on
+/// the accepted connection's own session thread (see
+/// [`PendingShmConnection`]), never on the accept loop.
+fn complete_server_handshake(sock: UnixStream) -> Result<ShmConnection, TransportError> {
+    let hs = |e: std::io::Error| io_err("handshake", &e);
+    sock.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).map_err(hs)?;
+    // Plain reads: descriptors a client attaches to its hello are
+    // discarded by the kernel, never installed here.
+    let mut hello = [0u8; 8];
+    (&sock).read_exact(&mut hello).map_err(hs)?;
+    let (preamble, cap) = hello.split_at(4);
+    frame::check_preamble(preamble.try_into().expect("4-byte split"))?;
+    let capacity = u32::from_le_bytes(cap.try_into().expect("4-byte split"));
     if !capacity.is_power_of_two() || !(MIN_CAPACITY..=MAX_CAPACITY).contains(&capacity) {
         return Err(TransportError::Io {
             op: "handshake",
@@ -697,61 +557,33 @@ fn read_hello(sock: &UnixStream) -> Result<(PathBuf, u32, Doorbells), TransportE
             detail: format!("ring capacity {capacity} invalid"),
         });
     }
-    // Lossless round trip: the bytes came from as_encoded_bytes on the
-    // client; treat them as a platform path verbatim.
-    let path =
-        PathBuf::from(unsafe { std::ffi::OsString::from_encoded_bytes_unchecked(path_bytes) });
-    Ok((path, capacity, doorbells))
-}
-
-fn validate_header(map: &RawMap, capacity: u32) -> Result<(), TransportError> {
-    let magic = map.atomic_u64(OFF_MAGIC).load(Ordering::Acquire);
-    if magic != SHM_MAGIC {
+    let ring = sys::sealed_memfd(c"grd-ring", file_len(capacity)).map_err(hs)?;
+    let map = SharedMap::new(&ring, file_len(capacity) as usize).map_err(hs)?;
+    let (window, window_fd) = Window::create().map_err(hs)?;
+    let sent = sys::send_with_fds(
+        sock.as_raw_fd(),
+        &[1],
+        &[ring.as_raw_fd(), window_fd.as_raw_fd()],
+    )
+    .map_err(hs)?;
+    if sent != 1 {
         return Err(TransportError::Io {
             op: "handshake",
-            kind: std::io::ErrorKind::InvalidData,
-            detail: format!("ring file magic {magic:#x} != {SHM_MAGIC:#x}"),
+            kind: std::io::ErrorKind::WriteZero,
+            detail: "ready byte not sent".into(),
         });
     }
-    let version = map.atomic_u32(OFF_VERSION).load(Ordering::Acquire);
-    if version != frame::TRANSPORT_VERSION as u32 {
-        return Err(TransportError::VersionMismatch {
-            got: version as u8,
-            want: frame::TRANSPORT_VERSION,
-        });
-    }
-    let cap = map.atomic_u32(OFF_CAPACITY).load(Ordering::Acquire);
-    if cap != capacity {
-        return Err(TransportError::Io {
-            op: "handshake",
-            kind: std::io::ErrorKind::InvalidData,
-            detail: format!("ring header capacity {cap} != hello capacity {capacity}"),
-        });
-    }
-    Ok(())
+    sock.set_nonblocking(true).map_err(hs)?;
+    Ok(ShmConnection::new(
+        map,
+        sock,
+        capacity,
+        Side::Server,
+        window,
+    ))
 }
 
 // ---- listener / dialer -----------------------------------------------------
-
-/// Identity of a mapped ring file: `(device, inode)`. The SPSC ring
-/// discipline tolerates exactly one server-side endpoint per file; the
-/// listener tracks live claims so a hostile client cannot alias one
-/// ring file into two connections (two server producers on one ring
-/// would race inside the trusted manager).
-type RingFileId = (u64, u64);
-
-/// Registry entry held by a server-side connection; frees the ring-file
-/// claim when the connection drops.
-struct RingClaim {
-    id: RingFileId,
-    registry: Arc<Mutex<std::collections::HashSet<RingFileId>>>,
-}
-
-impl Drop for RingClaim {
-    fn drop(&mut self) {
-        self.registry.lock().remove(&self.id);
-    }
-}
 
 /// Server side: accepts shared-memory connections handshaken over a Unix
 /// socket at a well-known path.
@@ -762,8 +594,6 @@ pub struct ShmListener {
     policy: UidPolicy,
     /// Optional per-uid connect-rate gate on the handshake socket.
     admission: Option<Arc<crate::control::Admission>>,
-    /// Ring files currently mapped by live server connections.
-    mapped: Arc<Mutex<std::collections::HashSet<RingFileId>>>,
 }
 
 impl ShmListener {
@@ -779,8 +609,8 @@ impl ShmListener {
     }
 
     /// [`ShmListener::bind`] with an `SO_PEERCRED` uid policy on the
-    /// handshake socket — the ring file is only ever opened for peers
-    /// the policy admits.
+    /// handshake socket — a ring is only ever made for peers the policy
+    /// admits.
     ///
     /// # Errors
     ///
@@ -795,7 +625,7 @@ impl ShmListener {
     /// [`ShmListener::bind_with_policy`] with an optional per-uid
     /// connect-rate gate ([`Admission`](crate::control::Admission)) on
     /// the handshake socket: over-rate peers are dropped before their
-    /// hello is read (their ring file is never opened).
+    /// hello is read (no ring is ever made for them).
     ///
     /// # Errors
     ///
@@ -825,81 +655,10 @@ impl ShmListener {
                 stop,
                 policy,
                 admission,
-                mapped: Arc::new(Mutex::new(std::collections::HashSet::new())),
             },
             unblock,
         ))
     }
-}
-
-/// Server half of the hello: validate, open, claim, and map the ring
-/// file the client named. Runs on the accepted connection's own session
-/// thread (see [`PendingShmConnection`]), never on the accept loop.
-fn complete_server_handshake(
-    sock: &UnixStream,
-    mapped: &Arc<Mutex<std::collections::HashSet<RingFileId>>>,
-) -> Result<(RawMap, u32, Doorbells, RingClaim), TransportError> {
-    use std::os::unix::fs::{MetadataExt, OpenOptionsExt};
-
-    sock.set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(|e| io_err("handshake", &e))?;
-    let (ring_path, capacity, doorbells) = read_hello(sock)?;
-    // O_NOFOLLOW | O_NONBLOCK (asm-generic Linux values, shared by
-    // x86_64 and aarch64): the path is attacker-controlled, so refuse
-    // symlinks outright and never block inside open(2) on a smuggled
-    // FIFO. O_NONBLOCK on a regular file is a no-op for mmap/IO here.
-    const O_NONBLOCK: i32 = 0o4000;
-    const O_NOFOLLOW: i32 = 0o400000;
-    let file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .custom_flags(O_NOFOLLOW | O_NONBLOCK)
-        .open(&ring_path)
-        .map_err(|e| io_err("handshake", &e))?;
-    let meta = file.metadata().map_err(|e| io_err("handshake", &e))?;
-    // Only plain files are mappable ring backings; a FIFO, device
-    // node, or socket smuggled in by path is an attack, not a ring.
-    if !meta.file_type().is_file() {
-        return Err(TransportError::Io {
-            op: "handshake",
-            kind: std::io::ErrorKind::InvalidData,
-            detail: format!("ring path {} is not a regular file", ring_path.display()),
-        });
-    }
-    let need = file_len(capacity);
-    let have = meta.len();
-    if have < need {
-        return Err(TransportError::Io {
-            op: "handshake",
-            kind: std::io::ErrorKind::InvalidData,
-            detail: format!("ring file is {have} bytes, need {need}"),
-        });
-    }
-    // Claim the file by (device, inode): one server endpoint per
-    // ring, or the SPSC invariant the unsafe ring code relies on is
-    // gone. The claim is released when the connection drops.
-    let id: RingFileId = (meta.dev(), meta.ino());
-    if !mapped.lock().insert(id) {
-        return Err(TransportError::Io {
-            op: "handshake",
-            kind: std::io::ErrorKind::AlreadyExists,
-            detail: "ring file already serves another live connection".into(),
-        });
-    }
-    let claim = RingClaim {
-        id,
-        registry: mapped.clone(),
-    };
-    let map = RawMap::map(&file, need as usize)?;
-    validate_header(&map, capacity)?;
-    // Ready byte: the client may unlink the file once we have it
-    // mapped (the mapping outlives the directory entry).
-    (&*sock)
-        .write_all(&[1])
-        .map_err(|e| io_err("handshake", &e))?;
-    sock.set_nonblocking(true)
-        .map_err(|e| io_err("handshake", &e))?;
-    Ok((map, capacity, doorbells, claim))
 }
 
 /// A freshly accepted server half whose hello has not been read yet.
@@ -913,10 +672,7 @@ struct PendingShmConnection {
 }
 
 enum ShmServerState {
-    Pending {
-        sock: UnixStream,
-        mapped: Arc<Mutex<std::collections::HashSet<RingFileId>>>,
-    },
+    Pending(UnixStream),
     Ready(ShmConnection),
     /// Handshake failed; every subsequent op repeats the refusal.
     Failed,
@@ -932,34 +688,20 @@ impl PendingShmConnection {
         f: impl FnOnce(&ShmConnection) -> Result<R, TransportError>,
     ) -> Result<R, TransportError> {
         let mut state = self.state.lock();
-        if let ShmServerState::Pending { sock, mapped } = &*state {
-            match complete_server_handshake(sock, mapped) {
-                Ok((map, capacity, doorbells, claim)) => {
-                    // The socket moves into the connection; replace the
-                    // state wholesale.
-                    let old = std::mem::replace(&mut *state, ShmServerState::Failed);
-                    let ShmServerState::Pending { sock, .. } = old else {
-                        unreachable!("state checked above");
-                    };
-                    *state = ShmServerState::Ready(ShmConnection::new(
-                        map,
-                        sock,
-                        capacity,
-                        Side::Server,
-                        doorbells,
-                        Some(claim),
-                    ));
-                }
-                Err(e) => {
-                    *state = ShmServerState::Failed;
-                    return Err(e);
-                }
-            }
+        if matches!(*state, ShmServerState::Pending(_)) {
+            // A failed handshake leaves `Failed` behind, and the dropped
+            // socket tells the client.
+            let ShmServerState::Pending(sock) =
+                std::mem::replace(&mut *state, ShmServerState::Failed)
+            else {
+                unreachable!("state checked above");
+            };
+            *state = ShmServerState::Ready(complete_server_handshake(sock)?);
         }
         match &*state {
             ShmServerState::Ready(conn) => f(conn),
             ShmServerState::Failed => Err(TransportError::Disconnected),
-            ShmServerState::Pending { .. } => unreachable!("handshake just ran"),
+            ShmServerState::Pending(_) => unreachable!("handshake just ran"),
         }
     }
 }
@@ -973,20 +715,14 @@ impl Connection for PendingShmConnection {
         self.with_ready(|c| c.recv())
     }
 
-    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
-        self.with_ready(|c| c.send_split(head, tail))
-    }
-
     fn send_batch(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
         self.with_ready(|c| c.send_batch(frames))
     }
 
-    fn max_frame(&self) -> u64 {
-        // The ring's size is the client's choice, known once its hello
-        // is read; until then (or after a refused one) nothing fits.
+    fn window(&self) -> Option<Arc<Window>> {
         match &*self.state.lock() {
-            ShmServerState::Ready(c) => c.max_frame(),
-            _ => 0,
+            ShmServerState::Ready(c) => c.window(),
+            _ => None,
         }
     }
 
@@ -998,15 +734,14 @@ impl Connection for PendingShmConnection {
     }
 
     fn enter_event_mode(&self) -> bool {
-        // Adoptable: before the handshake the hello's arrival is itself
-        // a socket-readable event; after it, the doorbell is (the
-        // executor re-queries `event_fds` after each drain).
+        // Adoptable: before the handshake the hello's arrival makes the
+        // socket readable, and after it wake bytes and EOF do.
         true
     }
 
     fn event_fds(&self) -> Vec<i32> {
         match &*self.state.lock() {
-            ShmServerState::Pending { sock, .. } => vec![sock.as_raw_fd()],
+            ShmServerState::Pending(sock) => vec![sock.as_raw_fd()],
             ShmServerState::Ready(c) => c.event_fds(),
             ShmServerState::Failed => Vec::new(),
         }
@@ -1025,8 +760,7 @@ impl Listener for ShmListener {
                 return Err(TransportError::Disconnected);
             }
             // Credential gate: a peer the uid policy rejects is dropped
-            // before the hello — its ring file is never opened or
-            // mapped.
+            // before the hello — no ring is ever made for it.
             if !self.policy.check(&sock) {
                 drop(sock);
                 continue;
@@ -1043,10 +777,7 @@ impl Listener for ShmListener {
             // The hello is deferred to the connection's first send/recv
             // (its session thread), keeping the accept loop un-wedgeable.
             return Ok(Box::new(PendingShmConnection {
-                state: Mutex::new(ShmServerState::Pending {
-                    sock,
-                    mapped: self.mapped.clone(),
-                }),
+                state: Mutex::new(ShmServerState::Pending(sock)),
                 peer_uid: uid,
             }));
         }
@@ -1059,14 +790,12 @@ impl Drop for ShmListener {
     }
 }
 
-/// Client side: creates a ring file per connection and hands it to the
-/// listener over the handshake socket.
+/// Client side: asks the listener for a ring per connection over the
+/// handshake socket.
 pub struct ShmDialer {
     path: PathBuf,
     capacity: u32,
 }
-
-static RING_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ShmDialer {
     /// A dialer for the handshake socket at `path` with the default ring
@@ -1075,7 +804,7 @@ impl ShmDialer {
         Self::with_capacity(path, DEFAULT_RING_CAPACITY)
     }
 
-    /// A dialer creating rings of `capacity` bytes per direction
+    /// A dialer asking for rings of `capacity` bytes per direction
     /// (power of two, 4 KiB – 1 GiB).
     ///
     /// # Panics
@@ -1096,79 +825,58 @@ impl ShmDialer {
 
 impl Dialer for ShmDialer {
     fn dial(&self) -> Result<Box<dyn Connection>, TransportError> {
-        // Create and initialize the ring file.
-        let seq = RING_SEQ.fetch_add(1, Ordering::Relaxed);
-        let ring_path =
-            std::env::temp_dir().join(format!("grd-ring-{}-{seq}.shm", std::process::id()));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&ring_path)
-            .map_err(|e| io_err("dial", &e))?;
-        // Best-effort unlink on any early-exit path below.
-        struct UnlinkGuard<'a>(Option<&'a Path>);
-        impl Drop for UnlinkGuard<'_> {
-            fn drop(&mut self) {
-                if let Some(p) = self.0 {
-                    let _ = std::fs::remove_file(p);
-                }
-            }
-        }
-        let mut guard = UnlinkGuard(Some(&ring_path));
-        file.set_len(file_len(self.capacity))
-            .map_err(|e| io_err("dial", &e))?;
-        let map = RawMap::map(&file, file_len(self.capacity) as usize)?;
-        map.atomic_u32(OFF_VERSION)
-            .store(frame::TRANSPORT_VERSION as u32, Ordering::Release);
-        map.atomic_u32(OFF_CAPACITY)
-            .store(self.capacity, Ordering::Release);
-        // Magic last: a file without it is never a valid ring.
-        map.atomic_u64(OFF_MAGIC)
-            .store(SHM_MAGIC, Ordering::Release);
+        let (sock, ring, window) = hello(&self.path, self.capacity)?;
+        // The mappings are all this side keeps: the descriptors close
+        // here.
+        let conn = ShmConnection::client(sock, &ring, &window, self.capacity)?;
+        Ok(Box::new(conn))
+    }
+}
 
-        // Handshake over the socket, doorbell eventfds attached: the
-        // client keeps the originals, the server gets kernel-duplicated
-        // descriptors of the same eventfd objects.
-        let client_bell = sys::eventfd_new().map_err(|e| io_err("dial", &e))?;
-        let server_bell = sys::eventfd_new().map_err(|e| io_err("dial", &e))?;
-        let sock = UnixStream::connect(&self.path).map_err(|e| io_err("dial", &e))?;
-        sock.set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-            .map_err(|e| io_err("handshake", &e))?;
-        send_hello(
-            &sock,
-            &ring_path,
-            self.capacity,
-            &[client_bell.raw(), server_bell.raw()],
-        )?;
-        let mut ready = [0u8; 1];
-        (&sock)
-            .read_exact(&mut ready)
-            .map_err(|e| io_err("handshake", &e))?;
-        if ready[0] != 1 {
-            return Err(TransportError::Io {
-                op: "handshake",
-                kind: std::io::ErrorKind::InvalidData,
-                detail: format!("listener rejected ring (ready byte {})", ready[0]),
-            });
-        }
-        sock.set_nonblocking(true)
-            .map_err(|e| io_err("handshake", &e))?;
-        // Both sides hold the mapping; the directory entry can go. After
-        // this point even SIGKILL leaks nothing on disk.
-        let _ = std::fs::remove_file(&ring_path);
-        guard.0 = None;
-        Ok(Box::new(ShmConnection::new(
-            map,
-            sock,
-            self.capacity,
-            Side::Client,
-            Doorbells {
-                mine: client_bell,
-                peers: server_bell,
-            },
-            None,
-        )))
+/// A shm client that keeps the daemon's ring and window descriptors
+/// after mapping them and can hold its parked flag up: the tenant that
+/// hostile-client tests play. Test support; frames travel through a
+/// real client endpoint.
+pub struct RawShmClient {
+    conn: ShmConnection,
+    ring: File,
+    window: File,
+}
+
+impl RawShmClient {
+    /// Complete the hello at `path` for a ring of `capacity` bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShmDialer::dial`].
+    pub fn dial(path: impl AsRef<Path>, capacity: u32) -> Result<Self, TransportError> {
+        let (sock, ring, window) = hello(path.as_ref(), capacity)?;
+        let conn = ShmConnection::client(sock, &ring, &window, capacity)?;
+        Ok(RawShmClient { conn, ring, window })
+    }
+
+    /// The ring memfd the daemon sent.
+    pub fn ring(&self) -> &File {
+        &self.ring
+    }
+
+    /// The window memfd the daemon sent.
+    pub fn window(&self) -> &File {
+        &self.window
+    }
+
+    /// Declare this side parked — it never clears the flag itself — so
+    /// the daemon sends a wake after every frame it consumes.
+    pub fn hold_parked(&self) {
+        self.conn
+            .map
+            .atomic_u32(self.conn.my_parked)
+            .store(1, Ordering::SeqCst);
+    }
+
+    /// The client endpoint, for sending and receiving frames.
+    pub fn conn(&self) -> &dyn Connection {
+        &self.conn
     }
 }
 
@@ -1179,48 +887,6 @@ mod tests {
 
     fn temp_sock(tag: &str) -> PathBuf {
         crate::fixtures::temp_socket_path(&format!("shm-test-{tag}"))
-    }
-
-    /// A hand-rolled client's ring file of `capacity`, created and
-    /// mapped the way a dialer would, at a `tag`-named path.
-    fn hand_rolled_ring(tag: &str, capacity: u32) -> (PathBuf, RawMap) {
-        let ring_path =
-            std::env::temp_dir().join(format!("grd-{tag}-ring-{}.shm", std::process::id()));
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&ring_path)
-            .unwrap();
-        file.set_len(file_len(capacity)).unwrap();
-        let map = RawMap::map(&file, file_len(capacity) as usize).unwrap();
-        map.atomic_u32(OFF_VERSION)
-            .store(frame::TRANSPORT_VERSION as u32, Ordering::Release);
-        map.atomic_u32(OFF_CAPACITY)
-            .store(capacity, Ordering::Release);
-        map.atomic_u64(OFF_MAGIC)
-            .store(SHM_MAGIC, Ordering::Release);
-        (ring_path, map)
-    }
-
-    /// Send a hello naming `ring_path` with `bells` attached, and read
-    /// the listener's ready byte.
-    fn hand_rolled_hello(
-        path: &Path,
-        ring_path: &Path,
-        capacity: u32,
-        bells: &[sys::OwnedFd],
-    ) -> std::io::Result<(UnixStream, u8)> {
-        let sock = UnixStream::connect(path)?;
-        let fds: Vec<_> = bells.iter().map(sys::OwnedFd::raw).collect();
-        send_hello(&sock, ring_path, capacity, &fds).map_err(std::io::Error::other)?;
-        let mut ready = [0u8; 1];
-        (&sock).read_exact(&mut ready)?;
-        Ok((sock, ready[0]))
-    }
-
-    fn bells() -> [sys::OwnedFd; 2] {
-        [sys::eventfd_new().unwrap(), sys::eventfd_new().unwrap()]
     }
 
     #[test]
@@ -1325,6 +991,8 @@ mod tests {
         assert_eq!(server.recv(), Err(TransportError::Disconnected));
     }
 
+    /// The ring is a daemon-made memfd: a dial leaves nothing behind in
+    /// the filesystem.
     #[test]
     fn ring_file_is_unlinked_after_handshake() {
         let path = temp_sock("unlink");
@@ -1349,9 +1017,8 @@ mod tests {
     /// Peer-writable counters are untrusted input: a consumer head
     /// stored "ahead" of the producer's tail must fail the send with a
     /// protocol error, not underflow the free-space computation. The
-    /// hostile client here never builds a `ShmConnection` at all — it
-    /// holds its own raw mapping of the ring file, exactly as a
-    /// malicious tenant would.
+    /// hostile client writes its mapping of the ring directly, exactly
+    /// as a malicious tenant would.
     #[test]
     fn hostile_head_counter_fails_send_without_panic() {
         let path = temp_sock("hostile");
@@ -1363,15 +1030,12 @@ mod tests {
             c.send(vec![9]).unwrap();
             c
         });
-        // Hand-rolled hostile client: create + map the ring, handshake.
-        let capacity = 4096u32;
-        let (ring_path, map) = hand_rolled_ring("hostile", capacity);
-        let (_sock, ready) = hand_rolled_hello(&path, &ring_path, capacity, &bells()).unwrap();
-        assert_eq!(ready, 1);
-        let _ = std::fs::remove_file(&ring_path);
+        let raw = RawShmClient::dial(&path, 4096).unwrap();
         let server = accept_thread.join().unwrap();
         // The attack: publish an impossible s2c consumer head.
-        map.atomic_u64(OFF_S2C_HEAD)
+        raw.conn
+            .map
+            .atomic_u64(OFF_S2C_HEAD)
             .store(u64::MAX / 2, Ordering::Release);
         match server.send(vec![1, 2, 3]) {
             Err(TransportError::Io { op: "send", .. }) => {}
@@ -1379,65 +1043,58 @@ mod tests {
         }
     }
 
-    /// One ring file, one connection: a client replaying the same ring
-    /// path in a second handshake is rejected, because two server-side
-    /// producers on one ring would break the SPSC discipline.
+    /// The ring and the window are sealed: the tenant holding their
+    /// descriptors can neither shrink nor grow them (so the daemon's
+    /// mappings never fault), and the connection keeps serving after
+    /// the attempt.
     #[test]
-    fn aliased_ring_file_is_rejected() {
-        let path = temp_sock("alias");
+    fn tenant_cannot_resize_the_ring_or_the_window() {
+        let path = temp_sock("resize");
         let (listener, _unblock) = ShmListener::bind(&path).unwrap();
-        let accept_thread = std::thread::spawn(move || {
-            let first = listener.accept().unwrap();
-            let r1 = first.send(Vec::new());
-            let second = listener.accept().unwrap();
-            let r2 = second.send(Vec::new());
-            (first, r1, r2)
+        let server_thread = std::thread::spawn(move || {
+            let server = listener.accept().unwrap();
+            let f = server.recv().unwrap();
+            server.send(f).unwrap();
+            server
         });
-        // Legitimate dial, but capture the ring path before it is
-        // unlinked by racing the dialer: hand-roll the handshake twice
-        // with one file instead.
-        let capacity = 4096u32;
-        let (ring_path, _map) = hand_rolled_ring("alias", capacity);
-
-        let dial_once = || -> std::io::Result<u8> {
-            let (sock, ready) = hand_rolled_hello(&path, &ring_path, capacity, &bells())?;
-            // Leak the socket so the first connection stays alive for
-            // the duration of the test.
-            std::mem::forget(sock);
-            Ok(ready)
-        };
-        assert_eq!(dial_once().unwrap(), 1, "first handshake accepted");
-        // Second handshake naming the same file: the claim conflict
-        // fails that connection (we observe EOF instead of a ready
-        // byte), while the first connection stays healthy.
-        let r = dial_once();
-        assert!(
-            r.is_err(),
-            "aliased ring handshake must be rejected, got {r:?}"
-        );
-        let (_first, r1, r2) = accept_thread.join().unwrap();
-        assert!(r1.is_ok(), "first connection must serve: {r1:?}");
-        assert!(
-            matches!(
-                r2,
-                Err(TransportError::Io {
-                    op: "handshake",
-                    kind: std::io::ErrorKind::AlreadyExists,
-                    ..
-                })
-            ),
-            "aliased claim produced {r2:?}"
-        );
-        let _ = std::fs::remove_file(&ring_path);
+        let raw = RawShmClient::dial(&path, 4096).unwrap();
+        for file in [raw.ring(), raw.window()] {
+            for len in [0, 1 << 12, 1 << 40] {
+                let e = file.set_len(len).unwrap_err();
+                assert_eq!(e.raw_os_error(), Some(1), "EPERM for set_len({len})");
+            }
+        }
+        raw.conn().send(vec![7; 100]).unwrap();
+        assert_eq!(raw.conn().recv().unwrap(), vec![7; 100]);
+        let server = server_thread.join().unwrap();
+        assert!(server.window().is_some());
     }
 
-    /// Regression gate for the satellite: a SIGKILLed (here: dropped —
-    /// the kernel closes the socket either way) peer must be detected in
-    /// well under 100 ms by a receiver that is idle-parked on its
-    /// doorbell, because the park multiplexes the eventfd *and* the
-    /// socket fd in one poll. The old spin→yield→sleep ladder only
-    /// probed the socket once per wakeup, so a sleeping receiver could
-    /// lag a full sleep quantum behind the death.
+    /// A tenant that holds its parked flag up and never reads its socket
+    /// gets a wake byte for every frame the server consumes, and its
+    /// socket buffer fills. The server's wakes still never block: it
+    /// consumes every frame.
+    #[test]
+    fn wakes_to_a_tenant_that_never_reads_do_not_block_the_server() {
+        const FRAMES: usize = 100_000;
+        let path = temp_sock("noread");
+        let (listener, _unblock) = ShmListener::bind(&path).unwrap();
+        let server_thread = std::thread::spawn(move || {
+            let server = listener.accept().unwrap();
+            (0..FRAMES).all(|i| server.recv().unwrap() == (i as u32).to_le_bytes())
+        });
+        let raw = RawShmClient::dial(&path, 4096).unwrap();
+        for i in 0..FRAMES {
+            raw.hold_parked();
+            raw.conn().send((i as u32).to_le_bytes().to_vec()).unwrap();
+        }
+        assert!(server_thread.join().unwrap(), "frames arrived out of order");
+    }
+
+    /// A SIGKILLed (here: dropped — the kernel closes the socket either
+    /// way) peer must be detected in well under 100 ms by a receiver
+    /// that is idle-parked, because the park polls the socket that
+    /// carries both wake bytes and EOF.
     #[test]
     fn dead_peer_is_detected_quickly_from_an_idle_park() {
         let path = temp_sock("deadpeer");
@@ -1450,7 +1107,7 @@ mod tests {
             (r, start.elapsed())
         });
         let client = ShmDialer::with_capacity(&path, 4096).dial().unwrap();
-        assert!(client.enter_event_mode(), "dialer must negotiate bells");
+        assert!(client.enter_event_mode());
         // Give the server time to pass the spin/yield phases and park.
         std::thread::sleep(Duration::from_millis(50));
         drop(client);
@@ -1463,7 +1120,7 @@ mod tests {
     }
 
     /// A batched send must arrive as the individual frames, in order,
-    /// and the doorbell wakes the parked receiver for it.
+    /// and a wake byte wakes the parked receiver for it.
     #[test]
     fn batch_round_trips_through_the_ring() {
         let path = temp_sock("batch");
@@ -1523,7 +1180,7 @@ mod tests {
         let client = ShmDialer::with_capacity(&path, 4096).dial().unwrap();
         let server = accept_thread.join().unwrap();
         assert!(server.enter_event_mode());
-        assert_eq!(server.event_fds().len(), 2, "doorbell + socket");
+        assert_eq!(server.event_fds().len(), 1, "the socket");
         assert_eq!(server.try_recv().unwrap(), None);
         client.send_batch(vec![vec![1], vec![2, 2]]).unwrap();
         client.send(vec![3, 3, 3]).unwrap();
@@ -1556,41 +1213,47 @@ mod tests {
         }
     }
 
-    /// A hello without exactly two doorbell eventfds is refused at the
-    /// handshake — nothing could wake a peer parked on such a ring — and
-    /// the listener goes on serving dialers that send them.
+    /// A hello asking for a ring the listener will not make — or
+    /// speaking another transport version — is refused at the
+    /// handshake (the client reads EOF, no ready byte), and the listener
+    /// goes on serving dialers that ask properly.
     #[test]
-    fn hello_without_doorbells_is_refused() {
-        let path = temp_sock("nobells");
+    fn hello_with_a_bad_capacity_is_refused() {
+        let path = temp_sock("badcap");
         let (listener, _unblock) = ShmListener::bind(&path).unwrap();
-        let capacity = 4096u32;
+        let bad: [([u8; 4], u32); 4] = [
+            (PREAMBLE, 4097),
+            (PREAMBLE, MIN_CAPACITY / 2),
+            (PREAMBLE, MAX_CAPACITY * 2),
+            ([b'G', b'R', b'D', 1], 4096),
+        ];
         let server_thread = std::thread::spawn(move || {
             let mut refusals = Vec::new();
-            for _ in 0..2 {
+            for _ in 0..bad.len() {
                 let c = listener.accept().unwrap();
                 refusals.push(c.recv());
-                // A refused connection stays refused.
+                // A refused connection stays refused, with nothing left
+                // to poll.
                 assert_eq!(c.try_recv(), Err(TransportError::Disconnected));
+                assert!(c.event_fds().is_empty() && c.window().is_none());
             }
             let good = listener.accept().unwrap();
             let f = good.recv().unwrap();
             good.send(f).unwrap();
             refusals
         });
-        let one = bells();
-        for (tag, bells) in [("nobell", Vec::new()), ("onebell", vec![one[0].raw()])] {
-            let (ring_path, _map) = hand_rolled_ring(tag, capacity);
+        for (preamble, capacity) in bad {
             let sock = UnixStream::connect(&path).unwrap();
-            send_hello(&sock, &ring_path, capacity, &bells).unwrap();
-            // No ready byte: the server hangs up instead.
+            (&sock).write_all(&preamble).unwrap();
+            (&sock).write_all(&capacity.to_le_bytes()).unwrap();
             let mut ready = [0u8; 1];
-            assert_eq!((&sock).read(&mut ready).unwrap_or(0), 0, "{tag}");
-            let _ = std::fs::remove_file(&ring_path);
+            assert_eq!((&sock).read(&mut ready).unwrap_or(0), 0, "{capacity}");
         }
-        let client = ShmDialer::with_capacity(&path, capacity).dial().unwrap();
+        let client = ShmDialer::with_capacity(&path, 4096).dial().unwrap();
         client.send(vec![42; 10]).unwrap();
         assert_eq!(client.recv().unwrap(), vec![42; 10]);
-        for r in server_thread.join().unwrap() {
+        let refusals = server_thread.join().unwrap();
+        for r in &refusals[..3] {
             assert!(
                 matches!(
                     r,
@@ -1603,5 +1266,12 @@ mod tests {
                 "{r:?}"
             );
         }
+        assert_eq!(
+            refusals[3],
+            Err(TransportError::VersionMismatch {
+                got: 1,
+                want: frame::TRANSPORT_VERSION
+            })
+        );
     }
 }

@@ -10,12 +10,15 @@
 //!
 //! Each direction of a fresh connection opens with the 4-byte
 //! [`frame::PREAMBLE`] so version skew fails the handshake instead of
-//! corrupting mid-session frames.
+//! corrupting mid-session frames. The server's preamble carries the
+//! descriptor of the connection's [`Window`] (`SCM_RIGHTS`), which the
+//! client maps before its dial returns.
 
 use super::frame::{self, FrameDecoder, FrameView, BATCH_FLAG, MAX_FRAME, PREAMBLE};
 use super::peercred::UidPolicy;
-use super::{sys, Connection, Dialer, Listener, TransportError};
+use super::{sys, Connection, Dialer, Listener, TransportError, Window};
 use parking_lot::Mutex;
+use std::fs::File;
 use std::io::{IoSlice, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -34,25 +37,53 @@ fn io_err(op: &'static str, e: &std::io::Error) -> TransportError {
     TransportError::from_io(op, e)
 }
 
-/// Exchange preambles on a fresh stream: write ours, read and validate
-/// the peer's. Order is safe because both sides write first — 4 bytes
-/// always fit in the socket buffer.
-fn handshake(stream: &UnixStream) -> Result<(), TransportError> {
+/// Server half of the preamble exchange: create the connection's
+/// window, send our preamble with its descriptor attached, then read and
+/// validate the client's. Order is safe because both sides write first
+/// — 4 bytes always fit in the socket buffer.
+fn serve_handshake(stream: &UnixStream) -> Result<Window, TransportError> {
+    let hs = |e: std::io::Error| io_err("handshake", &e);
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(|e| io_err("handshake", &e))?;
-    (&*stream)
-        .write_all(&PREAMBLE)
-        .map_err(|e| io_err("handshake", &e))?;
+        .map_err(hs)?;
+    let (window, fd) = Window::create().map_err(hs)?;
+    let sent = sys::send_with_fds(stream.as_raw_fd(), &PREAMBLE, &[fd.as_raw_fd()]).map_err(hs)?;
+    drop(fd);
+    if sent != PREAMBLE.len() {
+        return Err(TransportError::Io {
+            op: "handshake",
+            kind: std::io::ErrorKind::WriteZero,
+            detail: format!("short preamble sendmsg ({sent} of 4 bytes)"),
+        });
+    }
     let mut got = [0u8; 4];
-    (&*stream)
-        .read_exact(&mut got)
-        .map_err(|e| io_err("handshake", &e))?;
+    (&*stream).read_exact(&mut got).map_err(hs)?;
     frame::check_preamble(&got)?;
+    stream.set_read_timeout(None).map_err(hs)?;
+    Ok(window)
+}
+
+/// Client half: send our preamble, read and validate the server's, and
+/// map the window whose descriptor rides on it.
+fn dial_handshake(stream: &UnixStream) -> Result<Window, TransportError> {
+    let hs = |e: std::io::Error| io_err("handshake", &e);
     stream
-        .set_read_timeout(None)
-        .map_err(|e| io_err("handshake", &e))?;
-    Ok(())
+        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+        .map_err(hs)?;
+    (&*stream).write_all(&PREAMBLE).map_err(hs)?;
+    let mut got = [0u8; 4];
+    let fds = sys::recv_exact_with_fds(stream.as_raw_fd(), &mut got, 1).map_err(hs)?;
+    frame::check_preamble(&got)?;
+    let Ok([fd]) = <[_; 1]>::try_from(fds) else {
+        return Err(TransportError::Io {
+            op: "handshake",
+            kind: std::io::ErrorKind::InvalidData,
+            detail: "server preamble carries no window".into(),
+        });
+    };
+    let window = Window::open(&File::from(fd)).map_err(hs)?;
+    stream.set_read_timeout(None).map_err(hs)?;
+    Ok(window)
 }
 
 /// Per-connection send state: the writer lock plus a reusable scratch
@@ -74,10 +105,11 @@ pub struct UdsConnection {
     send_lock: Mutex<SendState>,
     /// Reassembly state; also serializes readers.
     recv_state: Mutex<FrameDecoder>,
-    /// `false` on freshly accepted server halves: the preamble exchange
-    /// is deferred to the connection's own session thread, so a wedged
-    /// or hostile client stalls only itself — never the accept loop.
-    handshaken: Mutex<bool>,
+    /// The transfer window. `None` on a freshly accepted server half
+    /// until its preamble exchange, which is deferred to the
+    /// connection's own session thread, so a wedged or hostile client
+    /// stalls only itself — never the accept loop.
+    window: Mutex<Option<Arc<Window>>>,
     /// `true` once an epoll executor adopted this connection: the stream
     /// goes non-blocking (after the handshake) and frames are pulled via
     /// [`Connection::try_recv`].
@@ -97,16 +129,14 @@ const SEND_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 const READ_SIZE: usize = 16 * 1024;
 
 impl UdsConnection {
-    fn new(stream: UnixStream, handshaken: bool) -> Self {
-        Self::with_peer_uid(stream, handshaken, None)
-    }
-
-    fn with_peer_uid(stream: UnixStream, handshaken: bool, peer_uid: Option<u32>) -> Self {
+    /// A connection half: a handshaken client's (with its window) or a
+    /// freshly accepted server's (whose handshake is deferred).
+    fn new(stream: UnixStream, window: Option<Window>, peer_uid: Option<u32>) -> Self {
         UdsConnection {
             stream,
             send_lock: Mutex::new(SendState::default()),
             recv_state: Mutex::new(FrameDecoder::with_read_size(MAX_FRAME, READ_SIZE)),
-            handshaken: Mutex::new(handshaken),
+            window: Mutex::new(window.map(Arc::new)),
             event_mode: AtomicBool::new(false),
             peer_uid,
         }
@@ -116,9 +146,9 @@ impl UdsConnection {
     /// touches the connection first (in the manager: the session thread
     /// or executor worker).
     fn ensure_handshaken(&self) -> Result<(), TransportError> {
-        let mut done = self.handshaken.lock();
-        if !*done {
-            handshake(&self.stream)?;
+        let mut window = self.window.lock();
+        if window.is_none() {
+            let fresh = serve_handshake(&self.stream)?;
             // Event-mode adoption may have happened before the deferred
             // handshake ran; the stream only goes non-blocking now, so
             // the handshake itself could use read timeouts.
@@ -127,7 +157,7 @@ impl UdsConnection {
                     .set_nonblocking(true)
                     .map_err(|e| io_err("handshake", &e))?;
             }
-            *done = true;
+            *window = Some(Arc::new(fresh));
         }
         Ok(())
     }
@@ -143,24 +173,6 @@ impl UdsConnection {
         let n = (&self.stream).read(&mut chunk)?;
         dec.push(&chunk[..n]);
         Ok(n)
-    }
-
-    /// Send one frame given as `parts` (one writev of prefix + parts).
-    fn send_parts(&self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        self.ensure_handshaken()?;
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        if len as u64 > MAX_FRAME as u64 {
-            return Err(TransportError::FrameTooLarge {
-                len: len as u64,
-                max: MAX_FRAME as u64,
-            });
-        }
-        let mut st = self.send_lock.lock();
-        st.prefixes.clear();
-        st.prefixes.extend_from_slice(&(len as u32).to_le_bytes());
-        let mut iov: [&[u8]; 3] = [&st.prefixes[..], &[], &[]];
-        iov[1..1 + parts.len()].copy_from_slice(parts);
-        self.send_vectored(&iov[..1 + parts.len()])
     }
 
     /// Gather-write every byte of `parts` in order — one `writev(2)` per
@@ -220,12 +232,23 @@ impl UdsConnection {
 
 impl Connection for UdsConnection {
     fn send(&self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.ensure_handshaken()?;
+        if frame.len() as u64 > MAX_FRAME as u64 {
+            return Err(TransportError::FrameTooLarge {
+                len: frame.len() as u64,
+                max: MAX_FRAME as u64,
+            });
+        }
         // Vectored write: prefix + payload, no coalescing copy.
-        self.send_parts(&[&frame])
+        let mut st = self.send_lock.lock();
+        st.prefixes.clear();
+        st.prefixes
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.send_vectored(&[&st.prefixes[..], &frame])
     }
 
-    fn send_split(&self, head: &[u8], tail: &[u8]) -> Result<(), TransportError> {
-        self.send_parts(&[head, tail])
+    fn window(&self) -> Option<Arc<Window>> {
+        self.window.lock().clone()
     }
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
@@ -322,7 +345,7 @@ impl Connection for UdsConnection {
         self.event_mode.store(true, Ordering::SeqCst);
         // If the handshake already ran (client halves), flip to
         // non-blocking now; otherwise `ensure_handshaken` does it.
-        if *self.handshaken.lock() && self.stream.set_nonblocking(true).is_err() {
+        if self.window.lock().is_some() && self.stream.set_nonblocking(true).is_err() {
             return false;
         }
         true
@@ -450,7 +473,7 @@ impl Listener for UdsListener {
             // connects and then stalls (or speaks garbage) costs the
             // accept loop nothing; its own session fails the handshake
             // and exits.
-            return Ok(Box::new(UdsConnection::with_peer_uid(stream, false, uid)));
+            return Ok(Box::new(UdsConnection::new(stream, None, uid)));
         }
     }
 }
@@ -480,8 +503,8 @@ impl Dialer for UdsDialer {
         let stream = UnixStream::connect(&self.path).map_err(|e| io_err("dial", &e))?;
         // Clients handshake eagerly: the server side completes its half
         // as soon as the connection's session thread starts reading.
-        handshake(&stream)?;
-        Ok(Box::new(UdsConnection::new(stream, true)))
+        let window = dial_handshake(&stream)?;
+        Ok(Box::new(UdsConnection::new(stream, Some(window), None)))
     }
 }
 
@@ -510,8 +533,11 @@ mod tests {
         client.send(vec![1, 2, 3]).unwrap();
         assert_eq!(client.recv().unwrap(), vec![3, 2, 1]);
         assert_eq!(client.recv().unwrap(), vec![0x5A; 1 << 20]);
-        drop(client);
         let server = server_thread.join().unwrap();
+        // Both halves map the one window the server's preamble carried.
+        client.window().unwrap().write(b"bulk");
+        assert_eq!(server.window().unwrap().span(4).unwrap().as_ref(), b"bulk");
+        drop(client);
         assert_eq!(server.recv(), Err(TransportError::Disconnected));
     }
 
@@ -699,15 +725,14 @@ mod tests {
         assert_eq!(end, Some(Err(TransportError::Disconnected)));
     }
 
-    /// A split send arrives as the one frame it describes — through the
-    /// in-place receive path when it is longer than one read — on both
-    /// the blocking and the event-mode receiver.
+    /// A frame longer than one read arrives as one frame, through the
+    /// in-place receive path, on both the blocking and the event-mode
+    /// receiver; a frame over the limit fails at the sender.
     #[test]
-    fn split_send_arrives_as_one_frame() {
-        let path = temp_sock("split");
+    fn large_frame_arrives_as_one_frame() {
+        let path = temp_sock("large");
         let (listener, _unblock) = UdsListener::bind(&path).unwrap();
-        let tail: Vec<u8> = (0..3 * READ_SIZE as u32 + 5).map(|i| i as u8).collect();
-        let expect = [&b"head"[..], &tail].concat();
+        let expect: Vec<u8> = (0..3 * READ_SIZE as u32 + 9).map(|i| i as u8).collect();
         let server_thread = {
             let expect = expect.clone();
             std::thread::spawn(move || {
@@ -725,12 +750,11 @@ mod tests {
             })
         };
         let client = UdsDialer::new(&path).dial().unwrap();
-        client.send_split(b"head", &tail).unwrap();
-        client.send_split(b"head", &tail).unwrap();
+        client.send(expect.clone()).unwrap();
+        client.send(expect).unwrap();
         server_thread.join().unwrap();
-        assert_eq!(client.max_frame(), MAX_FRAME as u64);
         assert!(matches!(
-            client.send_split(&[0; 8], &vec![0; MAX_FRAME as usize]),
+            client.send(vec![0; MAX_FRAME as usize + 1]),
             Err(TransportError::FrameTooLarge { .. })
         ));
     }

@@ -10,7 +10,7 @@
 //! it (paper §3). This crate provides:
 //!
 //! * [`parse`] / [`Module`]'s `Display` — text ↔ AST, round-trip stable;
-//! * [`validate`] — the `ptxas`-style semantic checks that make *direct*
+//! * [`validate()`] — the `ptxas`-style semantic checks that make *direct*
 //!   branches safe in the threat model;
 //! * [`cfg::Cfg`] and [`liveness::Liveness`] — register-pressure analysis
 //!   backing the paper's §7.3 register-usage experiment;

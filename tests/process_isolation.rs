@@ -44,13 +44,27 @@ struct Daemon {
 impl Daemon {
     /// Spawn a daemon serving `wire` at a fresh socket path.
     fn spawn(wire: &str, extra_args: &[&str]) -> Daemon {
+        Self::spawn_on(None, wire, extra_args)
+    }
+
+    /// [`Daemon::spawn`], under `taskset -c <cpu>` when `cpu` is set: the
+    /// daemon sees one CPU, so its executor runs one worker.
+    fn spawn_on(cpu: Option<&str>, wire: &str, extra_args: &[&str]) -> Daemon {
         let socket = temp_sock(wire);
         let endpoint_flag = match wire {
             "uds" => "--uds",
             "shm" => "--shm",
             other => panic!("unknown wire {other}"),
         };
-        let child = Command::new(DAEMON_BIN)
+        let mut cmd = match cpu {
+            Some(cpu) => {
+                let mut cmd = Command::new("taskset");
+                cmd.args(["-c", cpu, DAEMON_BIN]);
+                cmd
+            }
+            None => Command::new(DAEMON_BIN),
+        };
+        let child = cmd
             .arg(endpoint_flag)
             .arg(&socket)
             .args(extra_args)
@@ -59,6 +73,28 @@ impl Daemon {
             .spawn()
             .expect("spawn guardiand");
         Daemon { child, socket }
+    }
+
+    /// Block until the daemon prints its `guardiand: listening` line —
+    /// every endpoint is bound, so dials need no retry loop. The rest of
+    /// its stdout is drained on a thread of its own.
+    fn await_listening(&mut self) {
+        let out = self.child.stdout.take().expect("daemon stdout");
+        let mut lines = BufReader::new(out).lines();
+        loop {
+            match lines.next() {
+                Some(Ok(line)) if line.starts_with("guardiand: listening") => break,
+                Some(Ok(_)) => {}
+                _ => panic!("guardiand exited before listening"),
+            }
+        }
+        std::thread::spawn(move || lines.for_each(drop));
+    }
+
+    /// Panic unless the daemon process is still running.
+    fn assert_alive(&mut self) {
+        let status = self.child.try_wait().expect("wait guardiand");
+        assert!(status.is_none(), "guardiand died: {status:?}");
     }
 }
 
@@ -605,6 +641,104 @@ fn garbage_handshake_does_not_wedge_the_daemon() {
     t.ready();
     let (code, out) = t.join();
     assert_eq!(code, 0, "tenant failed after garbage clients: {out:?}");
+}
+
+// ---- shm handshake attacks -----------------------------------------------------
+
+/// A tenant holding the shm ring and window descriptors cannot resize
+/// either: both are daemon-made memfds sealed against shrinking and
+/// growing, so `ftruncate` fails with `EPERM`, and the daemon — whose
+/// mappings would fault on a truncated page, taking every tenant with
+/// it — stays up and keeps serving, the attacker and a neighbour alike.
+#[test]
+fn truncating_the_shm_ring_or_window_is_refused() {
+    use guardian::proto::{Request, Response};
+    use guardian::transport::shm::RawShmClient;
+
+    let mut daemon = Daemon::spawn("shm", &["--pool-bytes", &(8u64 << 20).to_string()]);
+    daemon.await_listening();
+    let raw = RawShmClient::dial(&daemon.socket, 1 << 20).expect("hand-rolled hello");
+    for (name, file) in [("ring", raw.ring()), ("window", raw.window())] {
+        for len in [0, 1 << 40] {
+            let e = file.set_len(len).expect_err(name);
+            assert_eq!(e.raw_os_error(), Some(1), "{name} set_len({len}): {e}");
+        }
+    }
+    // The daemon reads the ring it was meant to fault on, and answers.
+    raw.conn().send(Request::DeviceNow.encode()).unwrap();
+    let reply = Response::decode(&raw.conn().recv().unwrap()).unwrap();
+    assert!(matches!(reply, Response::Cycles(_)), "{reply:?}");
+    let mut neighbour = GrdLib::dial_shm(&daemon.socket, 4 << 20).unwrap();
+    let buf = neighbour.cuda_malloc(1 << 20).unwrap();
+    let data: Vec<u8> = (0..1u32 << 20).map(|i| (i % 253) as u8).collect();
+    neighbour.cuda_memcpy_h2d(buf, &data).unwrap();
+    assert!(neighbour.cuda_memcpy_d2h(buf, 1 << 20).unwrap() == data);
+    daemon.assert_alive();
+}
+
+/// A shm tenant that holds its parked flag up and never reads its
+/// socket gets a wake byte for every frame the daemon consumes, and its
+/// socket buffer fills within a few hundred. The daemon sends each wake
+/// with `MSG_DONTWAIT`, so even pinned to one CPU — one executor worker
+/// — it drains the tenant's whole storm of one-way frames and answers
+/// its next call, and a uds neighbour keeps completing round trips.
+#[test]
+fn a_tenant_that_never_reads_its_wakes_cannot_pin_the_worker() {
+    use guardian::proto::{Request, Response};
+    use guardian::transport::shm::RawShmClient;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    /// Far more wakes than any socket buffer holds, in frames few
+    /// enough to fit the ring, so the tenant never waits (and so never
+    /// drains its socket) while sending them.
+    const FRAMES: usize = 20_000;
+    let uds = temp_sock("pin-uds");
+    let mut daemon = Daemon::spawn_on(
+        Some("0"),
+        "shm",
+        &["--uds", uds.to_str().unwrap(), "--deferred"],
+    );
+    daemon.await_listening();
+    let raw = RawShmClient::dial(&daemon.socket, 1 << 20).expect("hand-rolled hello");
+    let mut neighbour = GrdLib::dial_uds(&uds, 4 << 20).unwrap();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let (trip_tx, trip_rx) = channel();
+    let n = std::thread::spawn({
+        let stop = stop.clone();
+        move || {
+            while !stop.load(Ordering::SeqCst) {
+                neighbour.cuda_device_synchronize().unwrap();
+                let _ = trip_tx.send(());
+            }
+        }
+    });
+    let (done_tx, done_rx) = channel();
+    std::thread::spawn(move || {
+        let frame = Request::FreeAsync { ptr: 0 }.encode();
+        for _ in 0..FRAMES {
+            raw.hold_parked();
+            raw.conn().send(frame.clone()).unwrap();
+        }
+        // Answered only once the daemon consumed every frame before it.
+        raw.conn().send(Request::DeviceNow.encode()).unwrap();
+        let _ = done_tx.send(Response::decode(&raw.conn().recv().unwrap()));
+    });
+    let reply = done_rx
+        .recv_timeout(STEP_TIMEOUT)
+        .expect("the daemon stopped draining the shm tenant's frames");
+    assert!(matches!(reply, Ok(Response::Cycles(_))), "{reply:?}");
+    // Count only round trips that start after the storm was drained.
+    while trip_rx.try_recv().is_ok() {}
+    for i in 0..20 {
+        trip_rx
+            .recv_timeout(STEP_TIMEOUT)
+            .unwrap_or_else(|_| panic!("uds neighbour stalled after {i} round trips"));
+    }
+    stop.store(true, Ordering::SeqCst);
+    n.join().unwrap();
+    daemon.assert_alive();
 }
 
 /// A partition pool that is not a power of two is a configuration
