@@ -146,18 +146,8 @@ pub(crate) struct LaunchStatsAtomic {
 }
 
 impl LaunchStatsAtomic {
-    pub(crate) fn record(
-        &self,
-        driver_level: bool,
-        lookup_ns: u64,
-        augment_ns: u64,
-        enqueue_ns: u64,
-    ) {
-        self.record_batch(driver_level, 1, lookup_ns, augment_ns, enqueue_ns);
-    }
-
-    /// Record `n` launches of one path in a single atomic round — the
-    /// per-batch form the deferred flush path uses.
+    /// Record `n` launches of one path in a single atomic round — one
+    /// call per path per flushed batch.
     pub(crate) fn record_batch(
         &self,
         driver_level: bool,
@@ -184,7 +174,9 @@ impl LaunchStatsAtomic {
     }
 }
 
-/// When a kernel-launch RPC is acknowledged.
+/// When a kernel-launch RPC is acknowledged. Both policies admit and
+/// flush launches through the same session path; this decides only
+/// whether a reply frame goes back, and so when the path flushes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaunchAck {
     /// Reply once the command is enqueued on the tenant's stream. The
@@ -214,10 +206,6 @@ pub struct ManagerConfig {
     /// set (heterogeneous device sets want heterogeneous pools). Length
     /// must match the device count.
     pub pool_bytes_per_gpu: Option<Vec<u64>>,
-    /// Issue native (unpatched) kernels when only one client is connected
-    /// (§4.2.3: standalone applications incur no overhead). Off by default
-    /// so overhead experiments measure protection costs.
-    pub native_when_standalone: bool,
     /// Launch acknowledgement policy (default: eager).
     pub launch_ack: LaunchAck,
     /// How un-hinted tenants are routed across the device set (default:
@@ -283,7 +271,6 @@ impl Default for ManagerConfig {
             protection: Protection::FenceBitwise,
             pool_bytes: None,
             pool_bytes_per_gpu: None,
-            native_when_standalone: false,
             launch_ack: LaunchAck::default(),
             placement: PlacementPolicy::default(),
             lease_default: None,
@@ -1064,6 +1051,10 @@ pub struct ManagerHandle {
 }
 
 struct ManagerInner {
+    /// The state every session shares, reachable from unit tests (to
+    /// install [`Shared::malloc_hook`]).
+    #[cfg(test)]
+    shared: Arc<Shared>,
     /// The node's lease/quota registry (shared with the control thread
     /// and any admin endpoints serving this manager).
     plane: Arc<ControlPlane>,
@@ -1120,13 +1111,6 @@ impl ManagerHandle {
         proto::Response::decode(&frame).ok()
     }
 
-    fn stats_rpc(&self) -> Option<proto::StatsSnapshot> {
-        match self.query(&proto::Request::Stats)? {
-            proto::Response::Stats(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Interception statistics accumulated so far, both launch paths
     /// merged (Table 5's historical aggregate view).
     pub fn interception_stats(&self) -> InterceptionStats {
@@ -1136,15 +1120,16 @@ impl ManagerHandle {
     /// Interception statistics split by launch path: runtime-level
     /// `cudaLaunchKernel` vs driver-level `cuLaunchKernel` (Table 5).
     pub fn launch_stats(&self) -> LaunchStats {
-        self.stats_rpc().map(|s| s.launch).unwrap_or_default()
+        match self.query(&proto::Request::Stats) {
+            Some(proto::Response::Stats(s)) => s,
+            _ => LaunchStats::default(),
+        }
     }
 
-    /// High-water mark of data-plane operations executing simultaneously
-    /// across tenants.
-    pub fn max_concurrent_data_ops(&self) -> u32 {
-        self.stats_rpc()
-            .map(|s| s.max_concurrent_data_ops)
-            .unwrap_or(0)
+    /// The state this manager's sessions share.
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Arc<Shared> {
+        &self.inner.shared
     }
 
     /// Current device time (cycles), for benchmarking.
@@ -1479,14 +1464,13 @@ pub fn spawn_manager_multi(
     let shared = Arc::new(Shared {
         gpus,
         protection: config.protection,
-        native_when_standalone: config.native_when_standalone,
         launch_ack: config.launch_ack,
         clients: RwLock::new(HashMap::new()),
         stats: LaunchStatsAtomic::default(),
-        inflight: AtomicU32::new(0),
-        max_inflight: AtomicU32::new(0),
         exec_gauges: plane.exec_gauges(),
         qos_inflight_budget: config.qos_inflight_budget,
+        #[cfg(test)]
+        malloc_hook: Mutex::new(None),
     });
     let mut control = Control {
         shared: shared.clone(),
@@ -1515,9 +1499,13 @@ pub fn spawn_manager_multi(
         .name("grdManager".into())
         .spawn(move || control.run(ctrl_rx))
         .expect("spawn grdManager thread");
+    #[cfg(test)]
+    let test_shared = shared.clone();
     let acceptor_join = session::spawn_acceptor(listener, shared, ctrl_tx.clone());
     Ok(ManagerHandle {
         inner: Arc::new(ManagerInner {
+            #[cfg(test)]
+            shared: test_shared,
             plane,
             dialer: Some(dialer),
             unblock,

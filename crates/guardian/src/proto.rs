@@ -134,7 +134,7 @@ impl fmt::Display for Symbol {
 /// The one wire-format version this build speaks. Every frame carries
 /// it in its first byte; a frame of any other version — older or newer —
 /// is refused with [`ProtoError::BadVersion`].
-pub const PROTO_VERSION: u8 = 6;
+pub const PROTO_VERSION: u8 = 7;
 
 /// A client-to-manager message (one per CUDA call crossing the boundary).
 #[derive(Debug, Clone, PartialEq)]
@@ -390,16 +390,6 @@ pub struct DeviceInfo {
     pub tenants: u32,
 }
 
-/// A statistics snapshot returned for [`Request::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StatsSnapshot {
-    /// Per-path launch interception costs (Table 5).
-    pub launch: LaunchStats,
-    /// High-water mark of data-plane operations executing simultaneously
-    /// (>1 proves cross-tenant overlap).
-    pub max_concurrent_data_ops: u32,
-}
-
 /// A manager-to-client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -415,8 +405,8 @@ pub enum Response {
     ElapsedMs(f32),
     /// Device cycles (`DeviceNow`).
     Cycles(u64),
-    /// Statistics snapshot (`Stats`).
-    Stats(StatsSnapshot),
+    /// Per-path launch interception costs, Table 5 (`Stats`).
+    Stats(LaunchStats),
     /// The manager's device set (`DeviceInfo`).
     Devices(Vec<DeviceInfo>),
     /// The call failed.
@@ -1197,9 +1187,8 @@ impl Response {
             }
             Response::Stats(s) => {
                 let mut buf = frame_header(RESP_STATS);
-                put_istats(&mut buf, &s.launch.runtime);
-                put_istats(&mut buf, &s.launch.driver);
-                buf.put_u32_le(s.max_concurrent_data_ops);
+                put_istats(&mut buf, &s.runtime);
+                put_istats(&mut buf, &s.driver);
                 buf
             }
             Response::Devices(devs) => {
@@ -1243,12 +1232,9 @@ impl Response {
             RESP_EVENT_ID => Response::EventId(r.u32()?),
             RESP_ELAPSED_MS => Response::ElapsedMs(r.f32()?),
             RESP_CYCLES => Response::Cycles(r.u64()?),
-            RESP_STATS => Response::Stats(StatsSnapshot {
-                launch: LaunchStats {
-                    runtime: r.istats()?,
-                    driver: r.istats()?,
-                },
-                max_concurrent_data_ops: r.u32()?,
+            RESP_STATS => Response::Stats(LaunchStats {
+                runtime: r.istats()?,
+                driver: r.istats()?,
             }),
             RESP_DEVICES => {
                 let n = r.u32()?;
@@ -1602,22 +1588,19 @@ mod tests {
             Response::EventId(0),
             Response::ElapsedMs(3.25),
             Response::Cycles(123_456),
-            Response::Stats(StatsSnapshot {
-                launch: LaunchStats {
-                    runtime: InterceptionStats {
-                        launches: 1,
-                        lookup_ns: 2,
-                        augment_ns: 3,
-                        enqueue_ns: 4,
-                    },
-                    driver: InterceptionStats {
-                        launches: 5,
-                        lookup_ns: 6,
-                        augment_ns: 7,
-                        enqueue_ns: 8,
-                    },
+            Response::Stats(LaunchStats {
+                runtime: InterceptionStats {
+                    launches: 1,
+                    lookup_ns: 2,
+                    augment_ns: 3,
+                    enqueue_ns: 4,
                 },
-                max_concurrent_data_ops: 11,
+                driver: InterceptionStats {
+                    launches: 5,
+                    lookup_ns: 6,
+                    augment_ns: 7,
+                    enqueue_ns: 8,
+                },
             }),
             Response::Error(CudaError::OutOfMemory),
             Response::Error(CudaError::InvalidDeviceFunction("missing".into())),
@@ -1659,41 +1642,39 @@ mod tests {
     fn stats_snapshot_split_survives_round_trip() {
         // The driver/runtime split (Table 5) must not collapse on the
         // wire: each path's counters come back in their own slot.
-        let snap = StatsSnapshot {
-            launch: LaunchStats {
-                runtime: InterceptionStats {
-                    launches: 10,
-                    lookup_ns: 100,
-                    augment_ns: 200,
-                    enqueue_ns: 300,
-                },
-                driver: InterceptionStats {
-                    launches: 7,
-                    lookup_ns: 70,
-                    augment_ns: 140,
-                    enqueue_ns: 210,
-                },
+        let snap = LaunchStats {
+            runtime: InterceptionStats {
+                launches: 10,
+                lookup_ns: 100,
+                augment_ns: 200,
+                enqueue_ns: 300,
             },
-            max_concurrent_data_ops: 4,
+            driver: InterceptionStats {
+                launches: 7,
+                lookup_ns: 70,
+                augment_ns: 140,
+                enqueue_ns: 210,
+            },
         };
         let frame = Response::Stats(snap).encode();
         match Response::decode(&frame).unwrap() {
             Response::Stats(back) => {
-                assert_eq!(back.launch.runtime.launches, 10);
-                assert_eq!(back.launch.driver.launches, 7);
-                assert_eq!(back.launch.combined().launches, 17);
+                assert_eq!(back.runtime.launches, 10);
+                assert_eq!(back.driver.launches, 7);
+                assert_eq!(back.combined().launches, 17);
             }
             other => panic!("decoded {other:?}"),
         }
     }
 
-    /// This build speaks one wire version, v6. A frame of any other
-    /// version byte — v5, whose copies carried their bytes inline, the
-    /// retired v1–v4, or a future one — is refused by every decoder of
-    /// every message family, before its body is read.
+    /// This build speaks one wire version, v7. A frame of any other
+    /// version byte — v6, whose `Stats` reply carried a dispatch-overlap
+    /// counter, v5, whose copies carried their bytes inline, the retired
+    /// v1–v4, or a future one — is refused by every decoder of every
+    /// message family, before its body is read.
     #[test]
     fn frames_of_any_other_version_are_refused() {
-        assert_eq!(PROTO_VERSION, 6);
+        assert_eq!(PROTO_VERSION, 7);
         type Decode = fn(&[u8]) -> Result<(), ProtoError>;
         let ok = AdminResponse::Ok { node: "n".into() };
         let cases: [(&str, Vec<u8>, Decode); 4] = [
@@ -2081,13 +2062,8 @@ mod proptests {
                 .prop_map(|bits| Response::ElapsedMs(f32::from_bits(bits)))
                 .boxed(),
             any::<u64>().prop_map(Response::Cycles).boxed(),
-            ((arb_istats(), arb_istats()), any::<u32>())
-                .prop_map(|((runtime, driver), max_concurrent_data_ops)| {
-                    Response::Stats(StatsSnapshot {
-                        launch: LaunchStats { runtime, driver },
-                        max_concurrent_data_ops,
-                    })
-                })
+            (arb_istats(), arb_istats())
+                .prop_map(|(runtime, driver)| Response::Stats(LaunchStats { runtime, driver }))
                 .boxed(),
             arb_error().prop_map(Response::Error).boxed(),
         ]

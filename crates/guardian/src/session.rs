@@ -22,7 +22,7 @@
 use crate::alloc::{Partition, RegionAllocator, SUBALLOC_ALIGN};
 use crate::control::{QosClass, TenantCounters};
 use crate::manager::{ctrl_call, CtrlMsg, CtrlOp, CtrlOut, LaunchAck, LaunchStatsAtomic};
-use crate::proto::{ConnectInfo, Payload, Request, Response, StatsSnapshot, Symbol};
+use crate::proto::{ConnectInfo, Payload, Request, Response, Symbol};
 use crate::telemetry::{self, ExecGauges, OpClass, TenantTelemetry, TraceEvent};
 use crate::transport::frame::FrameView;
 use crate::transport::window::WindowSpan;
@@ -46,7 +46,7 @@ use std::time::Instant;
 pub(crate) struct KernelTable {
     /// `pointerToSymbol`: kernel name → sandboxed CUfunction (§4.2.3).
     pub pointer_to_symbol: HashMap<String, CudaFunction>,
-    /// Native (unpatched) kernels for the no-protection / standalone path.
+    /// Native (unpatched) kernels, launched under `Protection::None`.
     pub native: HashMap<String, CudaFunction>,
 }
 
@@ -147,20 +147,20 @@ pub(crate) struct Shared {
     /// The device set, indexed by GPU ordinal.
     pub gpus: Vec<GpuShared>,
     pub protection: Protection,
-    pub native_when_standalone: bool,
     pub launch_ack: LaunchAck,
     pub clients: RwLock<HashMap<ClientId, Arc<ClientShared>>>,
     pub stats: LaunchStatsAtomic,
-    /// Data-plane ops currently executing, and the high-water mark — the
-    /// observable witness that tenants' dispatch genuinely overlaps.
-    pub inflight: AtomicU32,
-    pub max_inflight: AtomicU32,
     /// Executor instrumentation (drain batches, parks/wakes, re-arms),
     /// owned by the control plane so `/metrics` can read it.
     pub exec_gauges: Arc<ExecGauges>,
     /// Launches a best-effort tenant may hold in flight (admitted since
     /// its last sync) before the executor rate-gates its drain rounds.
     pub qos_inflight_budget: u64,
+    /// Called by every session serving a `Malloc`, before the heap is
+    /// touched: lets a test hold two tenants' ops inside the data plane
+    /// at once.
+    #[cfg(test)]
+    pub malloc_hook: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 impl Shared {
@@ -239,6 +239,9 @@ struct LaunchItem {
     cfg: LaunchConfig,
     args: Payload,
     driver_level: bool,
+    /// What the `pointerToSymbol` probe cost at admission (Table 5
+    /// "Lookup GPU kernel"), recorded with the batch at flush.
+    lookup_ns: u64,
 }
 
 /// A session's epoch-validated snapshot of its tenant's placement and the
@@ -276,19 +279,16 @@ pub(crate) struct SessionCtx {
     /// sockets; our own uid in-process) — the quota identity a Connect
     /// on this session is admitted under.
     uid: u32,
-    /// See [`FastCache`]; populated on the first buffered launch.
+    /// See [`FastCache`]; populated on the first launch.
     cache: Option<FastCache>,
-    /// Launches admitted but not yet enqueued (deferred+concurrent only).
+    /// Launches admitted but not yet enqueued. Under eager acks a launch
+    /// is flushed as soon as it is admitted, so this holds at most one.
     pending: Vec<LaunchItem>,
     /// Recycles kernel parameter buffers across flushes.
     params: Arc<ParamPool>,
     /// Augmented parameter buffers staged during one flush (storage
     /// reused across flushes).
     staged: Vec<ParamBuf>,
-    /// Whether this manager's configuration admits launch buffering:
-    /// deferred acks (no per-launch reply) and no standalone-native
-    /// switching (its kernel choice depends on the live client count).
-    buffering: bool,
     /// Per-pending-launch stage stamps (only pushed when the tenant has
     /// telemetry); parallel to `pending`.
     spans: Vec<LaunchSpan>,
@@ -304,19 +304,16 @@ pub(crate) struct SessionCtx {
 
 impl SessionCtx {
     pub(crate) fn new(shared: Arc<Shared>, ctrl: Sender<CtrlMsg>, uid: u32) -> Self {
-        let buffering = shared.launch_ack == LaunchAck::Deferred
-            && !(shared.native_when_standalone && shared.protection != Protection::None);
         SessionCtx {
             shared,
             ctrl,
             client: None,
             uid,
             cache: None,
-            pending: Vec::with_capacity(if buffering { LAUNCH_BUF } else { 0 }),
+            pending: Vec::with_capacity(LAUNCH_BUF),
             params: ParamPool::new(),
             staged: Vec::new(),
-            buffering,
-            spans: Vec::with_capacity(if buffering { LAUNCH_BUF } else { 0 }),
+            spans: Vec::with_capacity(LAUNCH_BUF),
             t_decode: 0,
             batch_open_ns: 0,
             unsynced_launches: 0,
@@ -431,22 +428,26 @@ impl SessionCtx {
         });
     }
 
-    /// Admit one launch onto the buffered hot path: resolve the kernel
-    /// through the epoch-validated cache and queue a descriptor; the
-    /// device is only touched at the next flush. Steady state this takes
+    /// Admit one launch — the interception path of §4.2.3, whatever the
+    /// ack policy: resolve the kernel through the epoch-validated
+    /// `pointerToSymbol` cache and queue a descriptor. Parameter
+    /// augmentation and the enqueue on the tenant's stream happen at the
+    /// next flush: at once under eager acks, at [`LAUNCH_BUF`] or the
+    /// next non-launch frame under deferred ones. Steady state this takes
     /// no locks (two relaxed-ish atomic loads) and no heap allocations.
-    fn buffer_launch(
+    ///
+    /// Returns the launch's admission error, or the error of a flush
+    /// this admission forced; the caller decides whether it is replied
+    /// or stuck to the tenant.
+    fn admit_launch(
         &mut self,
         c: &Arc<ClientShared>,
         kernel: Symbol,
         cfg: LaunchConfig,
         args: Payload,
         driver_level: bool,
-    ) {
-        if let Err(e) = Shared::check_alive(c) {
-            stick(c, e);
-            return;
-        }
+    ) -> CudaResult<()> {
+        Shared::check_alive(c)?;
         let mut warm = true;
         let epoch = c.epoch.load(Ordering::SeqCst);
         if self.cache.as_ref().map(|f| f.epoch) != Some(epoch) {
@@ -461,30 +462,19 @@ impl SessionCtx {
             cache.kgen = kgen;
             warm = false;
         }
+        // (1) pointerToSymbol lookup, timed hit or miss (Table 5 "Lookup
+        // GPU kernel"). Its closing stamp doubles as the admission stamp.
+        let t_probe = telemetry::now_ns();
         let func = match cache.funcs.get(kernel.as_str()) {
             Some(f) => f.clone(),
             None => {
                 warm = false;
-                match resolve_func(&self.shared, g, kernel.as_str()) {
-                    Some(f) => {
-                        cache.funcs.insert(kernel.as_str().to_string(), f.clone());
-                        f
-                    }
-                    None => {
-                        stick(
-                            c,
-                            CudaError::InvalidDeviceFunction(kernel.as_str().to_string()),
-                        );
-                        return;
-                    }
-                }
+                let f = resolve_func(&self.shared, g, kernel.as_str())?;
+                cache.funcs.insert(kernel.as_str().to_string(), f.clone());
+                f
             }
         };
-        // The op counts as in flight from admission until its flush —
-        // that window is the pipelining depth the concurrency high-water
-        // mark witnesses.
-        let now = self.shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.shared.max_inflight.fetch_max(now, Ordering::SeqCst);
+        let t_admit = telemetry::now_ns();
         // QoS bookkeeping: one launch admitted since the tenant's last
         // sync. A single relaxed add — inside the audited no-alloc
         // window — compared against the best-effort inflight budget by
@@ -495,6 +485,7 @@ impl SessionCtx {
             cfg,
             args,
             driver_level,
+            lookup_ns: t_admit - t_probe,
         });
         if c.telemetry.is_some() {
             // Stage stamp: session admission. Pushed within `spans`'
@@ -502,7 +493,7 @@ impl SessionCtx {
             // no-alloc window below.
             self.spans.push(LaunchSpan {
                 t_decode: self.t_decode,
-                t_admit: telemetry::now_ns(),
+                t_admit,
             });
         }
         // The steady state (warm cache, buffer below its preallocated
@@ -513,9 +504,6 @@ impl SessionCtx {
             crate::alloc_audit::assert_unchanged("steady-state launch admission");
         }
         let _ = warm;
-        if self.pending.len() >= LAUNCH_BUF {
-            self.flush_pending();
-        }
         // Over-budget admission control (outside the audited no-alloc
         // window — event processing may touch the heap): a best-effort
         // tenant past its inflight budget flushes and drains its *own*
@@ -525,50 +513,56 @@ impl SessionCtx {
         // transport, so a priority sync never wades through thousands
         // of queued best-effort commands. Latency tenants are never
         // throttled.
-        if !self.qos_is_latency() && self.qos_over_budget() {
-            self.flush_pending();
-            if let Some(c) = self.client.clone() {
-                let b = *c.binding.read();
-                self.shared
-                    .gpu(b.gpu)
-                    .device
-                    .lock()
-                    .synchronize_stream(b.stream);
-                // Everything this tenant admitted has completed: the
-                // budget refills.
-                c.counters.inflight.store(0, Ordering::Relaxed);
-                self.shared
-                    .exec_gauges
-                    .qos_gated_rounds
-                    .fetch_add(1, Ordering::Relaxed);
+        let over_budget = !self.qos_is_latency() && self.qos_over_budget();
+        let r = if over_budget || self.pending.len() >= LAUNCH_BUF {
+            self.flush()
+        } else {
+            Ok(())
+        };
+        if over_budget {
+            let b = *c.binding.read();
+            self.shared
+                .gpu(b.gpu)
+                .device
+                .lock()
+                .synchronize_stream(b.stream);
+            // Everything this tenant admitted has completed: the
+            // budget refills.
+            c.counters.inflight.store(0, Ordering::Relaxed);
+            self.shared
+                .exec_gauges
+                .qos_gated_rounds
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        r
+    }
+
+    /// Flush at an ordering point of the deferred path (end of a drain,
+    /// a non-launch frame, teardown): errors stick to the tenant and
+    /// surface at its next `Sync` (CUDA's asynchronous error model).
+    pub(crate) fn flush_pending(&mut self) {
+        if let Err(e) = self.flush() {
+            if let Some(c) = &self.client {
+                stick(c, e);
             }
         }
     }
 
-    /// Enqueue every buffered launch under **one** device-lock
-    /// acquisition, re-validating the cached binding under that lock.
-    /// Errors stick to the tenant (buffering only happens under deferred
-    /// acks, where CUDA's asynchronous error model applies).
-    pub(crate) fn flush_pending(&mut self) {
+    /// Enqueue every admitted launch under **one** device-lock
+    /// acquisition, re-validating the cached binding under that lock,
+    /// and return the first error.
+    fn flush(&mut self) -> CudaResult<()> {
         if self.pending.is_empty() {
-            return;
+            return Ok(());
         }
-        let n = self.pending.len() as u32;
         let r = match self.client.clone() {
-            Some(c) => {
-                let r = self.flush_inner(&c);
-                if let Err(e) = r {
-                    stick(&c, e);
-                }
-                Ok(())
-            }
+            Some(c) => self.flush_inner(&c),
             None => Ok(()),
         };
-        let _: CudaResult<()> = r;
-        self.shared.inflight.fetch_sub(n, Ordering::SeqCst);
         self.pending.clear();
         self.staged.clear();
         self.spans.clear();
+        r
     }
 
     fn flush_inner(&mut self, c: &Arc<ClientShared>) -> CudaResult<()> {
@@ -661,19 +655,31 @@ impl SessionCtx {
                 }
             }
 
-            // One atomic round per batch; cache hits make the lookup
-            // cost ~0, and the shared ns totals are attributed to the
-            // two API levels by launch count.
+            // One atomic round per path per batch. Lookups were timed
+            // one by one at admission; the batch's augment and enqueue
+            // ns are attributed to the two API levels by launch count.
             let n = self.pending.len() as u64;
-            let drv = self.pending.iter().filter(|i| i.driver_level).count() as u64;
+            let (mut drv, mut drv_lookup, mut rt_lookup) = (0, 0, 0);
+            for item in &self.pending {
+                if item.driver_level {
+                    drv += 1;
+                    drv_lookup += item.lookup_ns;
+                } else {
+                    rt_lookup += item.lookup_ns;
+                }
+            }
             let rt = n - drv;
-            self.shared
-                .stats
-                .record_batch(false, rt, 0, augment_ns * rt / n, enqueue_ns * rt / n);
+            self.shared.stats.record_batch(
+                false,
+                rt,
+                rt_lookup,
+                augment_ns * rt / n,
+                enqueue_ns * rt / n,
+            );
             self.shared.stats.record_batch(
                 true,
                 drv,
-                0,
+                drv_lookup,
                 augment_ns * drv / n,
                 enqueue_ns * drv / n,
             );
@@ -682,7 +688,7 @@ impl SessionCtx {
         }
     }
 
-    /// After a migration invalidated the cache, the buffered handles
+    /// After a migration invalidated the cache, the admitted handles
     /// still point at the source GPU's modules: resolve each kernel by
     /// name on the new device before retrying the flush.
     fn re_resolve_pending(&mut self) -> CudaResult<()> {
@@ -690,19 +696,8 @@ impl SessionCtx {
         let g = &self.shared.gpus[cache.binding.gpu as usize];
         cache.kgen = g.kernels_gen.load(Ordering::Acquire);
         cache.funcs.clear();
-        let ks = g.kernels.read();
-        let native = self.shared.protection == Protection::None;
         for item in &mut self.pending {
-            let name = item.func.kernel.name.as_str();
-            let f = if native {
-                ks.native.get(name)
-            } else {
-                ks.pointer_to_symbol.get(name)
-            };
-            match f {
-                Some(f) => item.func = f.clone(),
-                None => return Err(CudaError::InvalidDeviceFunction(name.to_string())),
-            }
+            item.func = resolve_func(&self.shared, g, item.func.kernel.name.as_str())?;
         }
         Ok(())
     }
@@ -724,14 +719,19 @@ fn stick(c: &ClientShared, e: CudaError) {
 }
 
 /// Resolve a kernel in the device's read-mostly registry (the slow path
-/// behind the session cache).
-fn resolve_func(shared: &Shared, g: &GpuShared, kernel: &str) -> Option<CudaFunction> {
+/// behind the session cache): the native module when nothing is
+/// enforced, the sandboxed one otherwise.
+fn resolve_func(shared: &Shared, g: &GpuShared, kernel: &str) -> CudaResult<CudaFunction> {
     let ks = g.kernels.read();
-    if shared.protection == Protection::None {
-        ks.native.get(kernel).cloned()
+    let table = if shared.protection == Protection::None {
+        &ks.native
     } else {
-        ks.pointer_to_symbol.get(kernel).cloned()
-    }
+        &ks.pointer_to_symbol
+    };
+    table
+        .get(kernel)
+        .cloned()
+        .ok_or_else(|| CudaError::InvalidDeviceFunction(kernel.to_string()))
 }
 
 /// Build one launch's augmented parameter array from a pooled buffer.
@@ -863,7 +863,7 @@ macro_rules! require {
 /// Dispatch one request received on `conn`, returning the encoded reply.
 /// `None` means the request is one-way (no frame goes back).
 fn dispatch(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<Vec<u8>> {
-    // Any non-Launch request is an ordering point: buffered launches
+    // Any non-Launch request is an ordering point: admitted launches
     // must reach the device before e.g. a Sync or D2H copy observes it.
     if !ctx.pending.is_empty() && !matches!(req, Request::Launch { .. }) {
         ctx.flush_pending();
@@ -992,35 +992,42 @@ fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<
         // ---- data plane: executed here, concurrently across tenants ---
         Request::Malloc { bytes } => {
             let c = require!(client);
-            Some(match with_dispatch(shared, || malloc(&c, bytes)) {
+            // Test hook, cloned out so no lock is held while it runs.
+            #[cfg(test)]
+            {
+                let hook = shared.malloc_hook.lock().clone();
+                if let Some(hook) = hook {
+                    hook();
+                }
+            }
+            Some(match malloc(&c, bytes) {
                 Ok(p) => Response::Ptr(p),
                 Err(e) => Response::Error(e),
             })
         }
         Request::Free { ptr } => {
             let c = require!(client);
-            Some(result_reply(with_dispatch(shared, || free(&c, ptr))))
+            Some(result_reply(free(&c, ptr)))
         }
         Request::FreeAsync { ptr } => {
             // One-way by definition, like `MemcpyH2DAsync`: a bad
             // pointer's error sticks and surfaces at the next Sync.
             let c = client.as_ref().cloned()?;
-            if let Err(e) = with_dispatch(shared, || free(&c, ptr)) {
+            if let Err(e) = free(&c, ptr) {
                 stick(&c, e);
             }
             None
         }
         Request::Memset { dst, byte, len } => {
             let c = require!(client);
-            let r = with_dispatch(shared, || memset(shared, &c, dst, byte, len));
+            let r = memset(shared, &c, dst, byte, len);
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             Some(result_reply(r))
         }
         Request::MemcpyH2D { dst, len } => {
             let c = require!(client);
-            let r = window_span(conn, len).and_then(|data| {
-                with_dispatch(shared, || memcpy_h2d(shared, &c, dst, HostBytes::new(data)))
-            });
+            let r = window_span(conn, len)
+                .and_then(|data| memcpy_h2d(shared, &c, dst, HostBytes::new(data)));
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             Some(result_reply(r))
         }
@@ -1032,7 +1039,7 @@ fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<
             // launch's.
             let c = client.as_ref().cloned()?;
             let data = HostBytes::new(data);
-            if let Err(e) = with_dispatch(shared, || memcpy_h2d(shared, &c, dst, data)) {
+            if let Err(e) = memcpy_h2d(shared, &c, dst, data) {
                 stick(&c, e);
             }
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
@@ -1040,15 +1047,14 @@ fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<
         }
         Request::MemcpyD2H { src, len } => {
             let c = require!(client);
-            let r = window_span(conn, len).and_then(|region| {
-                with_dispatch(shared, || memcpy_d2h(shared, &c, src, len, region))
-            });
+            let r =
+                window_span(conn, len).and_then(|region| memcpy_d2h(shared, &c, src, len, region));
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             Some(result_reply(r))
         }
         Request::MemcpyD2D { dst, src, len } => {
             let c = require!(client);
-            let r = with_dispatch(shared, || memcpy_d2d(shared, &c, dst, src, len));
+            let r = memcpy_d2d(shared, &c, dst, src, len);
             note_op(&c, OpClass::Memcpy, ctx.t_decode);
             Some(result_reply(r))
         }
@@ -1068,25 +1074,19 @@ fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<
                     LaunchAck::Deferred => None,
                 };
             };
-            if ctx.buffering {
-                // Hot path: admit into the session-local batch without
-                // touching the binding lock, kernel registry, or device.
-                ctx.buffer_launch(&c, kernel, cfg, args, driver_level);
-                return None;
-            }
-            let r = with_dispatch(shared, || {
-                launch(shared, &c, &kernel, cfg, &args, driver_level)
-            });
-            note_op(&c, OpClass::LaunchEnqueue, ctx.t_decode);
+            // One admission path for both ack policies; the policy only
+            // decides whether a reply frame goes back.
+            let r = ctx.admit_launch(&c, kernel, cfg, args, driver_level);
             match shared.launch_ack {
-                LaunchAck::Eager => Some(result_reply(r)),
+                // Flush the batch of one now and reply with this
+                // launch's own result — replied, so never also stuck.
+                LaunchAck::Eager => Some(result_reply(r.and_then(|()| ctx.flush()))),
                 LaunchAck::Deferred => {
                     // True async enqueue: no frame goes back. Errors stick
                     // to the client and surface at the next Sync, matching
                     // CUDA's asynchronous error model.
                     if let Err(e) = r {
-                        let mut sticky = c.sticky.lock();
-                        sticky.get_or_insert(e);
+                        stick(&c, e);
                     }
                     None
                 }
@@ -1094,7 +1094,7 @@ fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<
         }
         Request::Sync => {
             let c = require!(client);
-            let r = with_dispatch(shared, || sync(shared, &c));
+            let r = sync(shared, &c);
             if let Some(tel) = &c.telemetry {
                 let t0 = ctx.t_decode;
                 let now = telemetry::now_ns();
@@ -1139,25 +1139,21 @@ fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<
         }
         Request::EventCreate => {
             let c = require!(client);
-            Some(match with_dispatch(shared, || event_create(&c)) {
+            Some(match event_create(&c) {
                 Ok(id) => Response::EventId(id),
                 Err(e) => Response::Error(e),
             })
         }
         Request::EventRecord { event } => {
             let c = require!(client);
-            Some(result_reply(with_dispatch(shared, || {
-                event_record(shared, &c, event)
-            })))
+            Some(result_reply(event_record(shared, &c, event)))
         }
         Request::EventElapsed { start, end } => {
             let c = require!(client);
-            Some(
-                match with_dispatch(shared, || event_elapsed(shared, &c, start, end)) {
-                    Ok(ms) => Response::ElapsedMs(ms),
-                    Err(e) => Response::Error(e),
-                },
-            )
+            Some(match event_elapsed(shared, &c, start, end) {
+                Ok(ms) => Response::ElapsedMs(ms),
+                Err(e) => Response::Error(e),
+            })
         }
 
         // ---- connection-scoped queries (no tenancy required) ----------
@@ -1168,10 +1164,7 @@ fn respond(req: Request, ctx: &mut SessionCtx, conn: &dyn Connection) -> Option<
             let gpu = client.as_ref().map(|c| c.binding.read().gpu).unwrap_or(0);
             Some(Response::Cycles(shared.gpu(gpu).device.lock().now()))
         }
-        Request::Stats => Some(Response::Stats(StatsSnapshot {
-            launch: shared.stats.snapshot(),
-            max_concurrent_data_ops: shared.max_inflight.load(Ordering::SeqCst),
-        })),
+        Request::Stats => Some(Response::Stats(shared.stats.snapshot())),
     }
 }
 
@@ -1201,16 +1194,6 @@ fn result_reply(r: CudaResult<()>) -> Response {
         Ok(()) => Response::Unit,
         Err(e) => Response::Error(e),
     }
-}
-
-/// Run a data-plane op, tracking the concurrency high-water mark — the
-/// witness that tenants' data planes genuinely overlap.
-fn with_dispatch<R>(shared: &Shared, f: impl FnOnce() -> R) -> R {
-    let now = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-    shared.max_inflight.fetch_max(now, Ordering::SeqCst);
-    let r = f();
-    shared.inflight.fetch_sub(1, Ordering::SeqCst);
-    r
 }
 
 // ---- data-plane operations -------------------------------------------------
@@ -1358,100 +1341,6 @@ fn memcpy_d2d(shared: &Shared, c: &ClientShared, dst: u64, src: u64, len: u64) -
     enqueue_and_sync(shared, &b, Command::MemcpyD2D { dst, src, len })
 }
 
-/// The interception path of §4.2.3: `pointerToSymbol` lookup, parameter
-/// augmentation with the caller's bounds, enqueue on the caller's stream.
-/// Each step is timed into the per-path Table 5 statistics.
-fn launch(
-    shared: &Shared,
-    c: &ClientShared,
-    kernel: &str,
-    cfg: LaunchConfig,
-    args: &[u8],
-    driver_level: bool,
-) -> CudaResult<()> {
-    Shared::check_alive(c)?;
-    let b = c.binding.read();
-    let g = shared.gpu(b.gpu);
-    let use_native = shared.protection == Protection::None
-        || (shared.native_when_standalone && shared.clients.read().len() == 1);
-
-    // (1) pointerToSymbol lookup in the bound GPU's registry (timed;
-    // Table 5 "Lookup GPU kernel").
-    let t0 = Instant::now();
-    let func = {
-        let kernels = g.kernels.read();
-        if use_native {
-            kernels.native.get(kernel).cloned()
-        } else {
-            kernels.pointer_to_symbol.get(kernel).cloned()
-        }
-    }
-    .ok_or_else(|| CudaError::InvalidDeviceFunction(kernel.to_string()))?;
-    let lookup_ns = t0.elapsed().as_nanos() as u64;
-
-    // (2) Augment the parameter array with the partition bounds
-    // (timed; Table 5 "Augment kernel params").
-    let t1 = Instant::now();
-    let part = b.partition;
-    let params = if use_native {
-        args.to_vec()
-    } else {
-        let mut buf = vec![0u8; func.kernel.param_size];
-        let n = args.len().min(buf.len());
-        buf[..n].copy_from_slice(&args[..n]);
-        let nparams = func.kernel.params.len();
-        debug_assert!(nparams >= 2, "patched kernels carry 2 extra params");
-        let (_, _, base_off) = func.kernel.params[nparams - 2];
-        let (_, _, bound_off) = func.kernel.params[nparams - 1];
-        let bound = match shared.protection {
-            Protection::FenceBitwise => part.mask(),
-            Protection::FenceModulo => part.size,
-            Protection::Check => part.end(),
-            Protection::None => 0,
-        };
-        buf[base_off as usize..base_off as usize + 8].copy_from_slice(&part.base.to_le_bytes());
-        buf[bound_off as usize..bound_off as usize + 8].copy_from_slice(&bound.to_le_bytes());
-        buf
-    };
-    let augment_ns = t1.elapsed().as_nanos() as u64;
-
-    // (3) Issue on the tenant's stream (Table 5 "Launch kernel").
-    let t2 = Instant::now();
-    let r = g.device.lock().enqueue(
-        b.stream,
-        Command::Launch {
-            func,
-            cfg,
-            params: params.into(),
-            guard: MemGuard::None,
-        },
-    );
-    let enqueue_ns = t2.elapsed().as_nanos() as u64;
-
-    shared
-        .stats
-        .record(driver_level, lookup_ns, augment_ns, enqueue_ns);
-    if r.is_ok() {
-        c.counters.launches.fetch_add(1, Ordering::Relaxed);
-        c.counters.inflight.fetch_add(1, Ordering::Relaxed);
-        // Same over-budget admission control as the buffered path: a
-        // best-effort tenant past its inflight budget drains its own
-        // stream before the next launch, keeping the device queue
-        // shallow for latency-class work.
-        if c.qos.load(Ordering::Relaxed) != QosClass::Latency.to_wire()
-            && c.counters.inflight.load(Ordering::Relaxed) >= shared.qos_inflight_budget
-        {
-            shared.gpu(b.gpu).device.lock().synchronize_stream(b.stream);
-            c.counters.inflight.store(0, Ordering::Relaxed);
-            shared
-                .exec_gauges
-                .qos_gated_rounds
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    r.map_err(CudaError::from)
-}
-
 fn sync(shared: &Shared, c: &ClientShared) -> CudaResult<()> {
     Shared::check_alive(c)?;
     let b = c.binding.read();
@@ -1536,6 +1425,9 @@ mod tests {
     use gpu_sim::spec::test_gpu;
     use gpu_sim::{Device, LaunchConfig};
     use ptx::fatbin::FatBin;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn mgr(pool: u64, ack: LaunchAck) -> crate::ManagerHandle {
         spawn_manager(
@@ -1548,6 +1440,127 @@ mod tests {
             &[],
         )
         .unwrap()
+    }
+
+    /// Two tenants' data-plane ops execute at the same time: each
+    /// tenant's `cudaMalloc` waits inside its session, at
+    /// `Shared::malloc_hook`, until the other's arrives. Channel sessions
+    /// are threads, so this holds on one CPU. A dispatch that serialized
+    /// tenants would leave the first malloc waiting alone until the
+    /// deadline, and the test fails naming the hook instead of hanging.
+    #[test]
+    fn two_tenants_meet_inside_the_data_plane() {
+        use std::sync::{Condvar, Mutex};
+        const DEADLINE: Duration = Duration::from_secs(10);
+        let mgr = mgr(8 << 20, LaunchAck::Eager);
+        let meet = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let met = Arc::new(AtomicU32::new(0));
+        {
+            let (meet, met) = (meet.clone(), met.clone());
+            *mgr.shared().malloc_hook.lock() = Some(Arc::new(move || {
+                let (arrived, cv) = &*meet;
+                let mut n = arrived.lock().unwrap();
+                *n += 1;
+                cv.notify_all();
+                let (n, wait) = cv.wait_timeout_while(n, DEADLINE, |n| *n < 2).unwrap();
+                drop(n);
+                if !wait.timed_out() {
+                    met.fetch_add(1, Ordering::SeqCst);
+                }
+            }));
+        }
+        let tenants: Vec<_> = (0..2)
+            .map(|_| {
+                let mut lib = GrdLib::connect(&mgr, 4 << 20).unwrap();
+                std::thread::spawn(move || {
+                    lib.cuda_malloc(256).expect("malloc");
+                    lib
+                })
+            })
+            .collect();
+        let libs: Vec<GrdLib> = tenants.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(
+            met.load(Ordering::SeqCst),
+            2,
+            "the two tenants' mallocs never met at Shared::malloc_hook within \
+             {DEADLINE:?}: data-plane dispatch is serialized"
+        );
+        drop(libs);
+        mgr.shutdown();
+    }
+
+    /// Drive one tenant through the launch errors the shared admission
+    /// path produces, under `ack`: an unknown kernel beside a good
+    /// launch, then a launch after the tenant is revoked.
+    fn launch_errors_under(ack: LaunchAck) {
+        let mut fb = FatBin::new();
+        fb.push_ptx("app", crate::fixtures::FILL);
+        let fb = fb.to_bytes().to_vec();
+        let mgr = spawn_manager(
+            share_device(Device::new(test_gpu())),
+            ManagerConfig {
+                pool_bytes: Some(8 << 20),
+                launch_ack: ack,
+                ..ManagerConfig::default()
+            },
+            &[&fb],
+        )
+        .unwrap();
+        let mut lib = GrdLib::connect(&mgr, 4 << 20).unwrap();
+        let buf = lib.cuda_malloc(4 * 64).unwrap();
+        let args = ArgPack::new().ptr(buf).u32(64).finish();
+        let cfg = LaunchConfig::linear(2, 32);
+        let unknown = lib.cuda_launch_kernel("no_such_kernel", cfg, &args, Default::default());
+        lib.cuda_launch_kernel("fill", cfg, &args, Default::default())
+            .expect("good launch");
+        let first_sync = lib.cuda_device_synchronize();
+        let missing = CudaError::InvalidDeviceFunction("no_such_kernel".into());
+        match ack {
+            LaunchAck::Eager => {
+                assert_eq!(unknown, Err(missing));
+                assert_eq!(first_sync, Ok(()), "eager launch error also stuck");
+            }
+            LaunchAck::Deferred => {
+                assert_eq!(unknown, Ok(()));
+                assert_eq!(first_sync, Err(missing));
+            }
+        }
+        assert_eq!(
+            lib.cuda_device_synchronize(),
+            Ok(()),
+            "{ack:?}: a launch error was reported twice"
+        );
+        let out = lib.cuda_memcpy_d2h(buf, 4 * 64).unwrap();
+        for (i, v) in out.chunks_exact(4).enumerate() {
+            assert_eq!(u32::from_le_bytes(v.try_into().unwrap()), i as u32);
+        }
+
+        mgr.revoke(lib.client_id()).unwrap();
+        let launch = lib.cuda_launch_kernel("fill", cfg, &args, Default::default());
+        let sync = lib.cuda_device_synchronize();
+        let rejected = |r: &Result<(), CudaError>| matches!(r, Err(CudaError::Rejected(_)));
+        match ack {
+            LaunchAck::Eager => assert!(rejected(&launch), "{launch:?}"),
+            LaunchAck::Deferred => assert_eq!(launch, Ok(())),
+        }
+        assert!(rejected(&sync), "{sync:?}");
+        drop(lib);
+        mgr.shutdown();
+    }
+
+    /// Under eager acks a launch's error is its reply, and only that: an
+    /// unknown kernel fails the call and the next `Sync` is clean; a
+    /// revoked tenant's launch is `Rejected` at once.
+    #[test]
+    fn eager_launch_errors_are_replied_not_stuck() {
+        launch_errors_under(LaunchAck::Eager);
+    }
+
+    /// Under deferred acks the same launches return at once, and each
+    /// error surfaces once, at the next `Sync`.
+    #[test]
+    fn deferred_launch_errors_surface_once_at_sync() {
+        launch_errors_under(LaunchAck::Deferred);
     }
 
     /// A departing tenant's unsynchronized launches must be drained at
@@ -1973,7 +1986,8 @@ mod tests {
     }
 
     /// The manager speaks one wire version. A `Connect` frame of any
-    /// other version — a v4 client's, a zero byte, the next version —
+    /// other version — a v6 or v4 client's, a zero byte, the next
+    /// version —
     /// gets one `Rejected` naming the version, then the session closes;
     /// the manager goes on serving its neighbours. Over uds, so the
     /// sessions run on the event pool.
@@ -2000,11 +2014,14 @@ mod tests {
             qos: 0,
         }
         .encode();
-        // A v4 Connect ended at its hint byte: no requested class.
+        // A v6 Connect had today's layout; a v4 one ended at its hint
+        // byte: no requested class.
+        assert_eq!(PROTO_VERSION, 7);
+        let v6 = [&[6u8], &connect[1..]].concat();
         let v4 = [&[4u8], &connect[1..connect.len() - 1]].concat();
         let zero = [&[0u8], &connect[1..]].concat();
         let next = [&[PROTO_VERSION + 1], &connect[1..]].concat();
-        for frame in [v4, zero, next] {
+        for frame in [v6, v4, zero, next] {
             let conn = mgr.dial().unwrap();
             conn.send(frame.clone()).unwrap();
             let resp = Response::decode(&conn.recv().unwrap()).unwrap();

@@ -15,8 +15,10 @@
 
 use cuda_rt::CudaApi;
 use guardian::GrdLib;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver};
 use std::time::{Duration, Instant};
 
 const DAEMON_BIN: &str = env!("CARGO_BIN_EXE_guardiand");
@@ -35,14 +37,18 @@ struct Daemon {
     child: Child,
     socket: PathBuf,
     admin: PathBuf,
+    /// The daemon's stderr, line by line (its `--log-level` event log).
+    events: Receiver<String>,
 }
 
 impl Daemon {
-    /// Spawn a daemon serving uds tenants plus the admin plane.
+    /// Spawn a daemon serving uds tenants plus the admin plane, and
+    /// return once it prints its `guardiand: listening` line: every
+    /// endpoint is bound, so dials and `guardianctl` need no retry.
     fn spawn(tag: &str, extra_args: &[&str]) -> Daemon {
         let socket = temp_sock(&format!("{tag}-t"));
         let admin = temp_sock(&format!("{tag}-a"));
-        let child = Command::new(DAEMON_BIN)
+        let mut child = Command::new(DAEMON_BIN)
             .arg("--uds")
             .arg(&socket)
             .arg("--admin-socket")
@@ -52,35 +58,56 @@ impl Daemon {
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawn guardiand");
+        let (tx, events) = mpsc::channel();
+        let stderr = BufReader::new(child.stderr.take().expect("daemon stderr"));
+        std::thread::spawn(move || {
+            for line in stderr.lines().map_while(Result::ok) {
+                let _ = tx.send(line);
+            }
+        });
+        let mut lines = BufReader::new(child.stdout.take().expect("daemon stdout")).lines();
+        loop {
+            match lines.next() {
+                Some(Ok(line)) if line.starts_with("guardiand: listening") => break,
+                Some(Ok(_)) => {}
+                _ => panic!("guardiand exited before listening"),
+            }
+        }
+        std::thread::spawn(move || lines.for_each(drop));
         Daemon {
             child,
             socket,
             admin,
+            events,
         }
     }
 
-    /// Run `guardianctl` against this daemon's admin socket, retrying
-    /// dial failures through the daemon's startup window. Returns
-    /// `(exit_code, stdout)`.
-    fn ctl(&self, args: &[&str]) -> (i32, String) {
+    /// Block until the daemon logs a stderr line containing `needle`.
+    fn await_event(&self, needle: &str) {
         let deadline = Instant::now() + STEP_TIMEOUT;
         loop {
-            let out = Command::new(CTL_BIN)
-                .arg("--socket")
-                .arg(&self.admin)
-                .args(args)
-                .output()
-                .expect("run guardianctl");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            if stderr.contains("cannot dial") && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.events.recv_timeout(left) {
+                Ok(line) if line.contains(needle) => return,
+                Ok(_) => {}
+                Err(e) => panic!("guardiand never logged `{needle}` ({e:?})"),
             }
-            return (
-                out.status.code().unwrap_or(-1),
-                String::from_utf8_lossy(&out.stdout).into_owned(),
-            );
         }
+    }
+
+    /// Run `guardianctl` against this daemon's admin socket. Returns
+    /// `(exit_code, stdout)`.
+    fn ctl(&self, args: &[&str]) -> (i32, String) {
+        let out = Command::new(CTL_BIN)
+            .arg("--socket")
+            .arg(&self.admin)
+            .args(args)
+            .output()
+            .expect("run guardianctl");
+        (
+            out.status.code().unwrap_or(-1),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
     }
 
     /// As [`Daemon::ctl`], asserting success.
@@ -100,22 +127,9 @@ impl Drop for Daemon {
     }
 }
 
-/// Dial the daemon's tenant socket, retrying through startup races and
-/// not-yet-reclaimed partitions.
-fn dial_until(socket: &PathBuf, mem: u64) -> GrdLib {
-    let deadline = Instant::now() + STEP_TIMEOUT;
-    loop {
-        match GrdLib::dial_uds(socket, mem) {
-            Ok(lib) => return lib,
-            Err(e) => {
-                assert!(
-                    Instant::now() < deadline,
-                    "could not connect to daemon within {STEP_TIMEOUT:?}: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
+/// Dial the daemon's tenant socket for a tenancy of `mem` bytes.
+fn dial(socket: &PathBuf, mem: u64) -> GrdLib {
+    GrdLib::dial_uds(socket, mem).unwrap_or_else(|e| panic!("could not connect to daemon: {e}"))
 }
 
 // ---- admin tables and metrics -------------------------------------------------
@@ -128,7 +142,7 @@ fn dial_until(socket: &PathBuf, mem: u64) -> GrdLib {
 fn guardianctl_lists_devices_tenants_and_scrapes_metrics() {
     let pool = (8u64 << 20).to_string();
     let daemon = Daemon::spawn("tables", &["--pool-bytes", &pool, "--node-id", "ctl-node"]);
-    let mut lib = dial_until(&daemon.socket, 2 << 20);
+    let mut lib = dial(&daemon.socket, 2 << 20);
     // Generate some accountable usage.
     let buf = lib.cuda_malloc(4096).expect("malloc");
     lib.cuda_memcpy_h2d(buf, &[1u8; 256]).expect("h2d");
@@ -177,9 +191,6 @@ fn guardianctl_lists_devices_tenants_and_scrapes_metrics() {
 fn lease_set_gates_admission_and_revoke_reclaims() {
     let pool = (4u64 << 20).to_string();
     let daemon = Daemon::spawn("lease", &["--pool-bytes", &pool]);
-    // Make sure the daemon is up before making admission stricter.
-    drop(dial_until(&daemon.socket, 1 << 20));
-
     let uid = guardian::transport::peercred::current_uid().to_string();
     daemon.ctl_ok(&["lease", "set", &uid, "streams=0"]);
     assert!(
@@ -189,14 +200,14 @@ fn lease_set_gates_admission_and_revoke_reclaims() {
 
     // Restore admission and take the whole pool.
     daemon.ctl_ok(&["lease", "set", &uid, "streams=4"]);
-    let mut held = dial_until(&daemon.socket, 4 << 20);
+    let mut held = dial(&daemon.socket, 4 << 20);
     let client = held.client_id().0.to_string();
     let ptr = held.cuda_malloc(4096).expect("malloc under lease");
     held.cuda_memcpy_h2d(ptr, &[9u8; 64]).expect("h2d");
 
     // Revoke it by client id; the pool's single partition comes back.
     daemon.ctl_ok(&["lease", "revoke", &client]);
-    let mut next = dial_until(&daemon.socket, 4 << 20);
+    let mut next = dial(&daemon.socket, 4 << 20);
     let buf = next.cuda_malloc(4096).expect("malloc in reclaimed pool");
     next.cuda_memcpy_h2d(buf, &[3u8; 64]).expect("h2d");
     next.cuda_device_synchronize().expect("sync");
@@ -224,16 +235,25 @@ fn ttl_expiry_reclaims_partition_without_operator() {
     let pool = (4u64 << 20).to_string();
     let daemon = Daemon::spawn(
         "ttl",
-        &["--pool-bytes", &pool, "--lease-default", "ttl=400ms"],
+        &[
+            "--pool-bytes",
+            &pool,
+            "--lease-default",
+            "ttl=400ms",
+            "--log-level",
+            "info",
+        ],
     );
-    let mut leased = dial_until(&daemon.socket, 4 << 20);
+    let mut leased = dial(&daemon.socket, 4 << 20);
     let ptr = leased.cuda_malloc(4096).expect("malloc under lease");
     leased.cuda_memcpy_h2d(ptr, &[5u8; 64]).expect("h2d");
 
     // No admin call from here on: the sweep alone must reclaim. The
-    // pool holds exactly one partition, so this connect can only
-    // succeed once the expired tenancy is gone.
-    let mut next = dial_until(&daemon.socket, 4 << 20);
+    // control thread logs the expiry inside the same step that tears
+    // the tenancy down, and serves the next connect only after it, so
+    // once the line is out the pool's one partition is free again.
+    daemon.await_event("event=expire");
+    let mut next = dial(&daemon.socket, 4 << 20);
     let buf = next.cuda_malloc(4096).expect("malloc after expiry");
     next.cuda_memcpy_h2d(buf, &[8u8; 64]).expect("h2d");
     next.cuda_device_synchronize().expect("sync");
@@ -263,10 +283,9 @@ fn ttl_expiry_reclaims_partition_without_operator() {
 fn connect_rate_gate_sheds_reconnect_storm() {
     let pool = (32u64 << 20).to_string();
     let daemon = Daemon::spawn("rate", &["--pool-bytes", &pool, "--max-connect-rate", "1"]);
-    // Prove the daemon is up with one admitted connection before the
-    // storm: any dial failure past this point is the daemon talking,
-    // not a not-yet-bound socket.
-    let mut held = vec![dial_until(&daemon.socket, 256 << 10)];
+    // The daemon is listening, so any dial failure from here on is the
+    // daemon talking. This first connect takes the bucket's one token.
+    let mut held = vec![dial(&daemon.socket, 256 << 10)];
     // Hammer connects, holding every admitted one alive — with nothing
     // released, a failed dial can only be the rate gate (never an
     // allocator still reclaiming a just-dropped partition). At one
@@ -293,8 +312,7 @@ fn connect_rate_gate_sheds_reconnect_storm() {
     }
 
     // The rejections are visible to operators, and the gate meters
-    // rather than wedges: a retrying client connects once tokens
-    // refill.
+    // rather than wedges: a client connects once a token refills.
     let metrics = daemon.ctl_ok(&["metrics"]);
     let shed = metrics
         .lines()
@@ -304,6 +322,10 @@ fn connect_rate_gate_sheds_reconnect_storm() {
         .unwrap_or(0);
     assert!(shed >= 5, "rejections not accounted: {metrics}");
     drop(held);
-    let lib = dial_until(&daemon.socket, 1 << 20);
+    // One token period at 1 connect/s: whatever the bucket held at the
+    // last shed connect, it now holds a whole token. This is the
+    // gate's own refill time, not a wait for readiness.
+    std::thread::sleep(Duration::from_secs(1));
+    let lib = dial(&daemon.socket, 1 << 20);
     drop(lib);
 }

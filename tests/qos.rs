@@ -11,6 +11,7 @@
 use cuda_rt::{ArgPack, CudaApi};
 use gpu_sim::LaunchConfig;
 use guardian::{GrdLib, QosClass};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -18,9 +19,6 @@ use std::time::{Duration, Instant};
 const DAEMON_BIN: &str = env!("CARGO_BIN_EXE_guardiand");
 const TENANT_BIN: &str = env!("CARGO_BIN_EXE_grd-tenant");
 const CTL_BIN: &str = env!("CARGO_BIN_EXE_guardianctl");
-
-/// Generous deadline for any single cross-process step.
-const STEP_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Best-effort storm processes contending with the priority tenant.
 const STORM_TENANTS: usize = 15;
@@ -38,10 +36,13 @@ struct Daemon {
 }
 
 impl Daemon {
+    /// Spawn a daemon serving uds tenants plus the admin plane, and
+    /// return once it prints its `guardiand: listening` line: every
+    /// endpoint is bound, so dials and `guardianctl` need no retry.
     fn spawn(tag: &str, extra_args: &[&str]) -> Daemon {
         let socket = temp_sock(&format!("{tag}-t"));
         let admin = temp_sock(&format!("{tag}-a"));
-        let child = Command::new(DAEMON_BIN)
+        let mut child = Command::new(DAEMON_BIN)
             .arg("--uds")
             .arg(&socket)
             .arg("--admin-socket")
@@ -51,6 +52,15 @@ impl Daemon {
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawn guardiand");
+        let mut lines = BufReader::new(child.stdout.take().expect("daemon stdout")).lines();
+        loop {
+            match lines.next() {
+                Some(Ok(line)) if line.starts_with("guardiand: listening") => break,
+                Some(Ok(_)) => {}
+                _ => panic!("guardiand exited before listening"),
+            }
+        }
+        std::thread::spawn(move || lines.for_each(drop));
         Daemon {
             child,
             socket,
@@ -58,29 +68,22 @@ impl Daemon {
         }
     }
 
-    /// Run `guardianctl` against this daemon's admin socket, retrying
-    /// dial failures through the daemon's startup window.
+    /// Run `guardianctl` against this daemon's admin socket, asserting
+    /// success.
     fn ctl_ok(&self, args: &[&str]) -> String {
-        let deadline = Instant::now() + STEP_TIMEOUT;
-        loop {
-            let out = Command::new(CTL_BIN)
-                .arg("--socket")
-                .arg(&self.admin)
-                .args(args)
-                .output()
-                .expect("run guardianctl");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            if stderr.contains("cannot dial") && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-            assert_eq!(
-                out.status.code(),
-                Some(0),
-                "guardianctl {args:?} failed: {stderr}"
-            );
-            return String::from_utf8_lossy(&out.stdout).into_owned();
-        }
+        let out = Command::new(CTL_BIN)
+            .arg("--socket")
+            .arg(&self.admin)
+            .args(args)
+            .output()
+            .expect("run guardianctl");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "guardianctl {args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
     }
 }
 
@@ -117,22 +120,10 @@ fn spawn_storm(socket: &PathBuf) -> Storm {
     Storm(child)
 }
 
-/// Dial the daemon's tenant socket with a QoS request, retrying through
-/// the startup window.
+/// Dial the daemon's tenant socket with a QoS request.
 fn dial_qos(socket: &PathBuf, mem: u64, qos: QosClass) -> GrdLib {
-    let deadline = Instant::now() + STEP_TIMEOUT;
-    loop {
-        match GrdLib::dial_uds_qos(socket, mem, qos) {
-            Ok(lib) => return lib,
-            Err(e) => {
-                assert!(
-                    Instant::now() < deadline,
-                    "could not connect to daemon within {STEP_TIMEOUT:?}: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
+    GrdLib::dial_uds_qos(socket, mem, qos)
+        .unwrap_or_else(|e| panic!("could not connect to daemon: {e}"))
 }
 
 /// Parse the value of the first metrics line starting with `name`.
@@ -172,8 +163,8 @@ fn priority_tenant_meets_slo_under_best_effort_storm() {
         ],
     );
 
-    // The priority tenant connects first (so the daemon is up), then
-    // the storm fills in around it.
+    // The priority tenant connects first, then the storm fills in
+    // around it.
     let mut prio = dial_qos(&daemon.socket, 1 << 20, QosClass::Latency);
     assert_eq!(prio.qos(), QosClass::Latency, "latency grant refused");
     prio.register_fatbin(&guardiand::tenant_fatbin())

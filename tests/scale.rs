@@ -154,6 +154,7 @@ fn wire_makespans_are_bit_for_bit_reproducible() {
         };
         let first = makespan(ack, tag);
         let second = makespan(ack, tag);
+        println!("{tag} makespan: {first} cycles");
         assert_eq!(
             first, second,
             "{tag} runs diverged: {first} vs {second} cycles"

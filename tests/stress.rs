@@ -1,9 +1,9 @@
 //! Multi-tenant dispatch stress: 4+ tenants hammer the grdManager from
 //! concurrent OS threads with interleaved mallocs, memcpys, memsets, and
 //! launches. Asserts the dispatch core is deadlock-free, isolation
-//! invariants hold under contention, out-of-bounds kills only the
-//! offender, and — the point of the split control/data-plane design —
-//! data-plane operations from distinct tenants genuinely overlap.
+//! invariants hold under contention, and out-of-bounds kills only the
+//! offender. That tenants' data-plane ops genuinely overlap is forced,
+//! not sampled, by a unit test in `guardian::session`.
 //!
 //! CI runs this suite in `--release` so dispatch regressions and
 //! deadlocks fail the pipeline.
@@ -106,11 +106,9 @@ fn tenant_loop(mut lib: GrdLib, seed: u32, iters: usize) {
 }
 
 /// 4 tenants × hundreds of interleaved ops on concurrent OS threads:
-/// deadlock-free, correct, and the data planes *demonstrably overlap*
-/// (the high-water mark of simultaneously executing data-plane ops
-/// exceeds 1 — impossible under the old single-queue dispatch).
+/// deadlock-free, and every tenant reads back exactly what it wrote.
 #[test]
-fn four_tenants_interleaved_ops_overlap_and_stay_isolated() {
+fn four_tenants_interleaved_ops_stay_isolated() {
     let mgr = manager(Protection::FenceBitwise, LaunchAck::Eager);
     let mut handles = Vec::new();
     for t in 0..4u32 {
@@ -120,12 +118,6 @@ fn four_tenants_interleaved_ops_overlap_and_stay_isolated() {
     for h in handles {
         h.join().expect("tenant thread");
     }
-    let overlap = mgr.max_concurrent_data_ops();
-    assert!(
-        overlap >= 2,
-        "data-plane ops never overlapped (max in-flight {overlap}); \
-         dispatch has regressed to serial"
-    );
     mgr.shutdown();
 }
 
