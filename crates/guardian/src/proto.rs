@@ -1471,9 +1471,9 @@ mod tests {
         FrameView::from(frame.to_vec())
     }
 
-    #[test]
-    fn request_round_trip_edge_values() {
-        let cases = vec![
+    /// Edge values for every `Request` variant.
+    fn request_cases() -> Vec<Request> {
+        vec![
             Request::Connect {
                 mem_requirement: u64::MAX,
                 hint: None,
@@ -1543,16 +1543,20 @@ mod tests {
             Request::DeviceInfo,
             Request::Migrate { device: u32::MAX },
             Request::Binding,
-        ];
-        for req in cases {
+        ]
+    }
+
+    #[test]
+    fn request_round_trip_edge_values() {
+        for req in request_cases() {
             let frame = req.encode();
             assert_eq!(Request::decode_view(&view(&frame)).unwrap(), req, "{req:?}");
         }
     }
 
-    #[test]
-    fn response_round_trip_edge_values() {
-        let cases = vec![
+    /// Edge values for every `Response` variant and every `CudaError`.
+    fn response_cases() -> Vec<Response> {
+        vec![
             Response::Unit,
             Response::Connected(ConnectInfo {
                 client: 3,
@@ -1603,11 +1607,19 @@ mod tests {
                 },
             }),
             Response::Error(CudaError::OutOfMemory),
+            Response::Error(CudaError::InvalidValue),
             Response::Error(CudaError::InvalidDeviceFunction("missing".into())),
+            Response::Error(CudaError::ContextPoisoned),
+            Response::Error(CudaError::ModuleLoad("bad ptx".into())),
             Response::Error(CudaError::MissingExportTable(42)),
             Response::Error(CudaError::Rejected("out of partition".into())),
-        ];
-        for resp in cases {
+            Response::Error(CudaError::Disconnected),
+        ]
+    }
+
+    #[test]
+    fn response_round_trip_edge_values() {
+        for resp in response_cases() {
             let frame = resp.encode();
             assert_eq!(Response::decode(&frame).unwrap(), resp, "{resp:?}");
         }
@@ -1702,9 +1714,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn admin_round_trip_edge_values() {
-        let reqs = vec![
+    /// Edge values for every `AdminRequest` variant.
+    fn admin_request_cases() -> Vec<AdminRequest> {
+        vec![
             AdminRequest::Devices,
             AdminRequest::Tenants,
             AdminRequest::LeaseSet {
@@ -1722,12 +1734,12 @@ mod tests {
             AdminRequest::Trace {
                 uid: Some(u32::MAX),
             },
-        ];
-        for req in reqs {
-            let frame = req.encode();
-            assert_eq!(AdminRequest::decode(&frame).unwrap(), req, "{req:?}");
-        }
-        let resps = vec![
+        ]
+    }
+
+    /// Edge values for every `AdminResponse` variant.
+    fn admin_response_cases() -> Vec<AdminResponse> {
+        vec![
             AdminResponse::Devices {
                 node: "node-a".into(),
                 devices: vec![DeviceInfo {
@@ -1800,8 +1812,16 @@ mod tests {
                 node: "node-a".into(),
                 msg: "no such client 99".into(),
             },
-        ];
-        for resp in resps {
+        ]
+    }
+
+    #[test]
+    fn admin_round_trip_edge_values() {
+        for req in admin_request_cases() {
+            let frame = req.encode();
+            assert_eq!(AdminRequest::decode(&frame).unwrap(), req, "{req:?}");
+        }
+        for resp in admin_response_cases() {
             let frame = resp.encode();
             assert_eq!(AdminResponse::decode(&frame).unwrap(), resp, "{resp:?}");
         }
@@ -1850,6 +1870,85 @@ mod tests {
         put_blob(&mut f, &[0xFF, 0xFE]);
         put_blob(&mut f, b"");
         assert_eq!(Request::decode_view(&view(&f)), Err(ProtoError::BadUtf8));
+    }
+
+    /// The checked-in wire fixture: one line per edge-value case,
+    /// `<family> <frame as hex> <value as Debug>`.
+    const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/proto_v7.golden");
+
+    fn hex(frame: &[u8]) -> String {
+        frame.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    /// A golden line, paired with a check that its frame decodes back to
+    /// the case it was encoded from.
+    type GoldenCase = (String, Box<dyn Fn(&[u8]) -> bool>);
+
+    /// Every edge-value case of the four families as a golden line.
+    fn golden_lines() -> Vec<GoldenCase> {
+        fn line<T: fmt::Debug>(family: &str, frame: &[u8], value: &T) -> String {
+            format!("{family} {} {value:?}", hex(frame))
+        }
+        let mut out: Vec<GoldenCase> = Vec::new();
+        for v in request_cases() {
+            let l = line("Request", &v.encode(), &v);
+            out.push((
+                l,
+                Box::new(move |f| Request::decode_view(&view(f)) == Ok(v.clone())),
+            ));
+        }
+        for v in response_cases() {
+            let l = line("Response", &v.encode(), &v);
+            out.push((l, Box::new(move |f| Response::decode(f) == Ok(v.clone()))));
+        }
+        for v in admin_request_cases() {
+            let l = line("AdminRequest", &v.encode(), &v);
+            out.push((
+                l,
+                Box::new(move |f| AdminRequest::decode(f) == Ok(v.clone())),
+            ));
+        }
+        for v in admin_response_cases() {
+            let l = line("AdminResponse", &v.encode(), &v);
+            out.push((
+                l,
+                Box::new(move |f| AdminResponse::decode(f) == Ok(v.clone())),
+            ));
+        }
+        out
+    }
+
+    /// Every case encodes to exactly the checked-in bytes, and every
+    /// checked-in frame decodes to its case: the wire format cannot move
+    /// without this file moving with it.
+    #[test]
+    fn frames_match_golden_file() {
+        let fixture = std::fs::read_to_string(GOLDEN).expect("read golden fixture");
+        let want: Vec<&str> = fixture.lines().collect();
+        let cases = golden_lines();
+        assert_eq!(want.len(), cases.len(), "golden line count");
+        for (want, (got, decodes_back)) in want.iter().zip(&cases) {
+            assert_eq!(*want, got, "encoding moved");
+            let frame = unhex(want.split(' ').nth(1).expect("hex column"));
+            assert!(decodes_back(&frame), "decode of golden frame: {want}");
+        }
+    }
+
+    /// Rewrites the golden fixture from the current encoder. Run only
+    /// after a deliberate wire change (with a `PROTO_VERSION` bump):
+    /// `cargo test -p guardian golden_recapture -- --ignored`.
+    #[test]
+    #[ignore]
+    fn golden_recapture() {
+        let text: String = golden_lines().into_iter().map(|(l, _)| l + "\n").collect();
+        std::fs::write(GOLDEN, text).expect("write golden fixture");
     }
 }
 
