@@ -109,6 +109,19 @@ pub fn mono_ns() -> u64 {
 }
 
 #[cfg(test)]
+mod tests {
+    /// Test builds compile this crate optimised (the workspace's
+    /// `[profile.dev.package.gpu-sim]`), but an optimised test build must
+    /// still trap integer overflow: opt-level leaves `overflow-checks` on.
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn integer_overflow_panics_in_test_builds() {
+        let x = std::hint::black_box(u32::MAX);
+        let _ = std::hint::black_box(x + 1);
+    }
+}
+
+#[cfg(test)]
 mod proptests {
     use crate::compile::truncate_to;
     use crate::interp::{binary, compare, convert, mul_wide};

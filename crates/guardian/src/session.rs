@@ -606,11 +606,22 @@ impl SessionCtx {
             }
             let mut first_err: CudaResult<()> = Ok(());
             let mut ok: u64 = 0;
-            for (item, params) in self.pending.iter().zip(self.staged.drain(..)) {
+            // The batch is consumed here, past the epoch check's retry:
+            // each item's function moves into its command, and the
+            // driver/runtime split is counted on the way.
+            let n = self.pending.len() as u64;
+            let (mut drv, mut drv_lookup, mut rt_lookup) = (0, 0, 0);
+            for (item, params) in self.pending.drain(..).zip(self.staged.drain(..)) {
+                if item.driver_level {
+                    drv += 1;
+                    drv_lookup += item.lookup_ns;
+                } else {
+                    rt_lookup += item.lookup_ns;
+                }
                 match dev.enqueue(
                     b.stream,
                     Command::Launch {
-                        func: item.func.clone(),
+                        func: item.func,
                         cfg: item.cfg,
                         params,
                         guard: MemGuard::None,
@@ -658,16 +669,6 @@ impl SessionCtx {
             // One atomic round per path per batch. Lookups were timed
             // one by one at admission; the batch's augment and enqueue
             // ns are attributed to the two API levels by launch count.
-            let n = self.pending.len() as u64;
-            let (mut drv, mut drv_lookup, mut rt_lookup) = (0, 0, 0);
-            for item in &self.pending {
-                if item.driver_level {
-                    drv += 1;
-                    drv_lookup += item.lookup_ns;
-                } else {
-                    rt_lookup += item.lookup_ns;
-                }
-            }
             let rt = n - drv;
             self.shared.stats.record_batch(
                 false,

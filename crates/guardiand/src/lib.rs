@@ -597,7 +597,9 @@ fn run_migrate(lib: &mut GrdLib) -> i32 {
 }
 
 /// Launch storm: as fast as the transport carries frames, until killed.
-/// Never syncs, so under deferred acks this is pure one-way traffic.
+/// Syncs only every 4096 launches, so under deferred acks this is nearly
+/// pure one-way traffic. Prints `storm-synced` once, after the first
+/// sync that succeeds: from then on frames are in flight.
 fn run_storm(lib: &mut GrdLib) -> i32 {
     let buf = match lib.cuda_malloc(4 * 64) {
         Ok(b) => b,
@@ -608,6 +610,7 @@ fn run_storm(lib: &mut GrdLib) -> i32 {
     };
     let args = ArgPack::new().ptr(buf).u32(64).finish();
     let mut n = 0u64;
+    let mut synced = false;
     loop {
         let r = lib.cuda_launch_kernel(
             "fill",
@@ -624,7 +627,12 @@ fn run_storm(lib: &mut GrdLib) -> i32 {
         if n.is_multiple_of(4096) {
             // Bound the one-way queue so a deferred-mode storm cannot
             // outrun the device unboundedly.
-            let _ = lib.cuda_device_synchronize();
+            if lib.cuda_device_synchronize().is_ok() && !synced {
+                synced = true;
+                println!("storm-synced");
+                use std::io::Write;
+                let _ = std::io::stdout().flush();
+            }
         }
     }
 }

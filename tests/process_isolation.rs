@@ -404,9 +404,9 @@ fn sigkill_mid_storm_reclaims_partition(wire: &str, daemon_extra: &[&str]) {
 
     let mut storm = spawn_tenant(wire, &daemon.socket, 4 << 20, "storm", 0, 0);
     let (_, storm_base, _) = storm.ready();
-    // Let the storm rage long enough that frames are genuinely in flight
-    // when the SIGKILL lands.
-    std::thread::sleep(Duration::from_millis(200));
+    // Wait until the storm is in full flow, so frames are genuinely in
+    // flight when the SIGKILL lands.
+    storm.await_lines("storm-synced", 1);
     storm.kill9();
 
     // The partition comes back (dial_until retries through OutOfMemory
@@ -545,7 +545,7 @@ fn revocation_mid_storm_kills_only_the_offender() {
     let storm = spawn_tenant("uds", &daemon.socket, 4 << 20, "storm", 0, 0);
     let (offender, _, _) = storm.ready();
     // Let frames be genuinely in flight when the revocation lands.
-    std::thread::sleep(Duration::from_millis(200));
+    storm.await_lines("storm-synced", 1);
     let (code, out) = ctl(&admin, &["lease", "revoke", &offender.to_string()]);
     assert_eq!(code, 0, "revoke failed: {out}");
 
@@ -580,7 +580,7 @@ fn sigkill_of_leased_tenant_releases_quota() {
     );
     let mut storm = spawn_tenant("uds", &daemon.socket, 4 << 20, "storm", 0, 0);
     storm.ready();
-    std::thread::sleep(Duration::from_millis(200));
+    storm.await_lines("storm-synced", 1);
     storm.kill9();
 
     // Partition reclaimed (the pool holds exactly one), then released
