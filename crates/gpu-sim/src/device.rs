@@ -17,7 +17,7 @@ use crate::cache::CacheHierarchy;
 use crate::compile::{compile_module, CompiledModule};
 use crate::fault::window::DEVICE_BASE;
 use crate::fault::Fault;
-use crate::interp::{Executor, KernelStats};
+use crate::interp::{Executor, KernelStats, ThreadArena};
 #[cfg(test)]
 use crate::interp::{LaunchConfig, MemGuard};
 use crate::mem::{Dram, DriverAllocator, NO_OWNER};
@@ -115,8 +115,6 @@ struct ContextState {
 
 struct RunningKernel {
     stream: StreamId,
-    #[allow(dead_code)] // handy in debug dumps
-    name: String,
     pending: std::collections::VecDeque<u64>,
     in_flight: usize,
     threads_per_block: u64,
@@ -210,6 +208,9 @@ pub struct Device {
     fault_log: Vec<FaultRecord>,
     kernel_stats: HashMap<String, KernelAgg>,
     launches: u64,
+    /// Thread state of the block being interpreted, reused by every
+    /// launch.
+    arena: ThreadArena,
 }
 
 impl Device {
@@ -255,6 +256,7 @@ impl Device {
             fault_log: Vec::new(),
             kernel_stats: HashMap::new(),
             launches: 0,
+            arena: ThreadArena::default(),
             spec,
         }
     }
@@ -877,35 +879,47 @@ impl Device {
                         cache: &mut self.cache,
                         spec: &self.spec,
                         functions: &func.module.functions,
+                        arena: &mut self.arena,
                     };
                     ex.run(&func.kernel, cfg, &params, guard)
                 };
-                self.record_kernel_stats(&func.kernel.name, &outcome.stats, &outcome.block_cycles);
+                let blocks = outcome.block_cycles;
+                self.record_kernel_stats(&func.kernel.name, &outcome.stats, &blocks);
                 if let Some(fault) = outcome.fault {
+                    self.arena.recycle(blocks);
                     self.record_fault(ctx, sid, Some(func.kernel.name.clone()), fault);
                     self.complete_command(sid);
                     return true;
                 }
-                if outcome.block_cycles.is_empty() {
+                if blocks.is_empty() {
+                    self.arena.recycle(blocks);
                     self.complete_command(sid);
                     return true;
                 }
+                // Reuse a finished kernel's slot, and its queue's
+                // storage: all of its block-end events have fired (that
+                // is what finished means), so no queued event still
+                // refers to the index.
+                let (slot, mut pending) = match self.free_slots.pop() {
+                    Some(slot) => (slot, std::mem::take(&mut self.running[slot].pending)),
+                    None => (self.running.len(), Default::default()),
+                };
+                pending.clear();
+                pending.extend(blocks.iter().map(|c| (*c).max(1)));
+                self.pending_blocks += pending.len() as u64;
+                self.arena.recycle(blocks);
                 let rk = RunningKernel {
                     stream: sid,
-                    name: func.kernel.name.clone(),
-                    pending: outcome.block_cycles.iter().map(|c| (*c).max(1)).collect(),
+                    pending,
                     in_flight: 0,
                     threads_per_block: cfg.threads_per_block().clamp(32, THREADS_PER_SM),
                     alive: true,
                     latency: self.streams[&sid].latency,
                 };
-                self.pending_blocks += rk.pending.len() as u64;
-                // Reuse a finished kernel's slot: all of its block-end
-                // events have fired (that is what finished means), so
-                // no queued event still refers to the index.
-                match self.free_slots.pop() {
-                    Some(slot) => self.running[slot] = rk,
-                    None => self.running.push(rk),
+                if slot == self.running.len() {
+                    self.running.push(rk);
+                } else {
+                    self.running[slot] = rk;
                 }
                 self.streams.get_mut(&sid).expect("known").busy = true;
                 self.schedule_blocks();
@@ -1120,7 +1134,10 @@ impl Device {
     }
 
     fn record_kernel_stats(&mut self, name: &str, stats: &KernelStats, blocks: &[u64]) {
-        let agg = self.kernel_stats.entry(name.to_string()).or_default();
+        let agg = match self.kernel_stats.get_mut(name) {
+            Some(agg) => agg,
+            None => self.kernel_stats.entry(name.to_string()).or_default(),
+        };
         agg.launches += 1;
         agg.instructions += stats.instructions;
         agg.loads += stats.loads;
@@ -1490,6 +1507,201 @@ $L_done:
         assert_eq!(dev.free(c2, p), Err(DeviceError::InvalidFree));
         dev.free(c1, p).unwrap();
         assert_eq!(dev.free(c1, p), Err(DeviceError::InvalidFree));
+    }
+
+    /// A kernel that reads every register, predicate, `.local` and
+    /// `.shared` word it owns before writing any, stores what it read
+    /// (OR-ed together) to `out[global thread id]`, then sets all of them
+    /// to ones. Thread `trap_tid`, if any, traps after dirtying.
+    fn leak_probe(
+        name: &str,
+        regs: usize,
+        preds: usize,
+        words: usize,
+        trap_tid: Option<u32>,
+    ) -> String {
+        let mut body = String::new();
+        let mut line = |l: String| {
+            body.push_str("    ");
+            body.push_str(&l);
+            body.push('\n');
+        };
+        for i in 0..regs {
+            line(format!("or.b64 %rd0, %rd0, %rd{i};"));
+        }
+        for i in 0..4 {
+            line(format!("cvt.u64.u32 %rd1, %r{i};"));
+            line("or.b64 %rd0, %rd0, %rd1;".into());
+        }
+        for i in 0..preds {
+            line(format!("@%p{i} or.b64 %rd0, %rd0, 1;"));
+        }
+        for space in ["shared", "local"] {
+            let var = if space == "shared" { "tile" } else { "scr" };
+            for w in 0..words {
+                line(format!("ld.{space}.u64 %rd1, [{var}+{}];", w * 8));
+                line("or.b64 %rd0, %rd0, %rd1;".into());
+            }
+        }
+        // Every thread has read before any thread writes.
+        line("bar.sync 0;".into());
+        line("ld.param.u64 %rd1, [out];".into());
+        line("mov.u32 %r0, %tid.x;".into());
+        line("mov.u32 %r1, %ctaid.x;".into());
+        line("mov.u32 %r2, %ntid.x;".into());
+        line("mad.lo.u32 %r3, %r1, %r2, %r0;".into());
+        line("mul.wide.u32 %rd2, %r3, 8;".into());
+        line("add.s64 %rd1, %rd1, %rd2;".into());
+        line("st.global.u64 [%rd1], %rd0;".into());
+        line("mov.u64 %rd1, 18446744073709551615;".into());
+        for space in ["shared", "local"] {
+            let var = if space == "shared" { "tile" } else { "scr" };
+            for w in 0..words {
+                line(format!("st.{space}.u64 [{var}+{}], %rd1;", w * 8));
+            }
+        }
+        if let Some(tid) = trap_tid {
+            line(format!("setp.eq.u32 %p0, %r0, {tid};"));
+            line("@%p0 trap;".into());
+        }
+        for i in 0..preds {
+            line(format!("setp.eq.u64 %p{i}, %rd1, %rd1;"));
+        }
+        for i in 0..4 {
+            line(format!("mov.u32 %r{i}, 4294967295;"));
+        }
+        for i in 0..regs {
+            line(format!("mov.u64 %rd{i}, %rd1;"));
+        }
+        format!(
+            r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry {name}(.param .u64 out)
+{{
+    .shared .align 8 .u64 tile[{words}];
+    .local .align 8 .u64 scr[{words}];
+    .reg .pred %p<{preds}>;
+    .reg .b32 %r<4>;
+    .reg .b64 %rd<{regs}>;
+{body}    ret;
+}}
+"#
+        )
+    }
+
+    /// A device with three leak probes loaded — `small`, `big` (more of
+    /// everything) and `trapping` (`small` whose thread 5 traps) — and
+    /// a stream to run them on.
+    struct LeakRig {
+        dev: Device,
+        ctx: CtxId,
+        stream: StreamId,
+        modules: Vec<(&'static str, Arc<CompiledModule>)>,
+        out: u64,
+    }
+
+    impl LeakRig {
+        const MAX_THREADS: u64 = 4 * 256;
+
+        fn new() -> Self {
+            let mut dev = Device::new(test_gpu());
+            let ctx = dev.create_context().unwrap();
+            let stream = dev.create_stream(ctx).unwrap();
+            let modules = [
+                ("small", leak_probe("small", 6, 2, 2, None)),
+                ("big", leak_probe("big", 24, 5, 16, None)),
+                ("trapping", leak_probe("trapping", 6, 2, 2, Some(5))),
+            ]
+            .into_iter()
+            .map(|(name, src)| (name, load(&mut dev, ctx, &src)))
+            .collect();
+            let out = dev.malloc(ctx, Self::MAX_THREADS * 8).unwrap();
+            LeakRig {
+                dev,
+                ctx,
+                stream,
+                modules,
+                out,
+            }
+        }
+
+        /// Run probe `name`; returns the faults it raised and what each
+        /// of its threads read before writing.
+        fn run(&mut self, name: &str, cfg: LaunchConfig) -> (usize, Vec<u64>) {
+            let threads = cfg.num_blocks() * cfg.threads_per_block();
+            assert!(threads <= Self::MAX_THREADS);
+            // A thread that never stored leaves this behind.
+            let untouched = vec![0xabu8; threads as usize * 8];
+            self.dev.write_memory(self.out, &untouched).unwrap();
+            let m = &self.modules.iter().find(|(n, _)| *n == name).unwrap().1;
+            let cmd = launch_cmd(m, name, cfg, self.out.to_le_bytes().to_vec());
+            self.dev.enqueue(self.stream, cmd).unwrap();
+            let faults = self.dev.synchronize();
+            let mut bytes = vec![0u8; threads as usize * 8];
+            self.dev.read_memory(self.out, &mut bytes).unwrap();
+            let read = bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                .collect();
+            (faults, read)
+        }
+
+        /// Run probe `name` and require that every thread read zeros.
+        fn run_clean(&mut self, name: &str, cfg: LaunchConfig) {
+            let (faults, read) = self.run(name, cfg);
+            assert_eq!(faults, 0, "{name} {cfg:?}");
+            assert!(
+                read.iter().all(|&w| w == 0),
+                "{name} {cfg:?} read stale state: {read:x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn thread_state_never_leaks_into_a_later_block_or_launch() {
+        let mut rig = LeakRig::new();
+        // Block 1 of each launch runs after block 0 dirtied everything.
+        rig.run_clean("small", LaunchConfig::linear(3, 32));
+        // A different kernel with more registers, predicates and bytes.
+        rig.run_clean("big", LaunchConfig::linear(3, 32));
+        rig.run_clean("small", LaunchConfig::linear(3, 32));
+    }
+
+    #[test]
+    fn thread_state_is_clean_as_blocks_grow_and_shrink() {
+        let mut rig = LeakRig::new();
+        for (name, threads) in [
+            ("small", 16),
+            ("big", 64),
+            ("small", 256),
+            ("big", 128),
+            ("small", 8),
+            ("big", 1),
+            ("big", 256),
+        ] {
+            rig.run_clean(name, LaunchConfig::linear(4, threads));
+        }
+    }
+
+    #[test]
+    fn a_launch_after_a_trap_starts_clean() {
+        let mut rig = LeakRig::new();
+        let (faults, read) = rig.run("trapping", LaunchConfig::linear(2, 32));
+        assert_eq!(faults, 1);
+        assert!(
+            matches!(rig.dev.fault_log()[0].fault, Fault::Trap { .. }),
+            "{:?}",
+            rig.dev.fault_log()
+        );
+        // Past the barrier threads run one at a time: block 0's threads
+        // 0-5 stored (5 then trapped), and nothing after them ran.
+        assert!(read[..6].iter().all(|&w| w == 0), "{read:x?}");
+        assert!(read[6..].iter().all(|&w| w == 0xabab_abab_abab_abab));
+        assert!(!rig.dev.context_poisoned(rig.ctx));
+        rig.run_clean("small", LaunchConfig::linear(2, 32));
+        rig.run_clean("big", LaunchConfig::linear(2, 64));
     }
 
     #[test]

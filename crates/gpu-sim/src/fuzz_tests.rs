@@ -20,7 +20,7 @@
 use crate::cache::CacheHierarchy;
 use crate::compile::{compile_module, lower_module, CompileError, CompiledModule};
 use crate::fault::window::DEVICE_BASE;
-use crate::interp::{Executor, LaunchConfig, LaunchOutcome, MemGuard};
+use crate::interp::{Executor, LaunchConfig, LaunchOutcome, MemGuard, ThreadArena};
 use crate::mem::Dram;
 use crate::spec::test_gpu;
 use ptx::fuzz::{self, Rng, Temper};
@@ -118,6 +118,7 @@ fn launch(module: &Module, compile: Compile, mode: Protection, seed: u64, poison
         cache: &mut cache,
         spec: &spec,
         functions: &compiled.functions,
+        arena: &mut ThreadArena::default(),
     }
     .run(&kernel, cfg, &params, MemGuard::None);
     let mut memory = vec![0u8; CAPACITY as usize];

@@ -109,6 +109,70 @@ pub struct Executor<'a> {
     pub spec: &'a GpuSpec,
     /// Device functions visible to `call` (same module).
     pub functions: &'a HashMap<String, Arc<CompiledKernel>>,
+    /// Where each block's thread state lives (the device's own arena).
+    pub arena: &'a mut ThreadArena,
+}
+
+/// The thread state of one block — registers, predicates, `.local` bytes
+/// and the `.shared` tile — in flat buffers that outlive the launch. The
+/// [`Device`](crate::Device) owns one and lends it to each [`Executor`],
+/// so a launch allocates nothing for its threads: every block re-zeroes
+/// the prefix it uses, and what is retained is the largest block seen.
+#[derive(Debug, Default)]
+pub struct ThreadArena {
+    regs: Vec<u64>,
+    preds: Vec<bool>,
+    local: Vec<u8>,
+    shared: Vec<u8>,
+    threads: Vec<ThreadState>,
+    /// Storage for the next [`LaunchOutcome::block_cycles`]; handed back
+    /// with [`ThreadArena::recycle`].
+    block_cycles: Vec<u64>,
+}
+
+impl ThreadArena {
+    /// Zero the state of a block of `kernel` under `cfg`.
+    fn reset(&mut self, kernel: &CompiledKernel, cfg: LaunchConfig) {
+        let tpb = cfg.threads_per_block() as usize;
+        zeroed(&mut self.regs, tpb * kernel.num_regs as usize);
+        zeroed(&mut self.preds, tpb * kernel.num_preds as usize);
+        zeroed(&mut self.local, tpb * kernel.local_size as usize);
+        zeroed(&mut self.shared, kernel.shared_size as usize);
+        self.threads.clear();
+        for tz in 0..cfg.block.2 {
+            for ty in 0..cfg.block.1 {
+                for tx in 0..cfg.block.0 {
+                    self.threads.push(ThreadState {
+                        tid: (tx, ty, tz),
+                        ..ThreadState::default()
+                    });
+                }
+            }
+        }
+    }
+
+    /// Take back a launch's block durations once they are consumed, so
+    /// the next launch fills the same storage.
+    pub(crate) fn recycle(&mut self, block_cycles: Vec<u64>) {
+        self.block_cycles = block_cycles;
+    }
+
+    /// Bytes of storage held between launches.
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.regs.capacity() * 8
+            + self.preds.capacity()
+            + self.local.capacity()
+            + self.shared.capacity()
+            + self.threads.capacity() * std::mem::size_of::<ThreadState>()
+            + self.block_cycles.capacity() * 8
+    }
+}
+
+/// `v` holds `len` zeroes; it reallocates only to grow past its capacity.
+fn zeroed<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    v.clear();
+    v.resize(len, T::default());
 }
 
 enum ThreadStop {
@@ -116,14 +180,25 @@ enum ThreadStop {
     Barrier,
 }
 
-struct Thread {
-    regs: Vec<u64>,
-    preds: Vec<bool>,
+/// What a thread keeps between cooperative rounds besides its arena
+/// slices.
+#[derive(Debug, Default, Clone, Copy)]
+struct ThreadState {
     pc: usize,
     cycles: u64,
     instructions: u64,
-    local: Vec<u8>,
     done: bool,
+    tid: (u32, u32, u32),
+}
+
+/// One thread while it runs: its own slices of the block's state.
+struct Thread<'s> {
+    regs: &'s mut [u64],
+    preds: &'s mut [bool],
+    pc: usize,
+    cycles: u64,
+    instructions: u64,
+    local: &'s mut [u8],
     tid: (u32, u32, u32),
 }
 
@@ -139,13 +214,19 @@ impl<'a> Executor<'a> {
     ) -> LaunchOutcome {
         let mut stats = KernelStats::default();
         let cache_before = self.cache.stats();
-        let mut block_cycles = Vec::with_capacity(cfg.num_blocks() as usize);
+        // The arena leaves `self` for the launch, so the running thread
+        // can borrow its slices while `self` stays mutable.
+        let mut arena = std::mem::take(&mut *self.arena);
+        let mut block_cycles = std::mem::take(&mut arena.block_cycles);
+        block_cycles.clear();
         let mut fault = None;
 
         'grid: for bz in 0..cfg.grid.2 {
             for by in 0..cfg.grid.1 {
                 for bx in 0..cfg.grid.0 {
-                    match self.run_block(kernel, cfg, (bx, by, bz), params, guard, &mut stats) {
+                    let ctaid = (bx, by, bz);
+                    match self.run_block(kernel, cfg, ctaid, params, guard, &mut arena, &mut stats)
+                    {
                         Ok(cycles) => block_cycles.push(cycles),
                         Err(f) => {
                             fault = Some(f);
@@ -155,6 +236,7 @@ impl<'a> Executor<'a> {
                 }
             }
         }
+        *self.arena = arena;
 
         let after = self.cache.stats();
         stats.cache = CacheStats {
@@ -169,6 +251,7 @@ impl<'a> Executor<'a> {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run_block(
         &mut self,
         kernel: &CompiledKernel,
@@ -176,41 +259,48 @@ impl<'a> Executor<'a> {
         ctaid: (u32, u32, u32),
         params: &[u8],
         guard: MemGuard,
+        arena: &mut ThreadArena,
         stats: &mut KernelStats,
     ) -> Result<u64, Fault> {
         self.cache.new_block();
-        let tpb = cfg.threads_per_block() as usize;
-        let mut shared = vec![0u8; kernel.shared_size as usize];
-        let mut threads: Vec<Thread> = Vec::with_capacity(tpb);
-        for tz in 0..cfg.block.2 {
-            for ty in 0..cfg.block.1 {
-                for tx in 0..cfg.block.0 {
-                    threads.push(Thread {
-                        regs: vec![0u64; kernel.num_regs as usize],
-                        preds: vec![false; kernel.num_preds as usize],
-                        pc: 0,
-                        cycles: 0,
-                        instructions: 0,
-                        local: vec![0u8; kernel.local_size as usize],
-                        done: false,
-                        tid: (tx, ty, tz),
-                    });
-                }
-            }
-        }
+        arena.reset(kernel, cfg);
+        let ThreadArena {
+            regs,
+            preds,
+            local,
+            shared,
+            threads,
+            ..
+        } = arena;
+        let (nr, np, nl) = (
+            kernel.num_regs as usize,
+            kernel.num_preds as usize,
+            kernel.local_size as usize,
+        );
 
         // Cooperative rounds: run every live thread to its next barrier or
         // to completion; repeat until all threads are done.
         loop {
             let mut any_live = false;
             let mut any_barrier = false;
-            for t in threads.iter_mut() {
-                if t.done {
+            for (i, st) in threads.iter_mut().enumerate() {
+                if st.done {
                     continue;
                 }
                 any_live = true;
-                match self.resume(kernel, cfg, ctaid, params, guard, &mut shared, t, stats)? {
-                    ThreadStop::Done => t.done = true,
+                let mut t = Thread {
+                    regs: &mut regs[i * nr..(i + 1) * nr],
+                    preds: &mut preds[i * np..(i + 1) * np],
+                    pc: st.pc,
+                    cycles: st.cycles,
+                    instructions: st.instructions,
+                    local: &mut local[i * nl..(i + 1) * nl],
+                    tid: st.tid,
+                };
+                let stop = self.resume(kernel, cfg, ctaid, params, guard, shared, &mut t, stats);
+                (st.pc, st.cycles, st.instructions) = (t.pc, t.cycles, t.instructions);
+                match stop? {
+                    ThreadStop::Done => st.done = true,
                     ThreadStop::Barrier => any_barrier = true,
                 }
             }
@@ -306,7 +396,7 @@ impl<'a> Executor<'a> {
                 } => {
                     let n = lead.is_some() as u64 + kind.instructions() as u64;
                     charge_fused(t, n - 1)?;
-                    fence_addr(&mut t.regs, *kind, *reg, *lead, *bound, *base);
+                    fence_addr(t.regs, *kind, *reg, *lead, *bound, *base);
                     // Every constituent is an ALU op but the 64-bit `rem`.
                     t.cycles += match kind {
                         FenceKind::Bitwise => n * spec.alu_cycles,
@@ -558,14 +648,16 @@ impl<'a> Executor<'a> {
         caller: &mut Thread,
         stats: &mut KernelStats,
     ) -> Result<(), Fault> {
+        let mut regs = vec![0u64; callee.num_regs as usize];
+        let mut preds = vec![false; callee.num_preds as usize];
+        let mut local = vec![0u8; callee.local_size as usize];
         let mut frame = Thread {
-            regs: vec![0u64; callee.num_regs as usize],
-            preds: vec![false; callee.num_preds as usize],
+            regs: &mut regs,
+            preds: &mut preds,
             pc: 0,
             cycles: 0,
             instructions: caller.instructions,
-            local: vec![0u8; callee.local_size as usize],
-            done: false,
+            local: &mut local,
             tid: caller.tid,
         };
         // Barriers inside .func are not supported (they cannot suspend a
@@ -855,10 +947,19 @@ fn fence_addr(
 }
 
 /// `ld.param`: read `ty` at `offset` of the parameter buffer (bytes the
-/// launch did not supply read as zero).
+/// launch did not supply read as zero). Where a whole word lies in the
+/// buffer it is read at once and masked, with no length-dependent copy.
 fn ld_param(params: &[u8], ty: Type, offset: u32) -> u64 {
     let sz = ty.size();
     let off = offset as usize;
+    if let Some(word) = params.get(off..off.wrapping_add(8)) {
+        let v = u64::from_le_bytes(word.try_into().expect("a word"));
+        return if sz >= 8 {
+            v
+        } else {
+            v & ((1 << (8 * sz)) - 1)
+        };
+    }
     let mut buf = [0u8; 8];
     let avail = params.len().saturating_sub(off).min(sz);
     if avail > 0 {
@@ -1237,6 +1338,7 @@ mod tests {
             cache: &mut cache,
             spec: &spec,
             functions: &cm.functions,
+            arena: &mut ThreadArena::default(),
         };
         let k = cm.kernel(kernel).unwrap();
         ex.run(&k, cfg, params, guard)
@@ -1310,6 +1412,63 @@ $L_end:
     ret;
 }
 "#;
+
+    #[test]
+    fn arena_retains_what_the_largest_block_needed() {
+        let m = ptx::parse(FILL).unwrap();
+        let cm = compile_module(&m, 0).unwrap();
+        let k = cm.kernel("fill").unwrap();
+        let spec = test_gpu();
+        let (mut dram, mut arena) = (Dram::new(1 << 20), ThreadArena::default());
+        let mut cache = CacheHierarchy::new(spec.l1_bytes, spec.l2_bytes);
+        let mut launch = |blocks, threads| {
+            let out = Executor {
+                dram: &mut dram,
+                cache: &mut cache,
+                spec: &spec,
+                functions: &cm.functions,
+                arena: &mut arena,
+            }
+            .run(
+                &k,
+                LaunchConfig::linear(blocks, threads),
+                &params_u64_u32(DEVICE_BASE, 1024),
+                MemGuard::None,
+            );
+            assert!(out.fault.is_none());
+            arena.recycle(out.block_cycles);
+            arena.retained_bytes()
+        };
+        let largest = launch(4, 256);
+        assert!(largest >= 256 * k.num_regs as usize * 8);
+        assert_eq!(
+            launch(2, 16),
+            largest,
+            "a smaller block neither frees nor grows"
+        );
+        assert_eq!(
+            launch(4, 256),
+            largest,
+            "the largest block is already sized"
+        );
+    }
+
+    #[test]
+    fn ld_param_reads_supplied_bytes_and_zeros_past_them() {
+        let bytes: Vec<u8> = (1..=20).collect();
+        for len in 0..=bytes.len() {
+            let params = &bytes[..len];
+            for offset in 0..28u32 {
+                for ty in [Type::U8, Type::U16, Type::U32, Type::U64] {
+                    let want = (0..ty.size()).fold(0u64, |v, i| {
+                        let b = params.get(offset as usize + i).copied().unwrap_or(0);
+                        v | (b as u64) << (8 * i)
+                    });
+                    assert_eq!(ld_param(params, ty, offset), want, "{len} {offset} {ty:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn fill_kernel_writes_indices() {
@@ -1871,15 +2030,15 @@ $L_add:
                     cache: &mut cache,
                     spec: &spec,
                     functions: &cm.functions,
+                    arena: &mut ThreadArena::default(),
                 };
                 let mut t = Thread {
-                    regs: vec![0; k.num_regs as usize],
-                    preds: vec![false; k.num_preds as usize],
+                    regs: &mut vec![0; k.num_regs as usize],
+                    preds: &mut vec![false; k.num_preds as usize],
                     pc: 0,
                     cycles: 0,
                     instructions: INSTRUCTION_BUDGET - room,
-                    local: Vec::new(),
-                    done: false,
+                    local: &mut [],
                     tid: (0, 0, 0),
                 };
                 let mut stats = KernelStats::default();

@@ -90,9 +90,7 @@ pub fn device_set(specs: Vec<GpuSpec>) -> Vec<Device> {
 pub use fault::Fault;
 pub use interp::{LaunchConfig, MemGuard};
 pub use spec::GpuSpec;
-pub use stream::{
-    Command, CtxId, CudaFunction, Event, HostBytes, HostSink, ParamBuf, ParamPool, StreamId,
-};
+pub use stream::{Command, CtxId, CudaFunction, Event, HostBytes, HostSink, ParamBuf, StreamId};
 
 /// Nanoseconds on the process-wide monotonic telemetry clock.
 ///

@@ -10,7 +10,7 @@ use crate::interp::{LaunchConfig, MemGuard};
 use crate::mem::Dram;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Identifies a context on a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,90 +30,80 @@ pub struct CudaFunction {
     pub module: Arc<CompiledModule>,
 }
 
-/// Most parameter buffers a [`ParamPool`] parks for reuse; beyond this
-/// the storage is simply dropped.
-const PARAM_POOL_CAP: usize = 128;
+/// Bytes a [`ParamBuf`] carries inside itself; a longer parameter
+/// buffer lives on the heap. The largest sandboxed kernel in this
+/// repository takes 72 bytes (its own parameters plus the two bounds);
+/// every byte more makes each queued [`Command`] longer.
+const PARAM_INLINE: usize = 80;
 
-/// Recycles kernel parameter buffers so a steady stream of launches stops
-/// allocating: enqueue takes a buffer from the pool, and when the command
-/// is dropped (after execution, or with its stream) the storage returns.
-#[derive(Debug, Default)]
-pub struct ParamPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
-}
+/// A kernel's flat parameter buffer. Up to 80 bytes travel inside the
+/// buffer itself — and so inside the [`Command`] — so building one takes
+/// no allocation, no lock and no shared counter; a longer one is a plain
+/// `Vec`.
+#[derive(Clone)]
+pub struct ParamBuf(ParamRepr);
 
-impl ParamPool {
-    /// Create an empty pool.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Take a cleared buffer (recycled when available), tied back to this
-    /// pool for return-on-drop.
-    pub fn take(self: &Arc<Self>) -> ParamBuf {
-        let data = self.bufs.lock().pop().unwrap_or_default();
-        ParamBuf {
-            data,
-            pool: Arc::downgrade(self),
-        }
-    }
-
-    fn put(&self, mut data: Vec<u8>) {
-        if data.capacity() == 0 {
-            return;
-        }
-        let mut bufs = self.bufs.lock();
-        if bufs.len() < PARAM_POOL_CAP {
-            data.clear();
-            bufs.push(data);
-        }
-    }
-}
-
-/// A kernel parameter buffer, optionally backed by a [`ParamPool`].
-/// Unpooled buffers (built with `From<Vec<u8>>`) behave exactly like the
-/// plain `Vec<u8>` they wrap.
-#[derive(Debug)]
-pub struct ParamBuf {
-    data: Vec<u8>,
-    pool: Weak<ParamPool>,
+#[derive(Clone)]
+enum ParamRepr {
+    Inline { len: u8, bytes: [u8; PARAM_INLINE] },
+    Heap(Vec<u8>),
 }
 
 impl ParamBuf {
-    /// Mutable access to the underlying storage, for building the buffer
-    /// in place.
-    pub fn data_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.data
+    /// A buffer of `len` zero bytes.
+    pub fn zeroed(len: usize) -> Self {
+        ParamBuf(match u8::try_from(len) {
+            Ok(n) if len <= PARAM_INLINE => ParamRepr::Inline {
+                len: n,
+                bytes: [0; PARAM_INLINE],
+            },
+            _ => ParamRepr::Heap(vec![0; len]),
+        })
+    }
+}
+
+impl From<&[u8]> for ParamBuf {
+    fn from(data: &[u8]) -> Self {
+        let mut buf = ParamBuf::zeroed(data.len());
+        buf.copy_from_slice(data);
+        buf
     }
 }
 
 impl From<Vec<u8>> for ParamBuf {
     fn from(data: Vec<u8>) -> Self {
-        ParamBuf {
-            data,
-            pool: Weak::new(),
-        }
+        ParamBuf(ParamRepr::Heap(data))
     }
 }
 
 impl std::ops::Deref for ParamBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        match &self.0 {
+            ParamRepr::Inline { len, bytes } => &bytes[..*len as usize],
+            ParamRepr::Heap(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for ParamBuf {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match &mut self.0 {
+            ParamRepr::Inline { len, bytes } => &mut bytes[..*len as usize],
+            ParamRepr::Heap(v) => v,
+        }
     }
 }
 
 impl AsRef<[u8]> for ParamBuf {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
-impl Drop for ParamBuf {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.upgrade() {
-            pool.put(std::mem::take(&mut self.data));
-        }
+impl std::fmt::Debug for ParamBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("ParamBuf").field(&&**self).finish()
     }
 }
 
@@ -270,7 +260,7 @@ pub enum Command {
         func: CudaFunction,
         /// Grid/block geometry.
         cfg: LaunchConfig,
-        /// Flat parameter buffer (pooled on the manager's hot path).
+        /// Flat parameter buffer.
         params: ParamBuf,
         /// Memory-protection mode for this launch.
         guard: MemGuard,
@@ -418,22 +408,21 @@ mod tests {
     }
 
     #[test]
-    fn param_pool_recycles_storage() {
-        let pool = ParamPool::new();
-        let mut a = pool.take();
-        a.data_mut().extend_from_slice(&[1, 2, 3]);
-        let cap = a.data_mut().capacity();
-        assert_eq!(&*a, &[1, 2, 3]);
-        drop(a);
-        // The recycled buffer comes back with its old storage.
-        let mut c = pool.take();
-        assert!(c.is_empty());
-        assert_eq!(c.data_mut().capacity(), cap);
-        drop(c);
-        // Unpooled buffers survive the pool's death.
-        drop(pool);
-        let d: ParamBuf = vec![9u8; 4].into();
-        assert_eq!(&*d, &[9, 9, 9, 9]);
+    fn param_bufs_live_inline_up_to_their_cap() {
+        let short: ParamBuf = [1u8, 2, 3][..].into();
+        assert_eq!(&*short, &[1, 2, 3]);
+        assert!(matches!(short.0, ParamRepr::Inline { len: 3, .. }));
+        let mut edge = ParamBuf::zeroed(PARAM_INLINE);
+        assert!(matches!(edge.0, ParamRepr::Inline { .. }));
+        edge[PARAM_INLINE - 1] = 7;
+        assert_eq!(edge.len(), PARAM_INLINE);
+        assert_eq!(edge[PARAM_INLINE - 1], 7);
+        let long = ParamBuf::from(&[5u8; PARAM_INLINE + 1][..]);
+        assert!(matches!(long.0, ParamRepr::Heap(_)));
+        assert_eq!(&*long, &[5; PARAM_INLINE + 1][..]);
+        let owned: ParamBuf = vec![9u8; 4].into();
+        assert_eq!(&*owned, &[9, 9, 9, 9]);
+        assert!(ParamBuf::zeroed(0).is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::transport::{Connection, Listener};
 use crate::ClientId;
 use crossbeam::channel::Sender;
 use cuda_rt::{CudaError, CudaResult, SharedDevice};
-use gpu_sim::stream::{CudaFunction, ParamBuf, ParamPool};
+use gpu_sim::stream::{CudaFunction, ParamBuf};
 use gpu_sim::{Command, CtxId, Event, HostBytes, HostSink, LaunchConfig, MemGuard, StreamId};
 use parking_lot::{Mutex, RwLock};
 use ptx_patcher::Protection;
@@ -237,7 +237,9 @@ const LAUNCH_BUF: usize = 64;
 struct LaunchItem {
     func: CudaFunction,
     cfg: LaunchConfig,
-    args: Payload,
+    /// The tenant's argument bytes, a view of the frame they came in;
+    /// released (with the frame) as soon as the flush has augmented them.
+    args: Option<Payload>,
     driver_level: bool,
     /// What the `pointerToSymbol` probe cost at admission (Table 5
     /// "Lookup GPU kernel"), recorded with the batch at flush.
@@ -284,10 +286,9 @@ pub(crate) struct SessionCtx {
     /// Launches admitted but not yet enqueued. Under eager acks a launch
     /// is flushed as soon as it is admitted, so this holds at most one.
     pending: Vec<LaunchItem>,
-    /// Recycles kernel parameter buffers across flushes.
-    params: Arc<ParamPool>,
-    /// Augmented parameter buffers staged during one flush (storage
-    /// reused across flushes).
+    /// Augmented parameter buffers staged during one flush, parallel to
+    /// `pending`: the session's parameter slab. A buffer holds its bytes
+    /// inline, so staging one touches no allocator, lock or atomic.
     staged: Vec<ParamBuf>,
     /// Per-pending-launch stage stamps (only pushed when the tenant has
     /// telemetry); parallel to `pending`.
@@ -311,8 +312,7 @@ impl SessionCtx {
             uid,
             cache: None,
             pending: Vec::with_capacity(LAUNCH_BUF),
-            params: ParamPool::new(),
-            staged: Vec::new(),
+            staged: Vec::with_capacity(LAUNCH_BUF),
             spans: Vec::with_capacity(LAUNCH_BUF),
             t_decode: 0,
             batch_open_ns: 0,
@@ -483,7 +483,7 @@ impl SessionCtx {
         self.pending.push(LaunchItem {
             func,
             cfg,
-            args,
+            args: Some(args),
             driver_level,
             lookup_ns: t_admit - t_probe,
         });
@@ -566,30 +566,43 @@ impl SessionCtx {
     }
 
     fn flush_inner(&mut self, c: &Arc<ClientShared>) -> CudaResult<()> {
+        Shared::check_alive(c)?;
+        // Stage stamp: batch flush start (shared by every launch in the
+        // batch).
+        let t_flush = if c.telemetry.is_some() {
+            telemetry::now_ns()
+        } else {
+            0
+        };
+
+        // (2) Augment every parameter array with the partition bounds,
+        // outside the device lock (pure CPU work; Table 5 "Augment kernel
+        // params", amortized over the batch). Each launch's argument
+        // bytes — and with them its frame — are released here, not under
+        // the lock.
+        let t0 = Instant::now();
+        let part = self
+            .cache
+            .as_ref()
+            .expect("pending implies cache")
+            .binding
+            .partition;
+        self.staged.clear();
+        for item in &mut self.pending {
+            let args = item.args.take().expect("each launch is augmented once");
+            self.staged.push(build_params(
+                self.shared.protection,
+                part,
+                &item.func,
+                &args,
+            ));
+        }
+        let augment_ns = t0.elapsed().as_nanos() as u64;
+
         loop {
-            Shared::check_alive(c)?;
             let cache = self.cache.as_ref().expect("pending implies cache");
             let (epoch, b) = (cache.epoch, cache.binding);
             let g = &self.shared.gpus[b.gpu as usize];
-
-            // Stage stamp: batch flush start (shared by every launch in
-            // the batch).
-            let t_flush = if c.telemetry.is_some() {
-                telemetry::now_ns()
-            } else {
-                0
-            };
-
-            // (2) Augment every parameter array with the partition
-            // bounds, outside the device lock (pure CPU work; Table 5
-            // "Augment kernel params", amortized over the batch).
-            let t0 = Instant::now();
-            self.staged.clear();
-            for item in &self.pending {
-                self.staged
-                    .push(build_params(&self.shared, &self.params, b.partition, item));
-            }
-            let augment_ns = t0.elapsed().as_nanos() as u64;
 
             // (3) One lock, whole batch (Table 5 "Launch kernel").
             let t1 = Instant::now();
@@ -598,10 +611,22 @@ impl SessionCtx {
                 // Placement changed after the params were built. The
                 // device mutex orders us against the migration/teardown
                 // drain, so re-snapshot and re-resolve on the (possibly
-                // new) device, then try again.
+                // new) device, then try again. The tenant's arguments are
+                // gone, but each staged array still holds them: built
+                // again from it, it takes the new partition's bounds.
                 drop(dev);
+                Shared::check_alive(c)?;
                 self.rebuild_cache(c);
                 self.re_resolve_pending()?;
+                let part = self
+                    .cache
+                    .as_ref()
+                    .expect("cache rebuilt")
+                    .binding
+                    .partition;
+                for (item, params) in self.pending.iter().zip(&mut self.staged) {
+                    *params = build_params(self.shared.protection, part, &item.func, params);
+                }
                 continue;
             }
             let mut first_err: CudaResult<()> = Ok(());
@@ -735,35 +760,34 @@ fn resolve_func(shared: &Shared, g: &GpuShared, kernel: &str) -> CudaResult<Cuda
         .ok_or_else(|| CudaError::InvalidDeviceFunction(kernel.to_string()))
 }
 
-/// Build one launch's augmented parameter array from a pooled buffer.
+/// Build one launch's augmented parameter array: the tenant's arguments,
+/// laid out to the sandboxed kernel's parameter size, with the partition
+/// bounds in its two trailing parameters.
 fn build_params(
-    shared: &Shared,
-    pool: &Arc<ParamPool>,
+    protection: Protection,
     part: Partition,
-    item: &LaunchItem,
+    func: &CudaFunction,
+    args: &[u8],
 ) -> ParamBuf {
-    let mut buf = pool.take();
-    let data = buf.data_mut();
-    if shared.protection == Protection::None {
-        data.extend_from_slice(&item.args);
-        return buf;
+    if protection == Protection::None {
+        return ParamBuf::from(args);
     }
-    let psize = item.func.kernel.param_size;
-    data.resize(psize, 0);
-    let n = item.args.len().min(psize);
-    data[..n].copy_from_slice(&item.args[..n]);
-    let nparams = item.func.kernel.params.len();
+    let psize = func.kernel.param_size;
+    let mut buf = ParamBuf::zeroed(psize);
+    let n = args.len().min(psize);
+    buf[..n].copy_from_slice(&args[..n]);
+    let nparams = func.kernel.params.len();
     debug_assert!(nparams >= 2, "patched kernels carry 2 extra params");
-    let (_, _, base_off) = item.func.kernel.params[nparams - 2];
-    let (_, _, bound_off) = item.func.kernel.params[nparams - 1];
-    let bound = match shared.protection {
+    let (_, _, base_off) = func.kernel.params[nparams - 2];
+    let (_, _, bound_off) = func.kernel.params[nparams - 1];
+    let bound = match protection {
         Protection::FenceBitwise => part.mask(),
         Protection::FenceModulo => part.size,
         Protection::Check => part.end(),
         Protection::None => 0,
     };
-    data[base_off as usize..base_off as usize + 8].copy_from_slice(&part.base.to_le_bytes());
-    data[bound_off as usize..bound_off as usize + 8].copy_from_slice(&bound.to_le_bytes());
+    buf[base_off as usize..base_off as usize + 8].copy_from_slice(&part.base.to_le_bytes());
+    buf[bound_off as usize..bound_off as usize + 8].copy_from_slice(&bound.to_le_bytes());
     buf
 }
 
@@ -1429,6 +1453,50 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
+
+    /// A flush that must retry after a migration builds each launch's
+    /// parameters again from the array it staged, since the tenant's
+    /// argument bytes are already released: that must give what the new
+    /// partition would have given the arguments themselves.
+    #[test]
+    fn params_rebuilt_from_a_staged_array_take_the_new_partition() {
+        use super::{build_params, Partition};
+        use gpu_sim::stream::CudaFunction;
+        use ptx_patcher::Protection;
+
+        let module = ptx::parse(crate::fixtures::FILL).unwrap();
+        let args = ArgPack::new().ptr(0x7000_0040_0010).u32(64).finish();
+        let (old, new) = (
+            Partition {
+                base: 0x7000_0040_0000,
+                size: 1 << 22,
+            },
+            Partition {
+                base: 0x7000_0100_0000,
+                size: 1 << 24,
+            },
+        );
+        for protection in [
+            Protection::None,
+            Protection::FenceBitwise,
+            Protection::FenceModulo,
+            Protection::Check,
+        ] {
+            let patched = ptx_patcher::patch_module(&module, protection).unwrap();
+            let compiled = Arc::new(gpu_sim::compile::compile_module(&patched.module, 0).unwrap());
+            let func = CudaFunction {
+                kernel: compiled.kernel("fill").unwrap(),
+                module: compiled.clone(),
+            };
+            let staged = build_params(protection, old, &func, &args);
+            let rebuilt = build_params(protection, new, &func, &staged);
+            let fresh = build_params(protection, new, &func, &args);
+            assert_eq!(&*rebuilt, &*fresh, "{protection:?}");
+            if protection != Protection::None {
+                assert_ne!(&*staged, &*fresh, "{protection:?}: the bounds must move");
+            }
+        }
+    }
 
     fn mgr(pool: u64, ack: LaunchAck) -> crate::ManagerHandle {
         spawn_manager(

@@ -61,7 +61,7 @@ pub const EPOLLIN: u32 = 0x1;
 /// Peer closed its write half.
 pub const EPOLLRDHUP: u32 = 0x2000;
 /// One-shot delivery: the fd is disarmed after each event and must be
-/// rearmed with [`epoll_rearm`] — the executor's single-drainer
+/// rearmed with [`Epoll::rearm`] — the executor's single-drainer
 /// exclusivity lever.
 pub const EPOLLONESHOT: u32 = 1 << 30;
 
