@@ -77,6 +77,19 @@ impl TagArray {
     pub fn invalidate(&mut self) {
         self.valid.fill(0);
     }
+
+    /// Whether `other` has the same sets and ways (hits and misses of two
+    /// empty arrays of one shape agree access for access).
+    fn same_shape(&self, other: &TagArray) -> bool {
+        (self.nsets, self.ways) == (other.nsets, other.ways)
+    }
+}
+
+/// One line, direct-mapped: a placeholder until a real shape is known.
+impl Default for TagArray {
+    fn default() -> Self {
+        TagArray::new(LINE_SIZE, 1)
+    }
 }
 
 /// Where an access was served from.
@@ -154,12 +167,38 @@ impl CacheHierarchy {
         if self.l1.access(addr) {
             self.stats.l1_hits += 1;
             HitLevel::L1
-        } else if self.l2.access(addr) {
+        } else {
+            self.load_past_l1(addr)
+        }
+    }
+
+    /// The L2 half of a load that missed its L1 — this hierarchy's, or the
+    /// private one of a block run beside others.
+    pub(crate) fn load_past_l1(&mut self, addr: u64) -> HitLevel {
+        if self.l2.access(addr) {
             self.stats.l2_hits += 1;
             HitLevel::L2
         } else {
             HitLevel::Global
         }
+    }
+
+    /// Count `accesses` loads a block probed against a private L1, of
+    /// which `l1_hits` hit it; its misses come through
+    /// [`load_past_l1`](Self::load_past_l1).
+    pub(crate) fn count_block_l1(&mut self, accesses: u64, l1_hits: u64) {
+        self.stats.accesses += accesses;
+        self.stats.l1_hits += l1_hits;
+    }
+
+    /// Make `l1` an empty L1 of this hierarchy's shape, reallocating only
+    /// if its shape differs: a block run beside others starts on it as it
+    /// would on [`new_block`](Self::new_block)'s.
+    pub(crate) fn fresh_l1(&self, l1: &mut TagArray) {
+        if !l1.same_shape(&self.l1) {
+            *l1 = self.l1.clone();
+        }
+        l1.invalidate();
     }
 
     /// Account a store: allocate in L2 only (write-through, no-allocate L1,

@@ -253,6 +253,8 @@ pub struct CompiledKernel {
     /// Static count of global/generic loads+stores+atomics in the code
     /// (used by the Table 3 census cross-check).
     pub protected_access_count: u32,
+    /// How long its blocks ran last launch (whether the next fans out).
+    pub(crate) block_cost: crate::interp::BlockCost,
 }
 
 /// A module after driver "JIT": all kernels compiled, globals placed.
@@ -755,6 +757,7 @@ fn lower_function(
         shared_size,
         local_size,
         protected_access_count: protected,
+        block_cost: Default::default(),
     })
 }
 

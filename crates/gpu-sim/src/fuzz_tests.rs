@@ -78,6 +78,20 @@ impl Run {
 /// drawn from `seed`, every other byte is `poison`. `mode` says where the
 /// partition ends and which bounds a patched kernel is handed.
 fn launch(module: &Module, compile: Compile, mode: Protection, seed: u64, poison: u8) -> Run {
+    let cfg = LaunchConfig::linear(1 + (seed % 2) as u32, 1 + (seed / 2 % 3) as u32);
+    launch_on(module, compile, mode, seed, poison, cfg, 1)
+}
+
+/// [`launch`] under `cfg`, its blocks fanned out over `workers`.
+fn launch_on(
+    module: &Module,
+    compile: Compile,
+    mode: Protection,
+    seed: u64,
+    poison: u8,
+    cfg: LaunchConfig,
+    workers: usize,
+) -> Run {
     let compiled = compile(module, 0).expect("generated kernel compiles");
     let kernel = compiled.kernel(fuzz::ENTRY).expect("entry point");
     let size = partition_size(mode);
@@ -112,7 +126,6 @@ fn launch(module: &Module, compile: Compile, mode: Protection, seed: u64, poison
 
     let spec = test_gpu();
     let mut cache = CacheHierarchy::new(spec.l1_bytes, spec.l2_bytes);
-    let cfg = LaunchConfig::linear(1 + (seed % 2) as u32, 1 + (seed / 2 % 3) as u32);
     let outcome = Executor {
         dram: &mut dram,
         cache: &mut cache,
@@ -120,7 +133,7 @@ fn launch(module: &Module, compile: Compile, mode: Protection, seed: u64, poison
         functions: &compiled.functions,
         arena: &mut ThreadArena::default(),
     }
-    .run(&kernel, cfg, &params, MemGuard::None);
+    .run_on(&kernel, cfg, &params, MemGuard::None, workers);
     let mut memory = vec![0u8; CAPACITY as usize];
     dram.read(DEVICE_BASE, &mut memory).unwrap();
     Run { outcome, memory }
@@ -151,6 +164,38 @@ fn fusion_changes_nothing(seed: u64) {
             assert!(fused.memory == plain.memory, "memory: {ctx}");
         }
     }
+}
+
+/// Property (c) for one seed: 1–8 blocks of the kernel — every block
+/// aims at the same buffer, so they read, write and `atom` each other's
+/// lines — leave the same memory, statistics, block durations and fault
+/// fanned out over 2–4 workers as in order.
+fn fan_out_changes_nothing(seed: u64) {
+    let mut rng = Rng::new(seed ^ 0xFA2);
+    let blocks = 1 + rng.below(8) as u32;
+    let cfg = LaunchConfig::linear(blocks, 1 + rng.below(4) as u32);
+    let workers = 2 + rng.below(3) as usize;
+    for temper in [Temper::Tame, Temper::Hostile] {
+        let original = fuzz::kernel(seed, temper);
+        for mode in [Protection::None, Protection::FenceBitwise] {
+            let module = patched(&original, mode);
+            let [ordered, fanned] =
+                [1, workers].map(|w| launch_on(&module, compile_module, mode, seed, 0xA5, cfg, w));
+            let ctx = format!("seed {seed}, {temper:?}, {mode:?}, {blocks} blocks on {workers}");
+            assert_same_run(&ordered, &fanned, &ctx);
+        }
+    }
+}
+
+/// Everything a launch leaves agrees between two runs.
+fn assert_same_run(a: &Run, b: &Run, ctx: &str) {
+    assert_eq!(a.outcome.fault, b.outcome.fault, "fault: {ctx}");
+    assert_eq!(a.outcome.stats, b.outcome.stats, "stats: {ctx}");
+    assert_eq!(
+        a.outcome.block_cycles, b.outcome.block_cycles,
+        "block cycles: {ctx}"
+    );
+    assert!(a.memory == b.memory, "memory: {ctx}");
 }
 
 /// The negative control: whether the hostile kernel of `seed`, unpatched,
@@ -224,6 +269,17 @@ fn fuzz_generator_has_teeth() {
 }
 
 #[test]
+fn fuzz_fan_out_changes_nothing() {
+    (0..TIER1_SEEDS).for_each(fan_out_changes_nothing);
+}
+
+#[test]
+#[ignore = "nightly budget"]
+fn fuzz_nightly_fan_out_changes_nothing() {
+    nightly_seeds().for_each(fan_out_changes_nothing);
+}
+
+#[test]
 #[ignore = "nightly budget"]
 fn fuzz_nightly_fusion_changes_nothing() {
     nightly_seeds().for_each(fusion_changes_nothing);
@@ -233,4 +289,259 @@ fn fuzz_nightly_fusion_changes_nothing() {
 #[ignore = "nightly budget"]
 fn fuzz_nightly_patched_kernels_are_confined() {
     nightly_seeds().for_each(patched_kernels_are_confined);
+}
+
+/// Hand-written cases of property (c): each kernel is run on 2, 3 and 4
+/// workers and in order, and also checked against what in-order
+/// execution must leave.
+mod fan_out {
+    use super::*;
+    use crate::fault::Fault;
+    use crate::interp::INSTRUCTION_BUDGET;
+
+    const OUT: u64 = DEVICE_BASE + 0x1000;
+
+    /// Run `entry` of `src` in order and on 2–4 workers, each on a fresh
+    /// device; all of them must agree. Returns the in-order run.
+    fn agree(src: &str, entry: &str, cfg: LaunchConfig, params: &[u8]) -> Run {
+        let m = ptx::parse(src).unwrap();
+        ptx::validate(&m).unwrap();
+        let cm = compile_module(&m, 0).unwrap();
+        let k = cm.kernel(entry).unwrap();
+        let spec = test_gpu();
+        let run = |workers| {
+            let mut dram = Dram::new(CAPACITY);
+            let mut cache = CacheHierarchy::new(spec.l1_bytes, spec.l2_bytes);
+            let outcome = Executor {
+                dram: &mut dram,
+                cache: &mut cache,
+                spec: &spec,
+                functions: &cm.functions,
+                arena: &mut ThreadArena::default(),
+            }
+            .run_on(&k, cfg, params, MemGuard::None, workers);
+            let mut memory = vec![0u8; CAPACITY as usize];
+            dram.read(DEVICE_BASE, &mut memory).unwrap();
+            Run { outcome, memory }
+        };
+        let ordered = run(1);
+        for workers in 2..=4 {
+            assert_same_run(&ordered, &run(workers), &format!("{entry} on {workers}"));
+        }
+        ordered
+    }
+
+    fn word(run: &Run, at: u64) -> u32 {
+        let at = (at - DEVICE_BASE) as usize;
+        u32::from_le_bytes(run.memory[at..at + 4].try_into().unwrap())
+    }
+
+    fn params(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    const HEADER: &str = ".version 7.7\n.target sm_86\n.address_size 64\n";
+
+    /// Block `b` reads the word at `out + 128·b` and stores one more
+    /// 128 bytes on: each block reads the line the block before wrote.
+    #[test]
+    fn a_read_of_an_earlier_blocks_write_sees_it() {
+        let src = format!(
+            "{HEADER}{}",
+            r#"
+.visible .entry chain(.param .u64 out)
+{
+    .reg .pred %p<2>;
+    .reg .b32 %r<6>;
+    .reg .b64 %rd<5>;
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    setp.ne.u32 %p1, %r1, 0;
+    @%p1 bra $L_end;
+    mov.u32 %r2, %ctaid.x;
+    mul.wide.u32 %rd2, %r2, 128;
+    add.s64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r3, [%rd3];
+    add.u32 %r4, %r3, 1;
+    st.global.u32 [%rd3+128], %r4;
+$L_end:
+    ret;
+}
+"#
+        );
+        let run = agree(&src, "chain", LaunchConfig::linear(8, 32), &params(&[OUT]));
+        assert_eq!(run.outcome.fault, None);
+        for b in 0..=8 {
+            assert_eq!(word(&run, OUT + 128 * b), b as u32, "word {b}");
+        }
+    }
+
+    /// Every thread of every block stores its block's index to one word.
+    #[test]
+    fn the_last_block_to_write_a_word_wins() {
+        let src = format!(
+            "{HEADER}{}",
+            r#"
+.visible .entry last(.param .u64 out)
+{
+    .reg .b32 %r<2>;
+    .reg .b64 %rd<2>;
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %ctaid.x;
+    st.global.u32 [%rd1], %r1;
+    ret;
+}
+"#
+        );
+        for blocks in [2, 5, 8] {
+            let run = agree(
+                &src,
+                "last",
+                LaunchConfig::linear(blocks, 16),
+                &params(&[OUT]),
+            );
+            assert_eq!(word(&run, OUT), blocks - 1);
+        }
+    }
+
+    /// Every thread adds one to a counter and keeps the value it saw.
+    #[test]
+    fn atomics_count_across_blocks_in_block_order() {
+        let src = format!(
+            "{HEADER}{}",
+            r#"
+.visible .entry count(.param .u64 ctr, .param .u64 olds)
+{
+    .reg .b32 %r<6>;
+    .reg .b64 %rd<5>;
+    ld.param.u64 %rd1, [ctr];
+    ld.param.u64 %rd2, [olds];
+    atom.global.add.u32 %r1, [%rd1], 1;
+    mov.u32 %r2, %ctaid.x;
+    mov.u32 %r3, %ntid.x;
+    mov.u32 %r4, %tid.x;
+    mad.lo.u32 %r5, %r2, %r3, %r4;
+    mul.wide.u32 %rd3, %r5, 4;
+    add.s64 %rd4, %rd2, %rd3;
+    st.global.u32 [%rd4], %r1;
+    ret;
+}
+"#
+        );
+        let olds = OUT + 128;
+        let cfg = LaunchConfig::linear(6, 24);
+        let run = agree(&src, "count", cfg, &params(&[OUT, olds]));
+        assert_eq!(run.outcome.stats.atomics, 6 * 24);
+        assert_eq!(word(&run, OUT), 6 * 24);
+        for g in 0..6 * 24 {
+            assert_eq!(word(&run, olds + 4 * g), g as u32, "thread {g}");
+        }
+    }
+
+    /// Block `b` stores `b + 1` to word `b`; block `bad` then traps, or
+    /// (`spin`) loops until its instruction budget trips.
+    fn stops_in_a_middle_block(spin: bool, want: Fault) {
+        let stop = if spin {
+            "$L_spin:\n    bra $L_spin;"
+        } else {
+            "trap;"
+        };
+        let src = format!(
+            "{HEADER}{}{stop}{}",
+            r#"
+.visible .entry stop(.param .u64 out, .param .u32 bad)
+{
+    .reg .pred %p<2>;
+    .reg .b32 %r<4>;
+    .reg .b64 %rd<4>;
+    ld.param.u64 %rd1, [out];
+    ld.param.u32 %r1, [bad];
+    mov.u32 %r2, %ctaid.x;
+    mul.wide.u32 %rd2, %r2, 4;
+    add.s64 %rd3, %rd1, %rd2;
+    add.u32 %r3, %r2, 1;
+    st.global.u32 [%rd3], %r3;
+    setp.ne.u32 %p1, %r2, %r1;
+    @%p1 bra $L_end;
+    "#,
+            r#"
+$L_end:
+    ret;
+}
+"#
+        );
+        let bad = 2u64;
+        let run = agree(
+            &src,
+            "stop",
+            LaunchConfig::linear(7, 1),
+            &params(&[OUT, bad]),
+        );
+        assert_eq!(run.outcome.fault, Some(want));
+        assert_eq!(run.outcome.block_cycles.len(), bad as usize);
+        for b in 0..7 {
+            let want = if b <= bad { b as u32 + 1 } else { 0 };
+            assert_eq!(word(&run, OUT + 4 * b), want, "word {b}");
+        }
+    }
+
+    #[test]
+    fn a_trap_in_a_middle_block_discards_the_blocks_after_it() {
+        let kernel = "stop".into();
+        stops_in_a_middle_block(false, Fault::Trap { kernel });
+    }
+
+    #[test]
+    fn a_budget_trip_in_a_middle_block_discards_the_blocks_after_it() {
+        let budget = INSTRUCTION_BUDGET;
+        stops_in_a_middle_block(true, Fault::InstructionBudgetExceeded { budget });
+    }
+
+    /// Block `b` counts to `300·b²` before each thread stores its count and
+    /// reads the word the block before stored.
+    #[test]
+    fn blocks_of_very_unequal_length_agree() {
+        let src = format!(
+            "{HEADER}{}",
+            r#"
+.visible .entry uneven(.param .u64 out)
+{
+    .reg .pred %p<2>;
+    .reg .b32 %r<8>;
+    .reg .b64 %rd<5>;
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %ctaid.x;
+    mul.lo.u32 %r2, %r1, %r1;
+    mul.lo.u32 %r2, %r2, 300;
+    mov.u32 %r3, 0;
+$L_loop:
+    setp.ge.u32 %p1, %r3, %r2;
+    @%p1 bra $L_done;
+    add.u32 %r3, %r3, 1;
+    bra $L_loop;
+$L_done:
+    mov.u32 %r4, %ntid.x;
+    mov.u32 %r5, %tid.x;
+    mad.lo.u32 %r6, %r1, %r4, %r5;
+    mul.wide.u32 %rd2, %r6, 4;
+    add.s64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r7, [%rd3+-64];
+    add.u32 %r7, %r7, %r3;
+    st.global.u32 [%rd3], %r7;
+    ret;
+}
+"#
+        );
+        let cfg = LaunchConfig::linear(8, 16);
+        let run = agree(&src, "uneven", cfg, &params(&[OUT + 64]));
+        assert_eq!(run.outcome.fault, None);
+        let lengths: Vec<u64> = run.outcome.block_cycles.clone();
+        assert!(lengths[7] > 40 * lengths[1], "{lengths:?}");
+        // Word `g` holds the counts of blocks `g / 16`, `g / 16 - 1`, ...
+        let count = |b: u64| 300 * (b * b) as u32;
+        for g in 0..8 * 16u64 {
+            let want: u32 = (0..=g / 16).map(count).sum();
+            assert_eq!(word(&run, OUT + 64 + 4 * g), want, "word {g}");
+        }
+    }
 }

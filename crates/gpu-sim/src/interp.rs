@@ -6,6 +6,11 @@
 //! corruption, MPS-style ASID faults, and Guardian's fencing wrap-around are
 //! all *observable behaviours*, not modelled flags.
 //!
+//! A launch whose kernel ran long blocks before fans its blocks out over
+//! the host's cores, in waves of one block per worker (see
+//! [`Executor::run`]); what it leaves — memory, statistics, block
+//! durations, fault — is what running the blocks in order leaves.
+//!
 //! Timing: every instruction charges the issuing thread its latency (ALU
 //! 4 cycles, predicated branches 36, L1/L2/global loads 28/193/285, ...).
 //! A block's duration is `max(critical thread path, total cycles /
@@ -13,15 +18,16 @@
 //! which preserves the paper's overhead ratios while letting the device
 //! scheduler reason about SM occupancy.
 
-use crate::cache::{CacheHierarchy, CacheStats, HitLevel};
+use crate::cache::{CacheHierarchy, CacheStats, HitLevel, TagArray, LINE_SIZE};
 use crate::compile::{CAddr, CInstr, COp, CSrc, CompiledKernel, FenceKind};
 use crate::fault::window::{DEVICE_BASE, LOCAL_BASE, SHARED_BASE, WINDOW_SIZE};
 use crate::fault::Fault;
-use crate::mem::{Dram, NO_OWNER};
+use crate::mem::{AccessLog, Dram, LineBytes, NO_OWNER};
 use crate::spec::GpuSpec;
 use ptx::types::{AtomKind, BinKind, CmpOp, Dim, Space, SpecialReg, Type, UnaryKind};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 /// Grid/block geometry of a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +55,16 @@ impl LaunchConfig {
     /// Threads per block.
     pub fn threads_per_block(&self) -> u64 {
         self.block.0 as u64 * self.block.1 as u64 * self.block.2 as u64
+    }
+
+    /// The block at `index` in block-linear order (x fastest).
+    fn ctaid(&self, index: u64) -> (u32, u32, u32) {
+        let (gx, gy) = (self.grid.0 as u64, self.grid.1 as u64);
+        (
+            (index % gx) as u32,
+            (index / gx % gy) as u32,
+            (index / (gx * gy)) as u32,
+        )
     }
 }
 
@@ -99,6 +115,44 @@ pub const INSTRUCTION_BUDGET: u64 = 50_000_000;
 /// that (the CUDA ISA implements them via a function call, §4.4).
 const INT_DIV_CYCLES: u64 = 20;
 
+/// Instructions a kernel's blocks must have averaged in its previous
+/// launch for the next one to fan out. Spawning and joining a worker
+/// costs 25–30 µs, and a hand-off between waves a few µs; a block of this
+/// many instructions runs ≈ 0.1 ms, so a launch of two already pays for
+/// its worker. (Lenet's `im2col`, `col2im` and `transpose` blocks run
+/// 4–6 k; its `sgemm` blocks 70–160 k.)
+const FAN_OUT_BLOCK_INSTRUCTIONS: u64 = 4096;
+
+/// The average instructions of a block in its kernel's latest launch:
+/// what decides whether the next launch fans out. A hint only — the
+/// outcome of a launch does not depend on it.
+#[derive(Debug, Default)]
+pub(crate) struct BlockCost(AtomicU64);
+
+impl BlockCost {
+    fn pays_for_fan_out(&self) -> bool {
+        self.0.load(Ordering::Relaxed) >= FAN_OUT_BLOCK_INSTRUCTIONS
+    }
+
+    fn note(&self, instructions: u64, blocks: u64) {
+        self.0
+            .store(instructions / blocks.max(1), Ordering::Relaxed);
+    }
+}
+
+impl Clone for BlockCost {
+    fn clone(&self) -> Self {
+        BlockCost(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+/// Workers a launch may fan out over, the caller's thread included: the
+/// cores this process may run on (1 under `taskset -c 0`).
+fn available_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Executes launches against a DRAM + cache + spec.
 pub struct Executor<'a> {
     /// Device DRAM (functional state).
@@ -113,24 +167,138 @@ pub struct Executor<'a> {
     pub arena: &'a mut ThreadArena,
 }
 
-/// The thread state of one block — registers, predicates, `.local` bytes
-/// and the `.shared` tile — in flat buffers that outlive the launch. The
+/// Where a launch's thread state lives, in buffers that outlive it. The
 /// [`Device`](crate::Device) owns one and lends it to each [`Executor`],
-/// so a launch allocates nothing for its threads: every block re-zeroes
-/// the prefix it uses, and what is retained is the largest block seen.
+/// so a warm launch allocates nothing for its threads. It holds one
+/// `Worker` per thread a launch has fanned out over (the first is also
+/// the in-order path's) and one `Slot` per block of a fan-out wave;
+/// each retains what the largest block it held needed.
 #[derive(Debug, Default)]
 pub struct ThreadArena {
-    regs: Vec<u64>,
-    preds: Vec<bool>,
-    local: Vec<u8>,
-    shared: Vec<u8>,
-    threads: Vec<ThreadState>,
+    workers: Vec<Mutex<Worker>>,
+    slots: Vec<Mutex<Slot>>,
+    /// Bytes written by the blocks of the current wave committed so far.
+    dirty: LineBytes,
     /// Storage for the next [`LaunchOutcome::block_cycles`]; handed back
     /// with [`ThreadArena::recycle`].
     block_cycles: Vec<u64>,
 }
 
 impl ThreadArena {
+    /// Take back a launch's block durations once they are consumed, so
+    /// the next launch fills the same storage.
+    pub(crate) fn recycle(&mut self, block_cycles: Vec<u64>) {
+        self.block_cycles = block_cycles;
+    }
+
+    /// Bytes of storage held between launches.
+    #[cfg(test)]
+    fn retained_bytes(&mut self) -> usize {
+        let workers: usize = self
+            .workers
+            .iter_mut()
+            .map(|w| w.get_mut().unwrap().retained_bytes())
+            .sum();
+        let slots: usize = self
+            .slots
+            .iter_mut()
+            .map(|s| s.get_mut().unwrap().retained_bytes())
+            .sum();
+        workers + slots + self.dirty.capacity() * 24 + self.block_cycles.capacity() * 8
+    }
+}
+
+/// What a thread needs only while it runs a block: the block's thread
+/// state, and the L1 a block run beside others starts empty.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Worker {
+    block: BlockState,
+    l1: TagArray,
+}
+
+impl Worker {
+    /// Run block `index` of `l` beside others, against `dram` as the wave
+    /// found it: its writes, L2 probes, statistics and thread cycles wait
+    /// in `slot` for [`commit`].
+    fn run(&mut self, l: &Launch, index: u64, dram: &Dram, slot: &mut Slot) {
+        let Slot {
+            cycles,
+            mem,
+            stats,
+            fault,
+            ..
+        } = slot;
+        slot.index = index;
+        *stats = KernelStats::default();
+        let mut core = Core {
+            spec: l.spec,
+            functions: l.functions,
+            mem: Logged {
+                dram,
+                spec: l.spec,
+                l1: &mut self.l1,
+                mem,
+            },
+        };
+        let ctaid = l.cfg.ctaid(index);
+        let block = &mut self.block;
+        *fault = core
+            .run_block(l.kernel, l.cfg, ctaid, l.params, l.guard, block, stats)
+            .err();
+        cycles.clear();
+        cycles.extend(block.threads.iter().map(|t| t.cycles));
+    }
+
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.block.retained_bytes()
+    }
+}
+
+/// What a block run beside others leaves for its commit.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Slot {
+    /// Block-linear index of the block.
+    index: u64,
+    /// Each thread's cycles, less the L2 and DRAM latencies of its trace.
+    cycles: Vec<u64>,
+    mem: SlotMem,
+    stats: KernelStats,
+    fault: Option<Fault>,
+}
+
+impl Slot {
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.cycles.capacity() * 8
+            + self.mem.log.retained_bytes()
+            + self.mem.trace.capacity() * 8
+            + self.mem.runs.capacity() * 8
+    }
+}
+
+/// A worker's or a slot's lock; what a panicking worker left behind is
+/// re-zeroed by the next block like anything else.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The thread state of one block — registers, predicates, `.local` bytes,
+/// the `.shared` tile and `.func` frames — in flat buffers: every block
+/// re-zeroes the prefix it uses.
+#[derive(Debug, Default)]
+struct BlockState {
+    regs: Vec<u64>,
+    preds: Vec<bool>,
+    local: Vec<u8>,
+    shared: Vec<u8>,
+    threads: Vec<ThreadState>,
+    frames: Frames,
+}
+
+impl BlockState {
     /// Zero the state of a block of `kernel` under `cfg`.
     fn reset(&mut self, kernel: &CompiledKernel, cfg: LaunchConfig) {
         let tpb = cfg.threads_per_block() as usize;
@@ -151,13 +319,6 @@ impl ThreadArena {
         }
     }
 
-    /// Take back a launch's block durations once they are consumed, so
-    /// the next launch fills the same storage.
-    pub(crate) fn recycle(&mut self, block_cycles: Vec<u64>) {
-        self.block_cycles = block_cycles;
-    }
-
-    /// Bytes of storage held between launches.
     #[cfg(test)]
     fn retained_bytes(&self) -> usize {
         self.regs.capacity() * 8
@@ -165,7 +326,30 @@ impl ThreadArena {
             + self.local.capacity()
             + self.shared.capacity()
             + self.threads.capacity() * std::mem::size_of::<ThreadState>()
-            + self.block_cycles.capacity() * 8
+            + self.frames.retained_bytes()
+    }
+}
+
+/// The frame of a `.func` call at one depth — its registers, predicates,
+/// `.local` bytes and parameter buffer — and the frames deeper calls use,
+/// kept from call to call.
+#[derive(Debug, Default)]
+struct Frames {
+    regs: Vec<u64>,
+    preds: Vec<bool>,
+    local: Vec<u8>,
+    params: Vec<u8>,
+    deeper: Option<Box<Frames>>,
+}
+
+impl Frames {
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.regs.capacity() * 8
+            + self.preds.capacity()
+            + self.local.capacity()
+            + self.params.capacity()
+            + self.deeper.as_ref().map_or(0, |d| d.retained_bytes())
     }
 }
 
@@ -200,11 +384,30 @@ struct Thread<'s> {
     instructions: u64,
     local: &'s mut [u8],
     tid: (u32, u32, u32),
+    /// The thread's index in its block (a `.func` frame's is its caller's).
+    slot: u32,
 }
 
-impl<'a> Executor<'a> {
-    /// Run a full launch. Functional effects apply to DRAM in block order;
-    /// the returned block durations feed the device's SM scheduler.
+/// What every block of a launch shares.
+#[derive(Clone, Copy)]
+struct Launch<'a> {
+    kernel: &'a CompiledKernel,
+    cfg: LaunchConfig,
+    params: &'a [u8],
+    guard: MemGuard,
+    spec: &'a GpuSpec,
+    functions: &'a HashMap<String, Arc<CompiledKernel>>,
+}
+
+impl Executor<'_> {
+    /// Run a full launch; the returned block durations feed the device's
+    /// SM scheduler.
+    ///
+    /// When the kernel's blocks averaged `FAN_OUT_BLOCK_INSTRUCTIONS` or
+    /// more in its previous launch, the blocks run on up to
+    /// [`std::thread::available_parallelism`] workers (this thread one of
+    /// them); otherwise, and always on one core, in block order. Either
+    /// way the result is the in-order one.
     pub fn run(
         &mut self,
         kernel: &CompiledKernel,
@@ -212,31 +415,72 @@ impl<'a> Executor<'a> {
         params: &[u8],
         guard: MemGuard,
     ) -> LaunchOutcome {
-        let mut stats = KernelStats::default();
+        let workers = if kernel.block_cost.pays_for_fan_out() {
+            available_workers()
+        } else {
+            1
+        };
+        self.run_on(kernel, cfg, params, guard, workers)
+    }
+
+    /// [`run`](Self::run) on `workers` workers (1: in block order), as
+    /// many as the grid has blocks at most.
+    pub(crate) fn run_on(
+        &mut self,
+        kernel: &CompiledKernel,
+        cfg: LaunchConfig,
+        params: &[u8],
+        guard: MemGuard,
+        workers: usize,
+    ) -> LaunchOutcome {
+        let l = Launch {
+            kernel,
+            cfg,
+            params,
+            guard,
+            spec: self.spec,
+            functions: self.functions,
+        };
+        let workers = (workers as u64).clamp(1, cfg.num_blocks().max(1)) as usize;
         let cache_before = self.cache.stats();
-        // The arena leaves `self` for the launch, so the running thread
-        // can borrow its slices while `self` stays mutable.
-        let mut arena = std::mem::take(&mut *self.arena);
+        let mut stats = KernelStats::default();
+        let arena = &mut *self.arena;
         let mut block_cycles = std::mem::take(&mut arena.block_cycles);
         block_cycles.clear();
-        let mut fault = None;
-
-        'grid: for bz in 0..cfg.grid.2 {
-            for by in 0..cfg.grid.1 {
-                for bx in 0..cfg.grid.0 {
-                    let ctaid = (bx, by, bz);
-                    match self.run_block(kernel, cfg, ctaid, params, guard, &mut arena, &mut stats)
-                    {
-                        Ok(cycles) => block_cycles.push(cycles),
-                        Err(f) => {
-                            fault = Some(f);
-                            break 'grid;
-                        }
-                    }
-                }
-            }
+        if arena.workers.len() < workers {
+            arena.workers.resize_with(workers, Default::default);
         }
-        *self.arena = arena;
+        let fault = if workers == 1 {
+            let worker = arena.workers[0].get_mut();
+            let worker = worker.unwrap_or_else(PoisonError::into_inner);
+            in_order(
+                &l,
+                self.dram,
+                self.cache,
+                worker,
+                &mut stats,
+                &mut block_cycles,
+            )
+        } else {
+            let wave = WAVE_PER_WORKER * workers;
+            if arena.slots.len() < wave {
+                arena.slots.resize_with(wave, Default::default);
+            }
+            let (workers, slots) = (&mut arena.workers[..workers], &arena.slots[..wave]);
+            let (dram, cache, dirty) = (&mut *self.dram, &mut *self.cache, &mut arena.dirty);
+            fan_out(
+                &l,
+                dram,
+                cache,
+                workers,
+                slots,
+                dirty,
+                &mut stats,
+                &mut block_cycles,
+            )
+        };
+        let ran = block_cycles.len() as u64 + fault.is_some() as u64;
+        kernel.block_cost.note(stats.instructions, ran);
 
         let after = self.cache.stats();
         stats.cache = CacheStats {
@@ -250,7 +494,390 @@ impl<'a> Executor<'a> {
             fault,
         }
     }
+}
 
+/// Run every block of `l` in block order, straight against the device;
+/// the first fault stops the launch.
+fn in_order(
+    l: &Launch,
+    dram: &mut Dram,
+    cache: &mut CacheHierarchy,
+    worker: &mut Worker,
+    stats: &mut KernelStats,
+    block_cycles: &mut Vec<u64>,
+) -> Option<Fault> {
+    let spec = l.spec;
+    let mut core = Core {
+        spec,
+        functions: l.functions,
+        mem: Direct { dram, cache, spec },
+    };
+    for index in 0..l.cfg.num_blocks() {
+        let ctaid = l.cfg.ctaid(index);
+        let block = &mut worker.block;
+        if let Err(fault) = core.run_block(l.kernel, l.cfg, ctaid, l.params, l.guard, block, stats)
+        {
+            return Some(fault);
+        }
+        block_cycles.push(block_time(
+            block.threads.iter().map(|t| t.cycles),
+            spec,
+            stats,
+        ));
+    }
+    None
+}
+
+/// Blocks per worker in a fan-out wave. Each block of a wave holds its
+/// trace and writes until the commit, so this bounds what fan-out adds to
+/// the daemon's memory; workers still claim blocks one at a time, so one
+/// that starts late leaves its block to the others.
+const WAVE_PER_WORKER: usize = 1;
+
+/// Run the blocks of `l` in waves of one slot's worth: this thread and a
+/// scoped helper per other worker claim the blocks of a wave one at a
+/// time and run each against DRAM as the wave found it, with an L1 of its
+/// own and its writes and L2 probes held in its slot. Then this thread
+/// [`commit`]s the wave in block order. Any block that read a byte an
+/// earlier block of its wave wrote runs again at its turn, and a fault
+/// ends the launch where in-order execution would have ended it.
+#[allow(clippy::too_many_arguments)]
+fn fan_out(
+    l: &Launch,
+    dram: &mut Dram,
+    cache: &mut CacheHierarchy,
+    workers: &mut [Mutex<Worker>],
+    slots: &[Mutex<Slot>],
+    dirty: &mut LineBytes,
+    stats: &mut KernelStats,
+    block_cycles: &mut Vec<u64>,
+) -> Option<Fault> {
+    for worker in workers.iter_mut() {
+        let worker = worker.get_mut().unwrap_or_else(PoisonError::into_inner);
+        cache.fresh_l1(&mut worker.l1);
+    }
+    let (workers, blocks, wave) = (&*workers, l.cfg.num_blocks(), slots.len() as u64);
+    let dram = RwLock::new(dram);
+    // Blocks below `next` are claimed, blocks below `limit` (the end of
+    // the current wave) may be, and `done` have run.
+    let (next, limit, done, stop) = (
+        AtomicU64::new(0),
+        AtomicU64::new(0),
+        AtomicU64::new(0),
+        AtomicBool::new(false),
+    );
+    let claim = || {
+        let limit = limit.load(Ordering::Acquire);
+        next.fetch_update(Ordering::AcqRel, Ordering::Acquire, |i| {
+            (i < limit).then_some(i + 1)
+        })
+        .ok()
+    };
+    let run_claimed = |worker: &Mutex<Worker>| {
+        while let Some(index) = claim() {
+            let dram = dram.read().unwrap_or_else(PoisonError::into_inner);
+            let slot = &mut lock(&slots[(index % wave) as usize]);
+            lock(worker).run(l, index, &dram, slot);
+            drop(dram);
+            done.fetch_add(1, Ordering::Release);
+        }
+    };
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(&stop);
+        let helpers: Vec<_> = workers[1..]
+            .iter()
+            .map(|worker| {
+                let (run_claimed, next, limit, stop) = (&run_claimed, &next, &limit, &stop);
+                s.spawn(move || loop {
+                    run_claimed(worker);
+                    let mut stopped = false;
+                    spin_until(|| {
+                        stopped = stop.load(Ordering::Acquire);
+                        stopped || next.load(Ordering::Acquire) < limit.load(Ordering::Acquire)
+                    });
+                    if stopped {
+                        return;
+                    }
+                })
+            })
+            .collect();
+        let mut first = 0;
+        while first < blocks {
+            // Waves start at multiples of `wave`: block `i` is in slot
+            // `i % wave`.
+            let end = (first + wave).min(blocks);
+            limit.store(end, Ordering::Release);
+            run_claimed(&workers[0]);
+            spin_until(|| {
+                done.load(Ordering::Acquire) == end || helpers.iter().any(|h| h.is_finished())
+            });
+            assert_eq!(
+                done.load(Ordering::Acquire),
+                end,
+                "a fan-out worker panicked"
+            );
+            let mut dram = dram.write().unwrap_or_else(PoisonError::into_inner);
+            dirty.clear();
+            for index in first..end {
+                let slot = &mut lock(&slots[(index % wave) as usize]);
+                let more = index + 1 < end;
+                match commit(l, &mut dram, cache, slot, &workers[0], dirty, more, stats) {
+                    Ok(cycles) => block_cycles.push(cycles),
+                    Err(fault) => return Some(fault),
+                }
+            }
+            first = end;
+        }
+        None
+    })
+}
+
+/// Raises its flag when the launch ends, however it ends, so that the
+/// helpers return and the scope's join finds them gone.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Wait until `ready()` without sleeping. A hand-off between the workers
+/// of a launch waits microseconds, and a thread that sleeps — on a virtual
+/// machine, a core that halts — takes up to a millisecond to wake; so the
+/// waiter spins, and past a few spins yields, so that a thread sharing
+/// its core gets it.
+fn spin_until(mut ready: impl FnMut() -> bool) {
+    let mut spins = 0;
+    while !ready() {
+        if spins < 128 {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Make a fanned-out block's effects the device's, as if it ran now: if
+/// it read a byte in `dirty` (written by an earlier block of its wave) it
+/// runs again first, on what those blocks left. Then its L2 probes replay
+/// into the shared L2 in issue order, each charging its thread the L2 or
+/// DRAM latency, and its writes land in DRAM; with `more` blocks to come
+/// in the wave, the bytes it wrote join `dirty`. Returns its duration, or
+/// the fault it stopped at.
+#[allow(clippy::too_many_arguments)]
+fn commit(
+    l: &Launch,
+    dram: &mut Dram,
+    cache: &mut CacheHierarchy,
+    slot: &mut Slot,
+    worker: &Mutex<Worker>,
+    dirty: &mut LineBytes,
+    more: bool,
+    stats: &mut KernelStats,
+) -> Result<u64, Fault> {
+    if !dirty.is_empty() && slot.mem.log.read_any(dirty) {
+        lock(worker).run(l, slot.index, dram, slot);
+    }
+    let Slot {
+        cycles, mem, fault, ..
+    } = slot;
+    cache.count_block_l1(mem.accesses, mem.l1_hits);
+    mem.replay(cache, l.spec, cycles);
+    mem.log.apply(dram);
+    if more {
+        mem.log.note_writes(dirty);
+    }
+    stats.instructions += slot.stats.instructions;
+    stats.loads += slot.stats.loads;
+    stats.stores += slot.stats.stores;
+    stats.atomics += slot.stats.atomics;
+    match fault.take() {
+        Some(fault) => Err(fault),
+        None => Ok(block_time(cycles.iter().copied(), l.spec, stats)),
+    }
+}
+
+/// A finished block's duration, from its threads' cycles; those join the
+/// kernel's.
+fn block_time(cycles: impl Iterator<Item = u64>, spec: &GpuSpec, stats: &mut KernelStats) -> u64 {
+    let (total, max) = cycles.fold((0u64, 0u64), |(t, m), c| (t + c, m.max(c)));
+    stats.thread_cycles += total;
+    max.max(total / spec.cores_per_sm as u64)
+}
+
+/// The latency of a load served at `level`.
+fn load_cycles(spec: &GpuSpec, level: HitLevel) -> u64 {
+    match level {
+        HitLevel::L1 => spec.l1_hit_cycles,
+        HitLevel::L2 => spec.l2_hit_cycles,
+        HitLevel::Global => spec.global_load_cycles,
+    }
+}
+
+/// Where a block's global loads and stores go: the device itself
+/// ([`Direct`]), or a block run beside others ([`Logged`]).
+trait GlobalMem {
+    /// The DRAM page owners live in.
+    fn dram(&self) -> &Dram;
+    /// A block starts: its L1 is empty.
+    fn new_block(&mut self);
+    /// Probe the caches for a load by thread `slot`; the latency charged
+    /// now.
+    fn probe_load(&mut self, addr: u64, slot: u32) -> u64;
+    /// Account a store by thread `slot` to the L2.
+    fn probe_store(&mut self, addr: u64, slot: u32);
+    fn read(&mut self, addr: u64, size: usize) -> Result<u64, Fault>;
+    fn write(&mut self, addr: u64, size: usize, bits: u64) -> Result<(), Fault>;
+}
+
+/// In block order: the device's DRAM and caches, as the block goes.
+struct Direct<'a> {
+    dram: &'a mut Dram,
+    cache: &'a mut CacheHierarchy,
+    spec: &'a GpuSpec,
+}
+
+impl GlobalMem for Direct<'_> {
+    fn dram(&self) -> &Dram {
+        self.dram
+    }
+
+    fn new_block(&mut self) {
+        self.cache.new_block();
+    }
+
+    #[inline(always)]
+    fn probe_load(&mut self, addr: u64, _slot: u32) -> u64 {
+        load_cycles(self.spec, self.cache.load(addr))
+    }
+
+    #[inline(always)]
+    fn probe_store(&mut self, addr: u64, _slot: u32) {
+        self.cache.store(addr);
+    }
+
+    #[inline(always)]
+    fn read(&mut self, addr: u64, size: usize) -> Result<u64, Fault> {
+        self.dram.read_scalar(addr, size)
+    }
+
+    #[inline(always)]
+    fn write(&mut self, addr: u64, size: usize, bits: u64) -> Result<(), Fault> {
+        self.dram.write_scalar(addr, size, bits)
+    }
+}
+
+/// Beside other blocks: DRAM as the wave found it, read through the
+/// block's own writes, which wait in its log. The L1 is the worker's own
+/// (every block starts with an empty one), so only the L2 half of an
+/// access waits for the commit, in the trace, with its latency.
+struct Logged<'a> {
+    dram: &'a Dram,
+    spec: &'a GpuSpec,
+    l1: &'a mut TagArray,
+    mem: &'a mut SlotMem,
+}
+
+/// A block's global memory traffic, run beside others.
+#[derive(Debug, Default)]
+struct SlotMem {
+    log: AccessLog,
+    /// What needs the shared L2 — loads that missed the block's L1, and
+    /// stores — in issue order: each the line number shifted left once,
+    /// the low bit set for a store.
+    trace: Vec<u64>,
+    /// The runs of `trace` one thread issued: the thread's index in its
+    /// block and the run's first entry.
+    runs: Vec<(u32, u32)>,
+    /// Loads probed, and the L1 hits among them.
+    accesses: u64,
+    l1_hits: u64,
+}
+
+impl SlotMem {
+    fn probe(&mut self, addr: u64, thread: u32, store: bool) {
+        if self.runs.last().is_none_or(|run| run.0 != thread) {
+            self.runs.push((thread, self.trace.len() as u32));
+        }
+        self.trace.push((addr / LINE_SIZE) << 1 | store as u64);
+    }
+
+    /// Replay the trace into `cache`'s L2, in order; each load charges
+    /// its thread in `cycles` the latency of the level that served it.
+    fn replay(&self, cache: &mut CacheHierarchy, spec: &GpuSpec, cycles: &mut [u64]) {
+        for (i, &(thread, first)) in self.runs.iter().enumerate() {
+            let end = self
+                .runs
+                .get(i + 1)
+                .map_or(self.trace.len(), |r| r.1 as usize);
+            for &probe in &self.trace[first as usize..end] {
+                let addr = (probe >> 1) * LINE_SIZE;
+                if probe & 1 == 1 {
+                    cache.store(addr);
+                } else {
+                    cycles[thread as usize] += load_cycles(spec, cache.load_past_l1(addr));
+                }
+            }
+        }
+    }
+}
+
+impl GlobalMem for Logged<'_> {
+    fn dram(&self) -> &Dram {
+        self.dram
+    }
+
+    fn new_block(&mut self) {
+        self.l1.invalidate();
+        let m = &mut *self.mem;
+        m.log.clear();
+        m.trace.clear();
+        m.runs.clear();
+        (m.accesses, m.l1_hits) = (0, 0);
+    }
+
+    #[inline(always)]
+    fn probe_load(&mut self, addr: u64, slot: u32) -> u64 {
+        let m = &mut *self.mem;
+        m.accesses += 1;
+        if self.l1.access(addr) {
+            m.l1_hits += 1;
+            return self.spec.l1_hit_cycles;
+        }
+        m.probe(addr, slot, false);
+        0
+    }
+
+    #[inline(always)]
+    fn probe_store(&mut self, addr: u64, slot: u32) {
+        self.mem.probe(addr, slot, true);
+    }
+
+    #[inline(always)]
+    fn read(&mut self, addr: u64, size: usize) -> Result<u64, Fault> {
+        self.mem.log.read(self.dram, addr, size)
+    }
+
+    #[inline(always)]
+    fn write(&mut self, addr: u64, size: usize, bits: u64) -> Result<(), Fault> {
+        self.dram.check_scalar(addr, size)?;
+        self.mem.log.write(addr, size, bits);
+        Ok(())
+    }
+}
+
+/// The interpreter proper: one block at a time, its global memory `M`.
+struct Core<'a, M> {
+    spec: &'a GpuSpec,
+    functions: &'a HashMap<String, Arc<CompiledKernel>>,
+    mem: M,
+}
+
+impl<M: GlobalMem> Core<'_, M> {
+    /// Run one block to its end or its first fault; its threads' cycles
+    /// are left in `block.threads`.
     #[allow(clippy::too_many_arguments)]
     fn run_block(
         &mut self,
@@ -259,19 +886,19 @@ impl<'a> Executor<'a> {
         ctaid: (u32, u32, u32),
         params: &[u8],
         guard: MemGuard,
-        arena: &mut ThreadArena,
+        block: &mut BlockState,
         stats: &mut KernelStats,
-    ) -> Result<u64, Fault> {
-        self.cache.new_block();
-        arena.reset(kernel, cfg);
-        let ThreadArena {
+    ) -> Result<(), Fault> {
+        self.mem.new_block();
+        block.reset(kernel, cfg);
+        let BlockState {
             regs,
             preds,
             local,
             shared,
             threads,
-            ..
-        } = arena;
+            frames,
+        } = block;
         let (nr, np, nl) = (
             kernel.num_regs as usize,
             kernel.num_preds as usize,
@@ -296,8 +923,11 @@ impl<'a> Executor<'a> {
                     instructions: st.instructions,
                     local: &mut local[i * nl..(i + 1) * nl],
                     tid: st.tid,
+                    slot: i as u32,
                 };
-                let stop = self.resume(kernel, cfg, ctaid, params, guard, shared, &mut t, stats);
+                let stop = self.resume(
+                    kernel, cfg, ctaid, params, guard, shared, &mut t, frames, stats,
+                );
                 (st.pc, st.cycles, st.instructions) = (t.pc, t.cycles, t.instructions);
                 match stop? {
                     ThreadStop::Done => st.done = true,
@@ -308,12 +938,7 @@ impl<'a> Executor<'a> {
                 break;
             }
         }
-
-        let total: u64 = threads.iter().map(|t| t.cycles).sum();
-        let max = threads.iter().map(|t| t.cycles).max().unwrap_or(0);
-        stats.thread_cycles += total;
-        let lanes = self.spec.cores_per_sm as u64;
-        Ok(max.max(total / lanes))
+        Ok(())
     }
 
     /// Run `t` to its next barrier, its end or its fault, then fold the
@@ -329,10 +954,11 @@ impl<'a> Executor<'a> {
         guard: MemGuard,
         shared: &mut [u8],
         t: &mut Thread,
+        calls: &mut Frames,
         stats: &mut KernelStats,
     ) -> Result<ThreadStop, Fault> {
         let before = t.instructions;
-        let stop = self.run_thread(kernel, cfg, ctaid, params, guard, shared, t, stats);
+        let stop = self.run_thread(kernel, cfg, ctaid, params, guard, shared, t, calls, stats);
         stats.instructions += t.instructions - before;
         stop
     }
@@ -347,6 +973,7 @@ impl<'a> Executor<'a> {
         guard: MemGuard,
         shared: &mut [u8],
         t: &mut Thread,
+        calls: &mut Frames,
         stats: &mut KernelStats,
     ) -> Result<ThreadStop, Fault> {
         let spec = self.spec;
@@ -561,18 +1188,7 @@ impl<'a> Executor<'a> {
                         .ok_or_else(|| Fault::Trap {
                             kernel: format!("call to unknown function `{func}`"),
                         })?;
-                    // Marshal args into the callee parameter buffer using
-                    // the callee's own layout.
-                    let mut pbuf = vec![0u8; callee.param_size];
-                    for (i, (_, src)) in args.iter().enumerate() {
-                        if let Some((_, pty, off)) = callee.params.get(i) {
-                            let bits = self.value(src, t, cfg, ctaid);
-                            let bytes = bits.to_le_bytes();
-                            let sz = pty.size();
-                            pbuf[*off as usize..*off as usize + sz].copy_from_slice(&bytes[..sz]);
-                        }
-                    }
-                    self.run_call(&callee, cfg, ctaid, &pbuf, guard, shared, t, stats)?;
+                    self.run_call(&callee, args, cfg, ctaid, guard, shared, t, calls, stats)?;
                 }
                 COp::Ret | COp::Exit => {
                     t.cycles += 2;
@@ -635,36 +1251,58 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Execute a `.func` body inline on the caller's thread.
+    /// Execute a `.func` body inline on the caller's thread, in the frame
+    /// `calls` keeps for this depth.
     #[allow(clippy::too_many_arguments)]
     fn run_call(
         &mut self,
         callee: &CompiledKernel,
+        args: &[(Type, CSrc)],
         cfg: LaunchConfig,
         ctaid: (u32, u32, u32),
-        params: &[u8],
         guard: MemGuard,
         shared: &mut [u8],
         caller: &mut Thread,
+        calls: &mut Frames,
         stats: &mut KernelStats,
     ) -> Result<(), Fault> {
-        let mut regs = vec![0u64; callee.num_regs as usize];
-        let mut preds = vec![false; callee.num_preds as usize];
-        let mut local = vec![0u8; callee.local_size as usize];
+        let Frames {
+            regs,
+            preds,
+            local,
+            params,
+            deeper,
+        } = calls;
+        // Marshal args into the callee parameter buffer using the callee's
+        // own layout.
+        zeroed(params, callee.param_size);
+        for ((_, src), (_, pty, off)) in args.iter().zip(&callee.params) {
+            let bytes = self.value(src, caller, cfg, ctaid).to_le_bytes();
+            let (off, sz) = (*off as usize, pty.size());
+            params[off..off + sz].copy_from_slice(&bytes[..sz]);
+        }
+        zeroed(regs, callee.num_regs as usize);
+        zeroed(preds, callee.num_preds as usize);
+        zeroed(local, callee.local_size as usize);
         let mut frame = Thread {
-            regs: &mut regs,
-            preds: &mut preds,
+            regs,
+            preds,
             pc: 0,
             cycles: 0,
             instructions: caller.instructions,
-            local: &mut local,
+            local,
             tid: caller.tid,
+            slot: caller.slot,
         };
+        let deeper = deeper.get_or_insert_with(Default::default);
         // Barriers inside .func are not supported (they cannot suspend a
         // call frame); the validator-level kernels in this repo never use
         // them. A barrier here simply costs cycles and continues.
         let ended = loop {
-            match self.run_thread(callee, cfg, ctaid, params, guard, shared, &mut frame, stats) {
+            let stop = self.run_thread(
+                callee, cfg, ctaid, params, guard, shared, &mut frame, deeper, stats,
+            );
+            match stop {
                 Ok(ThreadStop::Done) => break Ok(()),
                 Ok(ThreadStop::Barrier) => continue,
                 Err(fault) => break Err(fault),
@@ -745,13 +1383,8 @@ impl<'a> Executor<'a> {
             Window::Global => {
                 self.check_guard(addr, guard)?;
                 stats.loads += 1;
-                let level = self.cache.load(addr);
-                t.cycles += match level {
-                    HitLevel::L1 => self.spec.l1_hit_cycles,
-                    HitLevel::L2 => self.spec.l2_hit_cycles,
-                    HitLevel::Global => self.spec.global_load_cycles,
-                };
-                self.dram.read_scalar(addr, size)
+                t.cycles += self.mem.probe_load(addr, t.slot);
+                self.mem.read(addr, size)
             }
             Window::Invalid => Err(Fault::Unmapped { addr }),
         }
@@ -799,9 +1432,9 @@ impl<'a> Executor<'a> {
             Window::Global => {
                 self.check_guard(addr, guard)?;
                 stats.stores += 1;
-                self.cache.store(addr);
+                self.mem.probe_store(addr, t.slot);
                 t.cycles += self.spec.global_store_cycles;
-                self.dram.write_scalar(addr, size, bits)
+                self.mem.write(addr, size, bits)
             }
             Window::Invalid => Err(Fault::Unmapped { addr }),
         }
@@ -811,7 +1444,7 @@ impl<'a> Executor<'a> {
         match guard {
             MemGuard::None => Ok(()),
             MemGuard::Asid(asid) => {
-                let owner = self.dram.owner_of(addr)?;
+                let owner = self.mem.dram().owner_of(addr)?;
                 if owner == NO_OWNER {
                     Err(Fault::Unmapped { addr })
                 } else if owner != asid {
@@ -2025,12 +2658,14 @@ $L_add:
                 let k = cm.kernel("fill").unwrap();
                 let mut dram = Dram::new(1 << 20);
                 let mut cache = CacheHierarchy::new(spec.l1_bytes, spec.l2_bytes);
-                let mut ex = Executor {
-                    dram: &mut dram,
-                    cache: &mut cache,
+                let mut core = Core {
                     spec: &spec,
                     functions: &cm.functions,
-                    arena: &mut ThreadArena::default(),
+                    mem: Direct {
+                        dram: &mut dram,
+                        cache: &mut cache,
+                        spec: &spec,
+                    },
                 };
                 let mut t = Thread {
                     regs: &mut vec![0; k.num_regs as usize],
@@ -2040,9 +2675,10 @@ $L_add:
                     instructions: INSTRUCTION_BUDGET - room,
                     local: &mut [],
                     tid: (0, 0, 0),
+                    slot: 0,
                 };
                 let mut stats = KernelStats::default();
-                let fault = ex
+                let fault = core
                     .resume(
                         &k,
                         LaunchConfig::linear(1, 1),
@@ -2051,6 +2687,7 @@ $L_add:
                         MemGuard::None,
                         &mut [],
                         &mut t,
+                        &mut Frames::default(),
                         &mut stats,
                     )
                     .err();

@@ -113,6 +113,7 @@ mod tests {
     /// still trap integer overflow: opt-level leaves `overflow-checks` on.
     #[test]
     #[should_panic(expected = "overflow")]
+    #[cfg_attr(not(debug_assertions), ignore = "needs overflow checks")]
     fn integer_overflow_panics_in_test_builds() {
         let x = std::hint::black_box(u32::MAX);
         let _ = std::hint::black_box(x + 1);

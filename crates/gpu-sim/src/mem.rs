@@ -6,7 +6,10 @@
 //! whole pages, matching the large allocation granularity of the real CUDA
 //! driver and making page-granular ASID tagging sound.
 
+use crate::cache::LINE_SIZE;
 use crate::fault::{window::DEVICE_BASE, Fault};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of one DRAM page (allocation and ownership granularity).
 pub const PAGE_SIZE: u64 = 64 * 1024;
@@ -202,6 +205,19 @@ impl Dram {
         Ok(u64::from_le_bytes(buf))
     }
 
+    /// The fault [`write_scalar`](Self::write_scalar) would raise, without
+    /// writing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Fault::Unmapped`] if out of range.
+    pub(crate) fn check_scalar(&self, addr: u64, size: usize) -> Result<(), Fault> {
+        match self.scalar_slot(addr, size) {
+            Some(_) => Ok(()),
+            None => self.range_offset(addr, size as u64).map(drop),
+        }
+    }
+
     /// Write the low `size` bytes of a little-endian scalar.
     ///
     /// # Errors
@@ -239,6 +255,152 @@ impl Dram {
     /// reporting.
     pub fn resident_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
+    }
+}
+
+/// Hashes a cache-line number: one multiply, folded so that lines a power
+/// of two apart spread over the low bits a table indexes by.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+/// Bytes of cache lines: per line number, a mask with bit `i` set for
+/// byte `i` of the line.
+pub(crate) type LineBytes = HashMap<u64, u128, BuildHasherDefault<LineHasher>>;
+
+/// The global memory traffic of a block that runs beside others: its
+/// writes, held back from DRAM until its turn (per cache line, the bytes
+/// written last and which they are), and which bytes it read from DRAM
+/// rather than from its own writes. Capacity is retained from block to
+/// block.
+#[derive(Debug, Default)]
+pub(crate) struct AccessLog {
+    /// Line number → index in `lines`.
+    index: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
+    lines: Vec<LoggedLine>,
+    reads: LineBytes,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct LoggedLine {
+    line: u64,
+    /// Which bytes of `bytes` were written.
+    mask: u128,
+    bytes: [u8; LINE_SIZE as usize],
+}
+
+/// The mask of `size` bytes at `addr` within its line.
+fn byte_mask(addr: u64, size: usize) -> u128 {
+    ((1u128 << size) - 1) << (addr % LINE_SIZE)
+}
+
+impl AccessLog {
+    pub(crate) fn clear(&mut self) {
+        self.index.clear();
+        self.lines.clear();
+        self.reads.clear();
+    }
+
+    /// A naturally aligned scalar of up to 8 bytes as this block sees it:
+    /// `dram`'s bytes under the block's own writes. The bytes `dram`
+    /// supplied are noted as read.
+    #[inline]
+    pub(crate) fn read(&mut self, dram: &Dram, addr: u64, size: usize) -> Result<u64, Fault> {
+        let bits = dram.read_scalar(addr, size)?;
+        let line = addr / LINE_SIZE;
+        let want = byte_mask(addr, size);
+        let own = match self.index.get(&line) {
+            Some(&i) => &self.lines[i as usize],
+            None => {
+                *self.reads.entry(line).or_default() |= want;
+                return Ok(bits);
+            }
+        };
+        if want & !own.mask != 0 {
+            *self.reads.entry(line).or_default() |= want & !own.mask;
+        }
+        let at = (addr % LINE_SIZE) as usize;
+        let mut bytes = bits.to_le_bytes();
+        for (k, b) in bytes[..size].iter_mut().enumerate() {
+            if own.mask >> (at + k) & 1 == 1 {
+                *b = own.bytes[at + k];
+            }
+        }
+        Ok(u64::from_le_bytes(bytes))
+    }
+
+    /// Log the low `size` bytes of `bits` at `addr` (naturally aligned,
+    /// at most 8 bytes, already checked to lie in DRAM).
+    pub(crate) fn write(&mut self, addr: u64, size: usize, bits: u64) {
+        debug_assert!(size <= 8 && addr.is_multiple_of(size as u64));
+        let (line, at) = (addr / LINE_SIZE, (addr % LINE_SIZE) as usize);
+        let lines = &mut self.lines;
+        let i = *self.index.entry(line).or_insert_with(|| {
+            lines.push(LoggedLine {
+                line,
+                mask: 0,
+                bytes: [0; LINE_SIZE as usize],
+            });
+            (lines.len() - 1) as u32
+        });
+        let l = &mut lines[i as usize];
+        l.bytes[at..at + size].copy_from_slice(&bits.to_le_bytes()[..size]);
+        l.mask |= byte_mask(addr, size);
+    }
+
+    /// Whether the block read from DRAM a byte of `written`.
+    pub(crate) fn read_any(&self, written: &LineBytes) -> bool {
+        let (small, large) = if self.reads.len() <= written.len() {
+            (&self.reads, written)
+        } else {
+            (written, &self.reads)
+        };
+        small
+            .iter()
+            .any(|(line, mask)| large.get(line).is_some_and(|m| m & mask != 0))
+    }
+
+    /// Add the bytes the block wrote to `written`.
+    pub(crate) fn note_writes(&self, written: &mut LineBytes) {
+        for l in &self.lines {
+            *written.entry(l.line).or_default() |= l.mask;
+        }
+    }
+
+    /// Write every logged byte to `dram`, one run of written bytes at a
+    /// time.
+    pub(crate) fn apply(&self, dram: &mut Dram) {
+        for l in &self.lines {
+            let mut mask = l.mask;
+            while mask != 0 {
+                let start = mask.trailing_zeros();
+                let len = (mask >> start).trailing_ones();
+                let (at, end) = (start as usize, (start + len) as usize);
+                dram.write(l.line * LINE_SIZE + start as u64, &l.bytes[at..end])
+                    .expect("a logged write was checked against DRAM when it was made");
+                mask &= u128::MAX.checked_shl(start + len).unwrap_or(0);
+            }
+        }
+    }
+
+    /// Bytes of storage held between blocks.
+    #[cfg(test)]
+    pub(crate) fn retained_bytes(&self) -> usize {
+        (self.index.capacity() + 2 * self.reads.capacity()) * 16
+            + self.lines.capacity() * std::mem::size_of::<LoggedLine>()
     }
 }
 

@@ -1,6 +1,7 @@
 //! A warm launch does not allocate: once one launch has sized the device's
-//! thread arena, its running-kernel slot and its stats entry, draining a
-//! queue of identical launches costs the heap nothing per launch.
+//! thread arena (`.func` call frames included), its running-kernel slot and
+//! its stats entry, draining a queue of identical launches costs the heap
+//! nothing per launch.
 //!
 //! The counting allocator is this binary's own, and it counts only on the
 //! thread that armed it, so the test harness's threads cannot disturb it.
@@ -84,43 +85,91 @@ $L_end:
 }
 "#;
 
+/// `fill` again, each thread storing through a `.func`: a call's frame
+/// comes from the arena too.
+const CALL_FILL: &str = r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.func put(.param .u64 dst, .param .u32 v)
+{
+    .reg .b32 %r<2>;
+    .reg .b64 %rd<2>;
+    ld.param.u64 %rd1, [dst];
+    ld.param.u32 %r1, [v];
+    st.global.u32 [%rd1], %r1;
+    ret;
+}
+.visible .entry call_fill(.param .u64 out, .param .u32 n)
+{
+    .reg .pred %p<2>;
+    .reg .b32 %r<8>;
+    .reg .b64 %rd<5>;
+    ld.param.u64 %rd1, [out];
+    ld.param.u32 %r1, [n];
+    cvta.to.global.u64 %rd2, %rd1;
+    mov.u32 %r2, %ctaid.x;
+    mov.u32 %r3, %ntid.x;
+    mov.u32 %r4, %tid.x;
+    mad.lo.u32 %r5, %r2, %r3, %r4;
+    setp.ge.u32 %p1, %r5, %r1;
+    @%p1 bra $L_end;
+    mul.wide.u32 %rd3, %r5, 4;
+    add.s64 %rd4, %rd2, %rd3;
+    call put, (%rd4, %r5);
+$L_end:
+    ret;
+}
+"#;
+
 #[test]
 fn warm_launches_drain_without_allocating() {
     let mut dev = Device::new(test_gpu());
     let ctx = dev.create_context().unwrap();
     let stream = dev.create_stream(ctx).unwrap();
     let module = dev.load_module(ctx, &ptx::parse(FILL).unwrap()).unwrap();
-    let func = CudaFunction {
-        kernel: module.kernel("fill").unwrap(),
-        module: module.clone(),
-    };
+    let calls = dev
+        .load_module(ctx, &ptx::parse(CALL_FILL).unwrap())
+        .unwrap();
+    let [func, call_func] =
+        [(&module, "fill"), (&calls, "call_fill")].map(|(m, name)| CudaFunction {
+            kernel: m.kernel(name).unwrap(),
+            module: m.clone(),
+        });
     let n = 256u32;
     let out = dev.malloc(ctx, n as u64 * 4).unwrap();
     let mut params = out.to_le_bytes().to_vec();
     params.extend_from_slice(&n.to_le_bytes());
-    let launch = || Command::Launch {
+    let launch = |func: &CudaFunction| Command::Launch {
         func: func.clone(),
         cfg: LaunchConfig::linear(n / 64, 64),
         params: params.clone().into(),
         guard: MemGuard::None,
     };
-    let mut drain = |launches: usize| {
+    let mut drain = |func: &CudaFunction, launches: usize| {
         for _ in 0..launches {
-            dev.enqueue(stream, launch()).unwrap();
+            dev.enqueue(stream, launch(func)).unwrap();
         }
         allocations(|| dev.synchronize())
     };
 
-    // Warm-up: sizes the arena, the running slot and the stats entry.
-    assert_eq!(drain(1).1, 0, "no fault");
-    let (one, _) = drain(1);
-    let (many, faults) = drain(64);
-    assert_eq!(faults, 0);
-    // O(1) per sync, nothing per launch.
-    assert!(one <= 2, "a warm sync of one launch allocated {one} times");
-    assert!(
-        many <= one,
-        "64 warm launches allocated {many} times, one launch {one}"
-    );
+    for f in [&func, &call_func] {
+        let name = &f.kernel.name;
+        // Warm-up: sizes the arena, the running slot and the stats entry.
+        assert_eq!(drain(f, 1).1, 0, "{name}: no fault");
+        let (one, _) = drain(f, 1);
+        let (many, faults) = drain(f, 64);
+        assert_eq!(faults, 0);
+        // O(1) per sync, nothing per launch.
+        assert!(
+            one <= 2,
+            "{name}: a warm sync of one launch allocated {one} times"
+        );
+        assert!(
+            many <= one,
+            "{name}: 64 warm launches allocated {many} times, one launch {one}"
+        );
+    }
     assert_eq!(dev.kernel_stats()["fill"].launches, 66);
+    assert_eq!(dev.kernel_stats()["call_fill"].launches, 66);
 }

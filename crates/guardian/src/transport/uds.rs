@@ -110,6 +110,9 @@ pub struct UdsConnection {
     /// connection's own session thread, so a wedged or hostile client
     /// stalls only itself — never the accept loop.
     window: Mutex<Option<Arc<Window>>>,
+    /// `true` once `window` is set: after the handshake, checking for it
+    /// is one atomic load, with no lock.
+    handshaken: AtomicBool,
     /// `true` once an epoll executor adopted this connection: the stream
     /// goes non-blocking (after the handshake) and frames are pulled via
     /// [`Connection::try_recv`].
@@ -136,6 +139,7 @@ impl UdsConnection {
             stream,
             send_lock: Mutex::new(SendState::default()),
             recv_state: Mutex::new(FrameDecoder::with_read_size(MAX_FRAME, READ_SIZE)),
+            handshaken: AtomicBool::new(window.is_some()),
             window: Mutex::new(window.map(Arc::new)),
             event_mode: AtomicBool::new(false),
             peer_uid,
@@ -146,6 +150,9 @@ impl UdsConnection {
     /// touches the connection first (in the manager: the session thread
     /// or executor worker).
     fn ensure_handshaken(&self) -> Result<(), TransportError> {
+        if self.handshaken.load(Ordering::Acquire) {
+            return Ok(());
+        }
         let mut window = self.window.lock();
         if window.is_none() {
             let fresh = serve_handshake(&self.stream)?;
@@ -158,6 +165,7 @@ impl UdsConnection {
                     .map_err(|e| io_err("handshake", &e))?;
             }
             *window = Some(Arc::new(fresh));
+            self.handshaken.store(true, Ordering::Release);
         }
         Ok(())
     }
