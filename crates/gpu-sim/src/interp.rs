@@ -96,6 +96,18 @@ pub struct KernelStats {
     pub thread_cycles: u64,
 }
 
+impl KernelStats {
+    /// Add `other`'s counts to these.
+    pub(crate) fn merge(&mut self, other: &KernelStats) {
+        self.instructions += other.instructions;
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.atomics += other.atomics;
+        self.cache.merge(&other.cache);
+        self.thread_cycles += other.thread_cycles;
+    }
+}
+
 /// The outcome of functionally executing a launch.
 #[derive(Debug, Clone)]
 pub struct LaunchOutcome {
@@ -125,18 +137,32 @@ const FAN_OUT_BLOCK_INSTRUCTIONS: u64 = 4096;
 
 /// The average instructions of a block in its kernel's latest launch:
 /// what decides whether the next launch fans out. A hint only — the
-/// outcome of a launch does not depend on it.
+/// outcome of a launch does not depend on it. Once a block of the kernel
+/// has outgrown its slot, `SPILLED`: the kernel runs in order from then
+/// on, rather than run part of a block twice at every launch.
 #[derive(Debug, Default)]
 pub(crate) struct BlockCost(AtomicU64);
 
 impl BlockCost {
+    const SPILLED: u64 = u64::MAX;
+
     fn pays_for_fan_out(&self) -> bool {
-        self.0.load(Ordering::Relaxed) >= FAN_OUT_BLOCK_INSTRUCTIONS
+        (FAN_OUT_BLOCK_INSTRUCTIONS..Self::SPILLED).contains(&self.0.load(Ordering::Relaxed))
     }
 
+    /// Record a launch's average. The kernel is shared by every tenant
+    /// that loaded it, and its other fields are read on every launch, so
+    /// an unchanged average is not stored again.
     fn note(&self, instructions: u64, blocks: u64) {
-        self.0
-            .store(instructions / blocks.max(1), Ordering::Relaxed);
+        let average = instructions / blocks.max(1);
+        let cost = self.0.load(Ordering::Relaxed);
+        if cost != average && cost != Self::SPILLED {
+            self.0.store(average, Ordering::Relaxed);
+        }
+    }
+
+    fn spilled(&self) {
+        self.0.store(Self::SPILLED, Ordering::Relaxed);
     }
 }
 
@@ -171,8 +197,9 @@ pub struct Executor<'a> {
 /// [`Device`](crate::Device) owns one and lends it to each [`Executor`],
 /// so a warm launch allocates nothing for its threads. It holds one
 /// `Worker` per thread a launch has fanned out over (the first is also
-/// the in-order path's) and one `Slot` per block of a fan-out wave;
-/// each retains what the largest block it held needed.
+/// the in-order path's) and one `Slot` per block of a fan-out wave, as
+/// many as workers; each retains what the largest block it held needed,
+/// a slot no more than `SLOT_PROBES` and `SLOT_LINES` allow.
 #[derive(Debug, Default)]
 pub struct ThreadArena {
     workers: Vec<Mutex<Worker>>,
@@ -227,9 +254,7 @@ impl Worker {
             mem,
             stats,
             fault,
-            ..
         } = slot;
-        slot.index = index;
         *stats = KernelStats::default();
         let mut core = Core {
             spec: l.spec,
@@ -260,8 +285,6 @@ impl Worker {
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Slot {
-    /// Block-linear index of the block.
-    index: u64,
     /// Each thread's cycles, less the L2 and DRAM latencies of its trace.
     cycles: Vec<u64>,
     mem: SlotMem,
@@ -455,6 +478,7 @@ impl Executor<'_> {
             let worker = worker.unwrap_or_else(PoisonError::into_inner);
             in_order(
                 &l,
+                0,
                 self.dram,
                 self.cache,
                 worker,
@@ -462,11 +486,10 @@ impl Executor<'_> {
                 &mut block_cycles,
             )
         } else {
-            let wave = WAVE_PER_WORKER * workers;
-            if arena.slots.len() < wave {
-                arena.slots.resize_with(wave, Default::default);
+            if arena.slots.len() < workers {
+                arena.slots.resize_with(workers, Default::default);
             }
-            let (workers, slots) = (&mut arena.workers[..workers], &arena.slots[..wave]);
+            let (workers, slots) = (&mut arena.workers[..workers], &arena.slots[..workers]);
             let (dram, cache, dirty) = (&mut *self.dram, &mut *self.cache, &mut arena.dirty);
             fan_out(
                 &l,
@@ -496,10 +519,11 @@ impl Executor<'_> {
     }
 }
 
-/// Run every block of `l` in block order, straight against the device;
-/// the first fault stops the launch.
+/// Run the blocks of `l` from `first` on in block order, straight against
+/// the device; the first fault stops the launch.
 fn in_order(
     l: &Launch,
+    first: u64,
     dram: &mut Dram,
     cache: &mut CacheHierarchy,
     worker: &mut Worker,
@@ -512,7 +536,7 @@ fn in_order(
         functions: l.functions,
         mem: Direct { dram, cache, spec },
     };
-    for index in 0..l.cfg.num_blocks() {
+    for index in first..l.cfg.num_blocks() {
         let ctaid = l.cfg.ctaid(index);
         let block = &mut worker.block;
         if let Err(fault) = core.run_block(l.kernel, l.cfg, ctaid, l.params, l.guard, block, stats)
@@ -528,19 +552,15 @@ fn in_order(
     None
 }
 
-/// Blocks per worker in a fan-out wave. Each block of a wave holds its
-/// trace and writes until the commit, so this bounds what fan-out adds to
-/// the daemon's memory; workers still claim blocks one at a time, so one
-/// that starts late leaves its block to the others.
-const WAVE_PER_WORKER: usize = 1;
-
-/// Run the blocks of `l` in waves of one slot's worth: this thread and a
-/// scoped helper per other worker claim the blocks of a wave one at a
-/// time and run each against DRAM as the wave found it, with an L1 of its
-/// own and its writes and L2 probes held in its slot. Then this thread
-/// [`commit`]s the wave in block order. Any block that read a byte an
-/// earlier block of its wave wrote runs again at its turn, and a fault
-/// ends the launch where in-order execution would have ended it.
+/// Run the blocks of `l` in waves of one block per worker: this thread
+/// and a scoped helper per other worker claim the blocks of a wave one at
+/// a time and run each against DRAM as the wave found it, with an L1 of
+/// its own and its writes and L2 probes held in its slot. Then this
+/// thread [`commit`]s the wave in block order. Any block that read a byte
+/// an earlier block of its wave wrote runs again at its turn, and a fault
+/// ends the launch where in-order execution would have ended it. A block
+/// that filled its slot has had no effect yet: it and every block after
+/// it run [`in_order`], as do the kernel's later launches.
 #[allow(clippy::too_many_arguments)]
 fn fan_out(
     l: &Launch,
@@ -582,7 +602,9 @@ fn fan_out(
             done.fetch_add(1, Ordering::Release);
         }
     };
-    std::thread::scope(|s| {
+    // What the waves leave: the launch's end, or the first block to run in
+    // order.
+    let ended = std::thread::scope(|s| {
         let _stop = StopOnDrop(&stop);
         let helpers: Vec<_> = workers[1..]
             .iter()
@@ -620,15 +642,27 @@ fn fan_out(
             dirty.clear();
             for index in first..end {
                 let slot = &mut lock(&slots[(index % wave) as usize]);
+                if !dirty.is_empty() && slot.mem.log.read_any(dirty) {
+                    lock(&workers[0]).run(l, index, &dram, slot);
+                }
+                if slot.mem.full() {
+                    l.kernel.block_cost.spilled();
+                    return Err(index);
+                }
                 let more = index + 1 < end;
-                match commit(l, &mut dram, cache, slot, &workers[0], dirty, more, stats) {
+                match commit(l, &mut dram, cache, slot, dirty, more, stats) {
                     Ok(cycles) => block_cycles.push(cycles),
-                    Err(fault) => return Some(fault),
+                    Err(fault) => return Ok(Some(fault)),
                 }
             }
             first = end;
         }
-        None
+        Ok(None)
+    });
+    ended.unwrap_or_else(|first| {
+        let dram = dram.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let worker = &mut lock(&workers[0]);
+        in_order(l, first, dram, cache, worker, stats, block_cycles)
     })
 }
 
@@ -659,29 +693,26 @@ fn spin_until(mut ready: impl FnMut() -> bool) {
     }
 }
 
-/// Make a fanned-out block's effects the device's, as if it ran now: if
-/// it read a byte in `dirty` (written by an earlier block of its wave) it
-/// runs again first, on what those blocks left. Then its L2 probes replay
+/// Make a fanned-out block's effects the device's, as if it ran now (it
+/// read nothing an earlier block of its wave wrote): its L2 probes replay
 /// into the shared L2 in issue order, each charging its thread the L2 or
 /// DRAM latency, and its writes land in DRAM; with `more` blocks to come
 /// in the wave, the bytes it wrote join `dirty`. Returns its duration, or
 /// the fault it stopped at.
-#[allow(clippy::too_many_arguments)]
 fn commit(
     l: &Launch,
     dram: &mut Dram,
     cache: &mut CacheHierarchy,
     slot: &mut Slot,
-    worker: &Mutex<Worker>,
     dirty: &mut LineBytes,
     more: bool,
     stats: &mut KernelStats,
 ) -> Result<u64, Fault> {
-    if !dirty.is_empty() && slot.mem.log.read_any(dirty) {
-        lock(worker).run(l, slot.index, dram, slot);
-    }
     let Slot {
-        cycles, mem, fault, ..
+        cycles,
+        mem,
+        stats: block,
+        fault,
     } = slot;
     cache.count_block_l1(mem.accesses, mem.l1_hits);
     mem.replay(cache, l.spec, cycles);
@@ -689,10 +720,7 @@ fn commit(
     if more {
         mem.log.note_writes(dirty);
     }
-    stats.instructions += slot.stats.instructions;
-    stats.loads += slot.stats.loads;
-    stats.stores += slot.stats.stores;
-    stats.atomics += slot.stats.atomics;
+    stats.merge(block);
     match fault.take() {
         Some(fault) => Err(fault),
         None => Ok(block_time(cycles.iter().copied(), l.spec, stats)),
@@ -780,7 +808,18 @@ struct Logged<'a> {
     mem: &'a mut SlotMem,
 }
 
-/// A block's global memory traffic, run beside others.
+/// The most L2 probes a block run beside others may hold for its
+/// commit: 512 KiB of trace. (The largest blocks of the Rodinia and Lenet
+/// kernels probe 16 k and 300 times.)
+const SLOT_PROBES: usize = 1 << 16;
+
+/// The most cache lines a block run beside others may write, and the most
+/// it may read from DRAM: ≈ 1 MiB of log. (Those kernels' largest
+/// blocks write 100 lines and read 440.)
+const SLOT_LINES: usize = 1 << 12;
+
+/// A block's global memory traffic, run beside others. A block whose
+/// trace or log reaches its bound stops there, and runs again in order.
 #[derive(Debug, Default)]
 struct SlotMem {
     log: AccessLog,
@@ -789,7 +828,7 @@ struct SlotMem {
     /// the low bit set for a store.
     trace: Vec<u64>,
     /// The runs of `trace` one thread issued: the thread's index in its
-    /// block and the run's first entry.
+    /// block and the run's first entry (below `SLOT_PROBES`).
     runs: Vec<(u32, u32)>,
     /// Loads probed, and the L1 hits among them.
     accesses: u64,
@@ -797,6 +836,23 @@ struct SlotMem {
 }
 
 impl SlotMem {
+    /// Whether the trace or the log reached its bound.
+    fn full(&self) -> bool {
+        self.trace.len() >= SLOT_PROBES || self.log.lines() >= SLOT_LINES
+    }
+
+    /// Stop the block at the access that filled its trace or log, with a
+    /// fault that never leaves the launch: [`fan_out`] runs the block
+    /// again in order.
+    #[inline(always)]
+    fn room(&self) -> Result<(), Fault> {
+        if self.full() {
+            Err(budget_exceeded())
+        } else {
+            Ok(())
+        }
+    }
+
     fn probe(&mut self, addr: u64, thread: u32, store: bool) {
         if self.runs.last().is_none_or(|run| run.0 != thread) {
             self.runs.push((thread, self.trace.len() as u32));
@@ -857,14 +913,16 @@ impl GlobalMem for Logged<'_> {
 
     #[inline(always)]
     fn read(&mut self, addr: u64, size: usize) -> Result<u64, Fault> {
-        self.mem.log.read(self.dram, addr, size)
+        let bits = self.mem.log.read(self.dram, addr, size)?;
+        self.mem.room()?;
+        Ok(bits)
     }
 
     #[inline(always)]
     fn write(&mut self, addr: u64, size: usize, bits: u64) -> Result<(), Fault> {
         self.dram.check_scalar(addr, size)?;
         self.mem.log.write(addr, size, bits);
-        Ok(())
+        self.mem.room()
     }
 }
 
@@ -2084,6 +2142,105 @@ $L_end:
             largest,
             "the largest block is already sized"
         );
+    }
+
+    /// Thread `t` of block `b` stores `i` to word `i·stride + b·ntid + t`
+    /// for `i` below `n` if `b` is block `long`, else below 1.
+    const SWEEP: &str = r#"
+.version 7.7
+.target sm_86
+.address_size 64
+.visible .entry sweep(.param .u64 out, .param .u32 n, .param .u32 stride, .param .u32 long)
+{
+    .reg .pred %p<3>;
+    .reg .b32 %r<10>;
+    .reg .b64 %rd<4>;
+    ld.param.u64 %rd1, [out];
+    ld.param.u32 %r1, [n];
+    ld.param.u32 %r2, [stride];
+    ld.param.u32 %r3, [long];
+    mov.u32 %r4, %ctaid.x;
+    mov.u32 %r5, %ntid.x;
+    mov.u32 %r6, %tid.x;
+    setp.eq.u32 %p1, %r4, %r3;
+    selp.u32 %r1, %r1, 1, %p1;
+    mad.lo.u32 %r7, %r4, %r5, %r6;
+    mov.u32 %r8, 0;
+$L_loop:
+    setp.ge.u32 %p2, %r8, %r1;
+    @%p2 bra $L_end;
+    mad.lo.u32 %r9, %r8, %r2, %r7;
+    mul.wide.u32 %rd2, %r9, 4;
+    add.s64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r8;
+    add.u32 %r8, %r8, 1;
+    bra $L_loop;
+$L_end:
+    ret;
+}
+"#;
+
+    /// A block that stores more than its slot may hold — more L2 probes
+    /// (`stride` 0: one line, stored over and over) or more lines than a
+    /// slot takes — stops at the bound, and it and the blocks after it run
+    /// in order: the launch leaves what in-order execution leaves, and no
+    /// slot holds more than its bound.
+    #[test]
+    fn a_block_past_its_slots_bound_runs_in_order() {
+        let m = ptx::parse(SWEEP).unwrap();
+        ptx::validate(&m).unwrap();
+        let cm = compile_module(&m, 0).unwrap();
+        let k = cm.kernel("sweep").unwrap();
+        let spec = test_gpu();
+        let (blocks, threads) = (5, 64);
+        let cfg = LaunchConfig::linear(blocks, threads);
+        let probes = (SLOT_PROBES as u32 / threads + 10, 0);
+        let lines = (SLOT_LINES as u32 / 2 + 10, blocks * threads);
+        for (n, stride) in [probes, lines] {
+            let mut params = params_of(&[DEVICE_BASE]);
+            for word in [n, stride, 2] {
+                params.extend(word.to_le_bytes());
+            }
+            let run = |workers| {
+                let (mut dram, mut arena) = (Dram::new(1 << 22), ThreadArena::default());
+                let mut cache = CacheHierarchy::new(spec.l1_bytes, spec.l2_bytes);
+                let outcome = Executor {
+                    dram: &mut dram,
+                    cache: &mut cache,
+                    spec: &spec,
+                    functions: &cm.functions,
+                    arena: &mut arena,
+                }
+                .run_on(&k, cfg, &params, MemGuard::None, workers);
+                let mut memory = vec![0u8; 1 << 22];
+                dram.read(DEVICE_BASE, &mut memory).unwrap();
+                (outcome, memory, arena)
+            };
+            let (ordered, memory, _) = run(1);
+            assert_eq!(ordered.fault, None);
+            assert_eq!(ordered.stats.stores, (n + blocks - 1) as u64 * 64);
+            for workers in 2..=4 {
+                let (fanned, fanned_memory, mut arena) = run(workers);
+                let ctx = format!("n {n}, stride {stride}, {workers} workers");
+                assert_eq!(fanned.fault, ordered.fault, "{ctx}");
+                assert_eq!(fanned.stats, ordered.stats, "{ctx}");
+                assert_eq!(fanned.block_cycles, ordered.block_cycles, "{ctx}");
+                assert!(fanned_memory == memory, "memory: {ctx}");
+                let slots: Vec<&mut Slot> = arena
+                    .slots
+                    .iter_mut()
+                    .map(|s| s.get_mut().unwrap())
+                    .collect();
+                assert!(slots.iter().any(|s| s.mem.full()), "no block filled: {ctx}");
+                assert!(!k.block_cost.pays_for_fan_out(), "{ctx}");
+                for slot in slots {
+                    assert!(slot.mem.trace.capacity() <= SLOT_PROBES, "{ctx}");
+                    assert!(slot.mem.runs.capacity() <= SLOT_PROBES, "{ctx}");
+                    let bound = SLOT_PROBES * 16 + SLOT_LINES * 256 + threads as usize * 8;
+                    assert!(slot.retained_bytes() <= bound, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -361,6 +361,12 @@ impl AccessLog {
         l.mask |= byte_mask(addr, size);
     }
 
+    /// The lines the block wrote or the lines it read from DRAM, whichever
+    /// are more.
+    pub(crate) fn lines(&self) -> usize {
+        self.lines.len().max(self.reads.len())
+    }
+
     /// Whether the block read from DRAM a byte of `written`.
     pub(crate) fn read_any(&self, written: &LineBytes) -> bool {
         let (small, large) = if self.reads.len() <= written.len() {
